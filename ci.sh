@@ -8,19 +8,17 @@ cargo clippy --workspace --all-targets -- -D warnings
 cargo build --release
 cargo test -q --workspace
 
-# Bench smoke: the contention benchmark at 1 and 8 threads, gated against
-# the committed baseline (bench_json exits 1 on regression). The ns/event
-# budget is 100%: shared single-core CI boxes run bimodally (~1.6x between
-# their fast and slow modes, closer to 2x for the scheduler-sensitive
-# serve row), so a tighter budget flakes on machine mode rather than
-# code. The budget still catches asymptotic blowups, and the race/pattern
-# sweeps are additionally gated by mode-immune absolute speedup floors
-# computed within a single run.
-ROOT=$(pwd)
-BENCH=$(mktemp -d)
-(cd "$BENCH" && "$ROOT"/target/release/bench_json --threads 1,8 \
-    --check-baseline "$ROOT"/BENCH_predict.json --max-regress 100 >/dev/null)
-rm -rf "$BENCH"
+# Benchmark correctness gate: all eight pythia_benchmark workloads at one
+# second each. Exit 0 means every check passed and no operation failed:
+# served == single-process (serve.served_equals_local), hardened == bare
+# (predict.hardened_equals_bare), compressed == expanded
+# (analyze.compressed_equals_expanded), zero elastic and serve fault
+# counters on fault-free runs (the mpi_* and serve.* checks, `failed`).
+# No timing is gated here: a run on this box cannot tell a regression from
+# the box's slow mode, so speed is judged by the benchmark's paired
+# parent-vs-change runs against the bounds in BENCHMARK.json.
+cargo run --release --quiet --offline --manifest-path pythia_benchmark/Cargo.toml -- \
+    --all --seconds 1 >/dev/null
 
 # Race & pattern gates: the seeded-violation fixture carries a same-epoch
 # racy store pair and an Isend-without-Wait window; the race subcommand
@@ -59,43 +57,15 @@ PYTHIA_CHAOS="wire-corrupt-len=13,wire-truncate=17,wire-disconnect=29,wire-delay
     target/release/serve_smoke --sessions 50 --socket "$SERVE/serve.sock" >/dev/null
 rm -rf "$SERVE"
 
-# Serve crash-recovery pass: durable sessions are recorded through a real
-# server process, the server is kill -9'ed with no drain or flush, and a
-# `--recover` restart must resurrect every session from its journal with
-# byte-identical predictions (serve_crash verify exits nonzero otherwise).
-SCRASH=$(mktemp -d)
-target/release/serve_crash serve --dir "$SCRASH/journals" --socket "$SCRASH/serve.sock" \
-    >"$SCRASH/serve.log" 2>&1 &
-SCRASH_PID=$!
-n=0
-while [ ! -S "$SCRASH/serve.sock" ]; do
-    n=$((n + 1))
-    [ "$n" -lt 200 ] || { echo "ci: serve_crash server never bound its socket"; exit 1; }
-    sleep 0.05
-done
-target/release/serve_crash drive --socket "$SCRASH/serve.sock" --out "$SCRASH/sessions.txt" >/dev/null
-kill -9 "$SCRASH_PID" 2>/dev/null || true
-wait "$SCRASH_PID" 2>/dev/null || true
-rm -f "$SCRASH/serve.sock"
-target/release/serve_crash serve --recover --dir "$SCRASH/journals" --socket "$SCRASH/serve.sock" \
-    >"$SCRASH/recover.log" 2>&1 &
-SCRASH_PID=$!
-n=0
-while [ ! -S "$SCRASH/serve.sock" ]; do
-    n=$((n + 1))
-    [ "$n" -lt 200 ] || { echo "ci: recovered server never bound its socket"; exit 1; }
-    sleep 0.05
-done
-target/release/serve_crash verify --socket "$SCRASH/serve.sock" --in "$SCRASH/sessions.txt"
-kill -9 "$SCRASH_PID" 2>/dev/null || true
-wait "$SCRASH_PID" 2>/dev/null || true
-rm -rf "$SCRASH"
+# Serve crash recovery (kill -9 a durable server, `--recover`, byte-identical
+# predictions) is crates/bench/tests/serve_crash_recovery.rs, run by
+# `cargo test --workspace` above.
 
-# Chaos pass: the fault-injection suite on a clean environment, then the
-# whole suite again with faults injected into every default-config oracle
-# facade (PYTHIA_CHAOS is read by ResilienceConfig::default()). The
-# applications must still complete — degraded, not dead.
-cargo test -q --test chaos
+# Chaos pass: the workspace run above was the fault-injection suite on a
+# clean environment; here the whole suite runs again with faults injected
+# into every default-config oracle facade (PYTHIA_CHAOS is read by
+# ResilienceConfig::default()). The applications must still complete —
+# degraded, not dead.
 PYTHIA_CHAOS="panic-predict" cargo test -q --test chaos
 PYTHIA_CHAOS="drop=7,dup=13,slow-predict-us=5" cargo test -q --test chaos
 
@@ -121,9 +91,11 @@ target/release/pythia-analyze --deny errors "$CRASH/recovered.pythia" >/dev/null
 rm -rf "$CRASH"
 
 # Elastic stage: the Communicator backends and rank-level fault
-# tolerance. The bench gate above already checks the communicator rows
-# (threads vs socket ns/event) and the fault-free elastic counters
-# against the committed baseline; this stage drives the failure paths.
+# tolerance. The benchmark gate above checks the fault-free elastic
+# counters; this stage drives the failure paths. Kill -9 of a socket-world
+# rank with a journal-resumed replacement, byte-identical to the fault-free
+# run, is crates/bench/tests/elastic_socket_recovery.rs, run by
+# `cargo test --workspace` above.
 EREC=target/release/elastic_record
 ELASTIC=$(mktemp -d)
 
@@ -165,54 +137,6 @@ for kind in rank-panic rank-hang rank-disconnect; do
     cmp -s "$ELASTIC/free.pythia" "$ELASTIC/$kind.pythia" \
         || { echo "ci: trace recovered under $kind differs from the fault-free run"; exit 1; }
 done
-
-# (3) Kill -9 rank-crash recovery over the socket backend: SIGKILL one
-# rank's worker process mid-record, admit a replacement incarnation
-# that salvages the dead rank's journal, and require the assembled
-# trace byte-identical to a fault-free multi-process run.
-"$EREC" hub "$ELASTIC/clean.sock" 3 >"$ELASTIC/clean-hub.log" 2>&1 &
-EHUB_PID=$!
-n=0
-while [ ! -S "$ELASTIC/clean.sock" ]; do
-    n=$((n + 1))
-    [ "$n" -lt 200 ] || { echo "ci: elastic hub never bound its socket"; exit 1; }
-    sleep 0.05
-done
-for r in 0 1 2; do
-    "$EREC" worker "$ELASTIC/clean.sock" "$ELASTIC/clean.pythia" "$r" 3 20000 >/dev/null &
-done
-wait "$EHUB_PID"
-"$EREC" assemble "$ELASTIC/clean.pythia" >/dev/null
-"$EREC" hub "$ELASTIC/crash.sock" 3 >"$ELASTIC/crash-hub.log" 2>&1 &
-EHUB_PID=$!
-n=0
-while [ ! -S "$ELASTIC/crash.sock" ]; do
-    n=$((n + 1))
-    [ "$n" -lt 200 ] || { echo "ci: elastic hub never bound its socket"; exit 1; }
-    sleep 0.05
-done
-"$EREC" worker "$ELASTIC/crash.sock" "$ELASTIC/crash.pythia" 0 3 20000 >/dev/null &
-"$EREC" worker "$ELASTIC/crash.sock" "$ELASTIC/crash.pythia" 2 3 20000 >/dev/null &
-"$EREC" worker "$ELASTIC/crash.sock" "$ELASTIC/crash.pythia" 1 3 20000 >"$ELASTIC/victim.log" &
-VICTIM_PID=$!
-n=0
-until grep -q "events=512" "$ELASTIC/victim.log"; do
-    n=$((n + 1))
-    [ "$n" -lt 400 ] || { echo "ci: victim rank never reached the kill point"; exit 1; }
-    sleep 0.02
-done
-kill -9 "$VICTIM_PID" 2>/dev/null || true
-wait "$VICTIM_PID" 2>/dev/null || true
-"$EREC" worker "$ELASTIC/crash.sock" "$ELASTIC/crash.pythia" 1 3 20000 1 \
-    >"$ELASTIC/replacement.log"
-grep -q "replaced=1" "$ELASTIC/replacement.log" \
-    || { echo "ci: replacement rank did not resume from the journal"; exit 1; }
-wait "$EHUB_PID"
-grep -q "failures=1 replaced=1" "$ELASTIC/crash-hub.log" \
-    || { echo "ci: hub missed the killed rank or its replacement"; exit 1; }
-"$EREC" assemble "$ELASTIC/crash.pythia" >/dev/null
-cmp -s "$ELASTIC/clean.pythia" "$ELASTIC/crash.pythia" \
-    || { echo "ci: trace recovered after kill -9 differs from the fault-free run"; exit 1; }
 rm -rf "$ELASTIC"
 
 # Optional sanitize pass (PYTHIA_CI_SANITIZE=1): core tests under Miri

@@ -1,6 +1,6 @@
 //! Crash-recovery regression driver for `pythia-serve` durable
-//! sessions: three roles composed by the CI gate (and the
-//! `serve_crash_recovery` integration test) into a kill -9 storyline.
+//! sessions: three roles composed by the `serve_crash_recovery`
+//! integration test into a kill -9 storyline.
 //!
 //! - `serve --dir D --socket S [--recover]` — runs a server with its
 //!   session journals in `D`, prints `ready` (plus a `recovered N M`

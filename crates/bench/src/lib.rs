@@ -1,8 +1,7 @@
 //! # pythia-bench
 //!
 //! The experiment harness of the PYTHIA reproduction: one binary per table
-//! or figure of the paper's evaluation (§III), plus Criterion
-//! micro-benchmarks for the grammar builder and the predictor.
+//! or figure of the paper's evaluation (§III).
 //!
 //! | Paper artifact | Binary |
 //! |---|---|

@@ -3,7 +3,8 @@
 //! backend, SIGKILL one rank's worker process mid-record, admit a
 //! replacement incarnation, and prove the assembled trace — every
 //! rank's grammar — is byte-identical to a fault-free run's. Drives the
-//! `elastic_record` binary the same way ci.sh does.
+//! `elastic_record` binary; ci.sh runs this flow only here, through
+//! `cargo test --workspace`.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};

@@ -2,8 +2,8 @@
 //! acceptance criterion): record sessions through a real server
 //! process, SIGKILL it mid-flight, restart with `--recover`, and prove
 //! every resumed session serves predictions byte-identical to a
-//! single-process oracle. Drives the `serve_crash` binary the same way
-//! ci.sh does.
+//! single-process oracle. Drives the `serve_crash` binary; ci.sh runs
+//! this flow only here, through `cargo test --workspace`.
 
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};

@@ -11,7 +11,7 @@
 //!   fail with a clean [`Error::Corrupt`] instead of a panic). Version 2
 //!   appends a whole-payload CRC32, so silent corruption — a short write
 //!   a lying disk reported as complete, bit rot — is detected before
-//!   parsing; version-1 files (no checksum) are still readable;
+//!   parsing; version-1 files (no checksum) are refused;
 //! * a **JSON** format (via `serde`) for debugging and interoperability.
 //!
 //! Writes are crash-safe: [`TraceData::save`] and [`TraceData::save_json`]
@@ -40,9 +40,9 @@ pub const MAGIC: &[u8; 8] = b"PYTHIA\x00\x01";
 /// Current binary format version: version 2 appends a CRC32 over the
 /// whole preceding file as the last 4 bytes.
 pub const FORMAT_VERSION: u32 = 2;
-/// Oldest binary format version still readable (version 1 lacks the
-/// trailing checksum).
-pub const MIN_FORMAT_VERSION: u32 = 1;
+/// Oldest binary format version still readable: version 1 had no
+/// trailing checksum, and nothing is loaded without one.
+pub const MIN_FORMAT_VERSION: u32 = 2;
 
 /// The recorded behavior of one thread: its grammar (compacted), timing
 /// model, and total event count.
@@ -201,26 +201,23 @@ impl TraceData {
         if !(MIN_FORMAT_VERSION..=FORMAT_VERSION).contains(&version) {
             return Err(Error::UnsupportedVersion(version));
         }
-        let mut body: &[u8] = buf;
-        if version >= 2 {
-            // The trailing CRC32 covers the whole file before it.
-            if body.len() < 4 {
-                return Err(Error::Corrupt("file too short for checksum".into()));
-            }
-            let crc_offset = data.len() - 4;
-            let mut crc_bytes: &[u8] = &data[crc_offset..];
-            let stored = wire::get_u32(&mut crc_bytes)?;
-            if crc32(&data[..crc_offset]) != stored {
-                return Err(Error::Corrupt(
-                    "checksum mismatch: file is truncated or corrupt".into(),
-                ));
-            }
-            body = &body[..body.len() - 4];
+        // The trailing CRC32 covers the whole file before it.
+        if buf.len() < 4 {
+            return Err(Error::Corrupt("file too short for checksum".into()));
         }
+        let crc_offset = data.len() - 4;
+        let mut crc_bytes: &[u8] = &data[crc_offset..];
+        let stored = wire::get_u32(&mut crc_bytes)?;
+        if crc32(&data[..crc_offset]) != stored {
+            return Err(Error::Corrupt(
+                "checksum mismatch: file is truncated or corrupt".into(),
+            ));
+        }
+        let mut body: &[u8] = &buf[..buf.len() - 4];
         Self::parse_body(&mut body)
     }
 
-    /// Parses the version-independent body: registry, then threads.
+    /// Parses the body between header and checksum: registry, then threads.
     fn parse_body(buf: &mut &[u8]) -> Result<Self> {
         let registry = wire::get_registry(buf)?;
         let n_threads = wire::get_u32(buf)? as usize;
@@ -594,19 +591,17 @@ mod tests {
     }
 
     #[test]
-    fn v1_files_without_checksum_still_load() {
+    fn v1_files_without_checksum_are_rejected() {
         // A version-1 file is exactly a version-2 file minus the trailing
         // CRC, with the version field set to 1.
         let trace = sample_trace();
         let mut bytes = trace.to_bytes().to_vec();
         bytes.truncate(bytes.len() - 4);
         bytes[8] = 1;
-        let loaded = TraceData::from_bytes(&bytes).unwrap();
-        assert_eq!(loaded.total_events(), trace.total_events());
-        assert_eq!(
-            loaded.thread(0).unwrap().grammar.unfold(),
-            trace.thread(0).unwrap().grammar.unfold()
-        );
+        assert!(matches!(
+            TraceData::from_bytes(&bytes),
+            Err(Error::UnsupportedVersion(1))
+        ));
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! rank's behalf.
 //!
 //! Failure detection is by connection EOF: a `kill -9`'d or disconnected
-//! rank drops its socket, the hub marks the rank failed and — unless the
+//! rank drops its socket (a rank that sends a malformed frame is treated
+//! the same way), the hub marks the rank failed and — unless the
 //! hub is *elastic* — poisons the world so every parked operation aborts
 //! (the client sees a `POISONED` reply and panics with
 //! [`PoisonedWorld`]). An elastic hub instead keeps the rank's mailbox
@@ -25,7 +26,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use bytes::Bytes;
+use bytes::{BufMut, Bytes};
 use parking_lot::{Condvar, Mutex};
 
 use crate::collective::Board;
@@ -90,27 +91,6 @@ fn read_frame(stream: &mut UnixStream) -> io::Result<Vec<u8>> {
     Ok(body)
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i32(buf: &mut Vec<u8>, v: i32) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_i64(buf: &mut Vec<u8>, v: i64) {
-    buf.extend_from_slice(&v.to_le_bytes());
-}
-
-fn put_bytes(buf: &mut Vec<u8>, data: &[u8]) {
-    put_u32(buf, data.len() as u32);
-    buf.extend_from_slice(data);
-}
-
 /// Cursor over a received frame body.
 struct Reader<'a> {
     buf: &'a [u8],
@@ -157,6 +137,22 @@ impl<'a> Reader<'a> {
         let len = self.u32()? as usize;
         Ok(Bytes::copy_from_slice(self.chunk(len)?))
     }
+
+    /// Reads an element count and validates it against the bytes left in
+    /// the frame (each element occupies at least `min_elem` of them), so
+    /// the caller may allocate for it: a count the frame cannot back is
+    /// rejected before any allocation.
+    fn count(&mut self, min_elem: usize) -> io::Result<usize> {
+        let n = self.u32()? as usize;
+        if n > (self.buf.len() - self.pos) / min_elem {
+            return Err(malformed(format!("count {n} exceeds the frame")));
+        }
+        Ok(n)
+    }
+}
+
+fn malformed(what: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
 fn encode_src(src: Option<usize>) -> u64 {
@@ -171,8 +167,13 @@ fn encode_tag(tag: Option<Tag>) -> i64 {
     tag.map_or(NO_TAG, i64::from)
 }
 
-fn decode_tag(v: i64) -> Option<Tag> {
-    (v != NO_TAG).then_some(v as Tag)
+fn decode_tag(v: i64) -> io::Result<Option<Tag>> {
+    if v == NO_TAG {
+        return Ok(None);
+    }
+    Tag::try_from(v)
+        .map(Some)
+        .map_err(|_| malformed(format!("tag {v} out of range")))
 }
 
 // ----------------------------------------------------------------------
@@ -182,7 +183,8 @@ fn decode_tag(v: i64) -> Option<Tag> {
 /// Counters reported by [`Hub::serve`] once the world completed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HubStats {
-    /// Rank failures detected (connection EOF or heartbeat staleness).
+    /// Rank failures detected (connection EOF, a malformed frame, or
+    /// heartbeat staleness).
     pub failures_detected: u64,
     /// Replacement connections admitted for a previously-failed rank.
     pub ranks_replaced: u64,
@@ -347,81 +349,203 @@ impl Hub {
     }
 }
 
-/// Services one rank connection until BYE, EOF, or fatal error.
+/// A client → hub request; the wire format is [`Request::encode`] and
+/// [`decode_request`], nothing else reads or writes it.
+#[derive(Debug)]
+enum Request {
+    /// `(comm, dest, messages)`: deposit into local rank `dest`'s mailbox.
+    Send(u64, usize, Vec<Message>),
+    /// `(op, comm, src, tag)`, `op` one of `OP_RECV`, `OP_TRYRECV`,
+    /// `OP_PROBE`, on the sender's own mailbox.
+    Match(u8, u64, Option<usize>, Option<Tag>),
+    /// `(comm, local rank, slots)`: one collective round.
+    Exchange(u64, usize, Vec<Bytes>),
+    /// `(key, members as world ranks)`: register a split communicator.
+    Split(CommKey, Vec<usize>),
+    Stats,
+    Status,
+    Bye,
+    FailSelf,
+    Beat,
+}
+
+impl Request {
+    /// The frame a client sends for this request; [`decode_request`] is
+    /// its inverse.
+    fn encode(&self) -> Vec<u8> {
+        let mut f = Vec::new();
+        match self {
+            Request::Send(comm_id, dest, msgs) => {
+                f.put_u8(OP_SEND);
+                f.put_u64_le(*comm_id);
+                f.put_u32_le(*dest as u32);
+                f.put_u32_le(msgs.len() as u32);
+                for msg in msgs {
+                    f.put_u32_le(msg.src as u32);
+                    f.put_i32_le(msg.tag);
+                    f.put_u32_le(msg.data.len() as u32);
+                    f.put_slice(&msg.data);
+                }
+            }
+            Request::Match(op, comm_id, src, tag) => {
+                f.put_u8(*op);
+                f.put_u64_le(*comm_id);
+                f.put_u64_le(encode_src(*src));
+                f.put_i64_le(encode_tag(*tag));
+            }
+            Request::Exchange(comm_id, local, mine) => {
+                f.put_u8(OP_EXCHANGE);
+                f.put_u64_le(*comm_id);
+                f.put_u32_le(*local as u32);
+                f.put_u32_le(mine.len() as u32);
+                for slot in mine {
+                    f.put_u32_le(slot.len() as u32);
+                    f.put_slice(slot);
+                }
+            }
+            Request::Split(key, members) => {
+                f.put_u8(OP_SPLIT);
+                f.put_u64_le(key.0);
+                f.put_u64_le(key.1);
+                f.put_i64_le(key.2);
+                f.put_u32_le(members.len() as u32);
+                for &m in members {
+                    f.put_u32_le(m as u32);
+                }
+            }
+            Request::Stats => f.put_u8(OP_STATS),
+            Request::Status => f.put_u8(OP_STATUS),
+            Request::Bye => f.put_u8(OP_BYE),
+            Request::FailSelf => f.put_slice(&[OP_FAILSELF, 2]),
+            Request::Beat => f.put_u8(OP_BEAT),
+        }
+        f
+    }
+}
+
+/// Decodes one post-HELLO frame. Pure: every byte string yields `Ok` or
+/// `Err`, never a panic, and every element count is checked against the
+/// bytes left in the frame before anything is allocated for it. Ranks
+/// and communicator ids are checked by the caller, which has the world.
+fn decode_request(frame: &[u8]) -> io::Result<Request> {
+    let mut r = Reader::new(frame);
+    let op = r.chunk(1)?[0];
+    let req = match op {
+        OP_SEND => {
+            let comm_id = r.u64()?;
+            let dest = r.u32()? as usize;
+            // src + tag + payload length.
+            let n = r.count(12)?;
+            let mut msgs = Vec::with_capacity(n);
+            for _ in 0..n {
+                msgs.push(Message {
+                    src: r.u32()? as usize,
+                    tag: r.i32()?,
+                    comm_id,
+                    data: r.bytes()?,
+                });
+            }
+            Request::Send(comm_id, dest, msgs)
+        }
+        OP_RECV | OP_TRYRECV | OP_PROBE => {
+            Request::Match(op, r.u64()?, decode_src(r.u64()?), decode_tag(r.i64()?)?)
+        }
+        OP_EXCHANGE => {
+            let comm_id = r.u64()?;
+            let local = r.u32()? as usize;
+            let n = r.count(4)?;
+            let mut mine = Vec::with_capacity(n);
+            for _ in 0..n {
+                mine.push(r.bytes()?);
+            }
+            Request::Exchange(comm_id, local, mine)
+        }
+        OP_SPLIT => {
+            let key: CommKey = (r.u64()?, r.u64()?, r.i64()?);
+            let n = r.count(4)?;
+            let mut members = Vec::with_capacity(n);
+            for _ in 0..n {
+                members.push(r.u32()? as usize);
+            }
+            Request::Split(key, members)
+        }
+        OP_STATS => Request::Stats,
+        OP_STATUS => Request::Status,
+        OP_BYE => Request::Bye,
+        OP_FAILSELF => {
+            r.chunk(1)?; // fault kind, informational
+            Request::FailSelf
+        }
+        OP_BEAT => Request::Beat,
+        other => return Err(malformed(format!("unknown opcode {other}"))),
+    };
+    if r.pos != frame.len() {
+        return Err(malformed(format!(
+            "{} trailing bytes after opcode {op}",
+            frame.len() - r.pos
+        )));
+    }
+    Ok(req)
+}
+
+/// Services one rank connection until it ends. Only BYE completes a
+/// rank: EOF, an I/O failure, FAILSELF and a malformed frame all mean
+/// the rank is gone, and take the same `fail_rank` path so the hub never
+/// waits for a BYE that will not come.
 fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
-    let hello = read_frame(&mut conn)?;
+    let rank = admit(&mut conn, state)?;
+    let ended = serve_rank(&mut conn, state, rank);
+    if !state.done.lock().contains(&rank) {
+        state.fail_rank(rank);
+    }
+    ended
+}
+
+/// HELLO handshake: validates the claimed rank against the world and
+/// admits it (as a replacement if it failed before).
+fn admit(conn: &mut UnixStream, state: &HubState) -> io::Result<usize> {
+    let hello = read_frame(conn)?;
     let mut r = Reader::new(&hello);
     if r.chunk(1)?[0] != OP_HELLO {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "expected HELLO"));
+        return Err(malformed("expected HELLO".into()));
     }
     let rank = r.u32()? as usize;
     let size = r.u32()? as usize;
     let incarnation = r.u64()?;
     if rank >= state.size || size != state.size {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad HELLO: rank {rank} size {size}"),
-        ));
+        return Err(malformed(format!("bad HELLO: rank {rank} size {size}")));
     }
     if incarnation > 0 || state.failure.is_failed(rank) {
         state.failure.clear_failed(rank);
         state.replaced.fetch_add(1, Ordering::SeqCst);
     }
     state.failure.beat(rank);
-    write_frame(&mut conn, &[RE_WELCOME])?;
+    write_frame(conn, &[RE_WELCOME])?;
+    Ok(rank)
+}
 
+/// Request loop of an admitted rank; `Ok` after BYE or FAILSELF.
+fn serve_rank(conn: &mut UnixStream, state: &HubState, rank: usize) -> io::Result<()> {
     loop {
-        let frame = match read_frame(&mut conn) {
-            Ok(f) => f,
-            Err(_) => {
-                // EOF or I/O failure without BYE: the rank died.
-                if !state.done.lock().contains(&rank) {
-                    state.fail_rank(rank);
-                }
-                return Ok(());
-            }
-        };
+        let frame = read_frame(conn)?;
         state.failure.beat(rank);
-        let mut r = Reader::new(&frame);
-        let op = r.chunk(1)?[0];
-        match op {
-            OP_SEND => {
-                let comm_id = r.u64()?;
-                let dest = r.u32()? as usize;
-                let n = r.u32()? as usize;
-                let mut msgs = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let src = r.u32()? as usize;
-                    let tag = r.i32()?;
-                    let data = r.bytes()?;
-                    msgs.push(Message {
-                        src,
-                        tag,
-                        comm_id,
-                        data,
-                    });
-                }
+        match decode_request(&frame)? {
+            Request::Send(comm_id, dest, msgs) => {
                 let Some(comm) = state.comm(comm_id) else {
                     continue;
                 };
-                let world_dest = comm.members[dest];
+                let &world_dest = comm
+                    .members
+                    .get(dest)
+                    .ok_or_else(|| malformed(format!("send to rank {dest} outside the comm")))?;
                 state.mailboxes[world_dest].deposit_batch(msgs);
             }
-            OP_RECV | OP_TRYRECV | OP_PROBE => {
-                let comm_id = r.u64()?;
-                let src = decode_src(r.u64()?);
-                let tag = decode_tag(r.i64()?);
-                let Some(comm) = state.comm(comm_id) else {
-                    write_frame(&mut conn, &[RE_NOMSG])?;
+            Request::Match(op, comm_id, src, tag) => {
+                if state.comm(comm_id).is_none() {
+                    write_frame(conn, &[RE_NOMSG])?;
                     continue;
-                };
-                let my_world = comm
-                    .members
-                    .iter()
-                    .position(|&w| w == rank)
-                    .map(|local| comm.members[local])
-                    .unwrap_or(rank);
-                let mailbox = &state.mailboxes[my_world];
+                }
+                let mailbox = &state.mailboxes[rank];
                 let reply = match op {
                     OP_RECV => {
                         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -440,48 +564,41 @@ fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
                         vec![RE_BOOL, hit as u8]
                     }
                 };
-                write_frame(&mut conn, &reply)?;
+                write_frame(conn, &reply)?;
             }
-            OP_EXCHANGE => {
-                let comm_id = r.u64()?;
-                let local = r.u32()? as usize;
-                let n = r.u32()? as usize;
-                let mut mine = Vec::with_capacity(n);
-                for _ in 0..n {
-                    mine.push(r.bytes()?);
-                }
+            Request::Exchange(comm_id, local, mine) => {
                 let Some(comm) = state.comm(comm_id) else {
-                    write_frame(&mut conn, &[RE_NOMSG])?;
+                    write_frame(conn, &[RE_NOMSG])?;
                     continue;
                 };
+                if local >= comm.members.len() {
+                    return Err(malformed(format!(
+                        "exchange as rank {local} outside the comm"
+                    )));
+                }
                 let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     comm.board.exchange(local, mine)
                 })) {
                     Ok(snap) => {
                         let mut out = vec![RE_SNAP];
-                        put_u32(&mut out, snap.len() as u32);
+                        out.put_u32_le(snap.len() as u32);
                         for slots in snap.iter() {
-                            put_u32(&mut out, slots.len() as u32);
+                            out.put_u32_le(slots.len() as u32);
                             for slot in slots {
-                                put_bytes(&mut out, slot);
+                                out.put_u32_le(slot.len() as u32);
+                                out.put_slice(slot);
                             }
                         }
                         out
                     }
                     Err(payload) => poisoned_reply(payload),
                 };
-                write_frame(&mut conn, &reply)?;
+                write_frame(conn, &reply)?;
             }
-            OP_SPLIT => {
-                let parent = r.u64()?;
-                let seq = r.u64()?;
-                let color = r.i64()?;
-                let n = r.u32()? as usize;
-                let mut members = Vec::with_capacity(n);
-                for _ in 0..n {
-                    members.push(r.u32()? as usize);
+            Request::Split(key, members) => {
+                if members.is_empty() || members.iter().any(|&m| m >= state.size) {
+                    return Err(malformed(format!("split members {members:?}")));
                 }
-                let key: CommKey = (parent, seq, color);
                 let id = {
                     let mut splits = state.splits.lock();
                     if let Some(&id) = splits.get(&key) {
@@ -497,7 +614,7 @@ fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
                                 members.clone(),
                                 Arc::clone(&state.failure),
                             ),
-                            members: members.clone(),
+                            members,
                         });
                         state.by_id.lock().insert(id, comm);
                         splits.insert(key, id);
@@ -505,49 +622,39 @@ fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
                     }
                 };
                 let mut out = vec![RE_COMMID];
-                put_u64(&mut out, id);
-                write_frame(&mut conn, &out)?;
+                out.put_u64_le(id);
+                write_frame(conn, &out)?;
             }
-            OP_STATS => {
+            Request::Stats => {
                 let stats = state.mailboxes[rank].network_stats();
                 let mut out = vec![RE_STATS];
-                put_u64(&mut out, stats.transfers);
-                put_u64(&mut out, stats.messages);
-                write_frame(&mut conn, &out)?;
+                out.put_u64_le(stats.transfers);
+                out.put_u64_le(stats.messages);
+                write_frame(conn, &out)?;
             }
-            OP_STATUS => {
+            Request::Status => {
                 let mut out = vec![RE_STATUS];
-                put_i64(&mut out, state.failure.poisoned().map_or(-1, |r| r as i64));
-                put_u64(&mut out, state.failure.detected());
-                write_frame(&mut conn, &out)?;
+                out.put_i64_le(state.failure.poisoned().map_or(-1, |r| r as i64));
+                out.put_u64_le(state.failure.detected());
+                write_frame(conn, &out)?;
             }
-            OP_BYE => {
-                let mut done = state.done.lock();
-                done.insert(rank);
+            Request::Bye => {
+                state.done.lock().insert(rank);
                 state.done_cv.notify_all();
                 return Ok(());
             }
-            OP_FAILSELF => {
-                let _kind = r.chunk(1)?[0];
-                state.fail_rank(rank);
-                return Ok(());
-            }
-            OP_BEAT => {}
-            other => {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("unknown opcode {other}"),
-                ));
-            }
+            Request::FailSelf => return Ok(()),
+            Request::Beat => {}
         }
     }
 }
 
 fn encode_msg(msg: &Message) -> Vec<u8> {
     let mut out = vec![RE_MSG];
-    put_u32(&mut out, msg.src as u32);
-    put_i32(&mut out, msg.tag);
-    put_bytes(&mut out, &msg.data);
+    out.put_u32_le(msg.src as u32);
+    out.put_i32_le(msg.tag);
+    out.put_u32_le(msg.data.len() as u32);
+    out.put_slice(&msg.data);
     out
 }
 
@@ -556,7 +663,7 @@ fn poisoned_reply(payload: Box<dyn std::any::Any + Send>) -> Vec<u8> {
         .downcast_ref::<PoisonedWorld>()
         .map_or(u32::MAX, |p| p.rank as u32);
     let mut out = vec![RE_POISONED];
-    put_u32(&mut out, rank);
+    out.put_u32_le(rank);
     out
 }
 
@@ -590,9 +697,9 @@ impl SocketComm {
     ) -> io::Result<SocketComm> {
         let mut stream = UnixStream::connect(path)?;
         let mut hello = vec![OP_HELLO];
-        put_u32(&mut hello, rank as u32);
-        put_u32(&mut hello, size as u32);
-        put_u64(&mut hello, incarnation);
+        hello.put_u32_le(rank as u32);
+        hello.put_u32_le(size as u32);
+        hello.put_u64_le(incarnation);
         write_frame(&mut stream, &hello)?;
         let reply = read_frame(&mut stream)?;
         if reply.first() != Some(&RE_WELCOME) {
@@ -615,7 +722,7 @@ impl SocketComm {
     /// Says goodbye to the hub (clean completion of this rank).
     pub fn bye(self) -> io::Result<()> {
         let mut stream = self.stream.lock();
-        write_frame(&mut stream, &[OP_BYE])
+        write_frame(&mut stream, &Request::Bye.encode())
     }
 
     /// Sends `body` and awaits one reply frame, aborting via
@@ -633,6 +740,12 @@ impl SocketComm {
         reply
     }
 
+    /// Sends one of the matching requests (`OP_RECV`, `OP_TRYRECV`,
+    /// `OP_PROBE`) on this communicator and awaits its reply.
+    fn match_request(&self, op: u8, src: Option<usize>, tag: Option<Tag>) -> Vec<u8> {
+        self.request(&Request::Match(op, self.comm_id, src, tag).encode())
+    }
+
     /// Sends a one-way frame (no reply expected).
     fn send_oneway(&self, body: &[u8]) {
         let mut stream = self.stream.lock();
@@ -640,7 +753,7 @@ impl SocketComm {
     }
 
     fn status(&self) -> (Option<usize>, u64) {
-        let reply = self.request(&[OP_STATUS]);
+        let reply = self.request(&Request::Status.encode());
         let mut r = Reader::new(&reply[1..]);
         let poisoned = r.i64().ok().filter(|&v| v >= 0).map(|v| v as usize);
         let detected = r.u64().unwrap_or(0);
@@ -674,54 +787,26 @@ impl Communicator for SocketComm {
     }
 
     fn deposit(&self, dest: usize, msgs: Vec<Message>) {
-        let mut body = vec![OP_SEND];
-        put_u64(&mut body, self.comm_id);
-        put_u32(&mut body, dest as u32);
-        put_u32(&mut body, msgs.len() as u32);
-        for msg in &msgs {
-            put_u32(&mut body, msg.src as u32);
-            put_i32(&mut body, msg.tag);
-            put_bytes(&mut body, &msg.data);
-        }
-        self.send_oneway(&body);
+        self.send_oneway(&Request::Send(self.comm_id, dest, msgs).encode());
     }
 
     fn take(&self, src: Option<usize>, tag: Option<Tag>) -> Message {
-        let mut body = vec![OP_RECV];
-        put_u64(&mut body, self.comm_id);
-        put_u64(&mut body, encode_src(src));
-        put_i64(&mut body, encode_tag(tag));
-        let reply = self.request(&body);
+        let reply = self.match_request(OP_RECV, src, tag);
         decode_reply_msg(&reply, self.comm_id).expect("blocking recv returned no message")
     }
 
     fn try_take(&self, src: Option<usize>, tag: Option<Tag>) -> Option<Message> {
-        let mut body = vec![OP_TRYRECV];
-        put_u64(&mut body, self.comm_id);
-        put_u64(&mut body, encode_src(src));
-        put_i64(&mut body, encode_tag(tag));
-        let reply = self.request(&body);
+        let reply = self.match_request(OP_TRYRECV, src, tag);
         decode_reply_msg(&reply, self.comm_id)
     }
 
     fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> bool {
-        let mut body = vec![OP_PROBE];
-        put_u64(&mut body, self.comm_id);
-        put_u64(&mut body, encode_src(src));
-        put_i64(&mut body, encode_tag(tag));
-        let reply = self.request(&body);
+        let reply = self.match_request(OP_PROBE, src, tag);
         reply.first() == Some(&RE_BOOL) && reply.get(1) == Some(&1)
     }
 
     fn exchange(&self, mine: Vec<Bytes>) -> Arc<Vec<Vec<Bytes>>> {
-        let mut body = vec![OP_EXCHANGE];
-        put_u64(&mut body, self.comm_id);
-        put_u32(&mut body, self.rank as u32);
-        put_u32(&mut body, mine.len() as u32);
-        for slot in &mine {
-            put_bytes(&mut body, slot);
-        }
-        let reply = self.request(&body);
+        let reply = self.request(&Request::Exchange(self.comm_id, self.rank, mine).encode());
         let mut r = Reader::new(&reply);
         let op = r.chunk(1).map(|c| c[0]).unwrap_or(0);
         assert_eq!(op, RE_SNAP, "exchange expects a snapshot reply");
@@ -745,15 +830,8 @@ impl Communicator for SocketComm {
     }
 
     fn register_split(&self, seq: u64, color: i64, members: Vec<usize>, my_rank: usize) -> Self {
-        let mut body = vec![OP_SPLIT];
-        put_u64(&mut body, self.comm_id);
-        put_u64(&mut body, seq);
-        put_i64(&mut body, color);
-        put_u32(&mut body, members.len() as u32);
-        for &m in &members {
-            put_u32(&mut body, m as u32);
-        }
-        let reply = self.request(&body);
+        let split = Request::Split((self.comm_id, seq, color), members.clone());
+        let reply = self.request(&split.encode());
         assert_eq!(reply.first(), Some(&RE_COMMID), "split expects a comm id");
         let id = Reader::new(&reply[1..]).u64().expect("comm id");
         SocketComm {
@@ -768,7 +846,7 @@ impl Communicator for SocketComm {
     }
 
     fn network_stats(&self) -> NetworkStats {
-        let reply = self.request(&[OP_STATS]);
+        let reply = self.request(&Request::Stats.encode());
         let mut r = Reader::new(&reply[1..]);
         NetworkStats {
             transfers: r.u64().unwrap_or(0),
@@ -792,7 +870,7 @@ impl Communicator for SocketComm {
         if last.is_none_or(|t| now.duration_since(t) >= Duration::from_millis(50)) {
             *last = Some(now);
             drop(last);
-            self.send_oneway(&[OP_BEAT]);
+            self.send_oneway(&Request::Beat.encode());
         }
     }
 
@@ -805,7 +883,7 @@ impl Communicator for SocketComm {
                 std::thread::sleep(Duration::from_secs(3600));
             },
             RankFault::Disconnect => {
-                self.send_oneway(&[OP_FAILSELF, 2]);
+                self.send_oneway(&Request::FailSelf.encode());
                 std::panic::panic_any(PoisonedWorld { rank: self.rank });
             }
         }
@@ -848,6 +926,15 @@ mod tests {
         ))
     }
 
+    fn wait_bound(path: &Path) {
+        for _ in 0..400 {
+            if path.exists() {
+                return;
+            }
+            std::thread::sleep(Duration::from_millis(5));
+        }
+    }
+
     /// Runs `f` on `size` in-process clients against a hub thread (the
     /// socket backend exercised without multi-process orchestration).
     fn run_socket_world<R, F>(size: usize, elastic: bool, tag: &str, f: F) -> (Vec<R>, HubStats)
@@ -858,13 +945,7 @@ mod tests {
         let path = temp_socket(tag);
         let path2 = path.clone();
         let hub = std::thread::spawn(move || Hub::serve(&path2, size, elastic).expect("hub"));
-        // Wait for the hub to bind.
-        for _ in 0..400 {
-            if path.exists() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_bound(&path);
         let results = std::thread::scope(|s| {
             let handles: Vec<_> = (0..size)
                 .map(|rank| {
@@ -955,12 +1036,7 @@ mod tests {
         let path = temp_socket("elastic");
         let path2 = path.clone();
         let hub = std::thread::spawn(move || Hub::serve(&path2, 2, true).expect("hub"));
-        for _ in 0..400 {
-            if path.exists() {
-                break;
-            }
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        wait_bound(&path);
         let survivor = {
             let path = path.clone();
             std::thread::spawn(move || {
@@ -991,5 +1067,170 @@ mod tests {
         let stats = hub.join().expect("hub");
         assert_eq!(stats.failures_detected, 1);
         assert_eq!(stats.ranks_replaced, 1);
+    }
+
+    /// A frame of each payload-carrying request, as `SocketComm` sends it.
+    fn valid_frame(kind: u8, comm_id: u64, rank: u32, blobs: &[Vec<u8>]) -> Vec<u8> {
+        let rank = rank as usize;
+        let mut slots = blobs.iter().map(|b| Bytes::copy_from_slice(b));
+        match kind % 4 {
+            0 => {
+                let msg = |(i, data)| Message {
+                    src: rank,
+                    tag: i as Tag,
+                    comm_id,
+                    data,
+                };
+                Request::Send(comm_id, rank, slots.enumerate().map(msg).collect())
+            }
+            1 => Request::Exchange(comm_id, rank, slots.collect()),
+            2 => Request::Split(
+                (comm_id, rank as u64, -1),
+                blobs.iter().map(Vec::len).collect(),
+            ),
+            // Any source when there are no blobs, `rank` otherwise.
+            _ => Request::Match(OP_RECV, comm_id, slots.next().map(|_| rank), None),
+        }
+        .encode()
+    }
+
+    /// A rank that sends a malformed frame is failed like one that died:
+    /// the hub counts it, poisons the world so the survivor aborts, and
+    /// `Hub::serve` returns — it must neither wait for a BYE that will
+    /// never come nor lose its handler thread to a panic.
+    #[test]
+    fn garbage_frame_fails_the_rank_and_serve_returns() {
+        let send_out_of_comm = valid_frame(0, 0, 7, &[]);
+        let mut send_huge_count = valid_frame(0, 0, 0, &[]);
+        send_huge_count[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
+        let split_nobody = valid_frame(2, 0, 0, &[]);
+        for garbage in [vec![0xEE], send_out_of_comm, send_huge_count, split_nobody] {
+            let path = temp_socket("garbage");
+            let (tx, rx) = std::sync::mpsc::channel();
+            let hub_path = path.clone();
+            std::thread::spawn(move || tx.send(Hub::serve(&hub_path, 2, false)));
+            wait_bound(&path);
+            let survivor = {
+                let path = path.clone();
+                std::thread::spawn(move || {
+                    let comm = SocketComm::connect(&path, 0, 2, 0).expect("connect");
+                    let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        comm.recv::<u64>(Some(1), Some(7))
+                    }))
+                    .is_err();
+                    let _ = comm.bye();
+                    aborted
+                })
+            };
+            // Rank 1 by hand, so it can say something no client would.
+            let mut raw = UnixStream::connect(&path).expect("connect");
+            let mut hello = vec![OP_HELLO];
+            hello.put_u32_le(1);
+            hello.put_u32_le(2);
+            hello.put_u64_le(0);
+            write_frame(&mut raw, &hello).expect("hello");
+            assert_eq!(read_frame(&mut raw).expect("welcome"), [RE_WELCOME]);
+            write_frame(&mut raw, &garbage).expect("garbage");
+            // `raw` stays open: detection must not depend on the EOF.
+            let stats = rx
+                .recv_timeout(Duration::from_secs(30))
+                .unwrap_or_else(|_| panic!("hub wedged on garbage frame {garbage:?}"))
+                .expect("hub");
+            assert_eq!(stats.failures_detected, 1, "frame {garbage:?}");
+            assert!(survivor.join().expect("survivor"), "survivor must abort");
+        }
+    }
+
+    mod fuzz {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        fn byte() -> impl Strategy<Value = u8> {
+            (0u16..256).prop_map(|b| b as u8)
+        }
+
+        /// Wire bytes the decoded vectors were reserved for, at the
+        /// minimum encoded size per element: must be covered by the frame.
+        fn reserved_wire_bytes(req: &Request) -> usize {
+            match req {
+                Request::Send(_, _, msgs) => msgs.capacity() * 12,
+                Request::Exchange(_, _, mine) => mine.capacity() * 4,
+                Request::Split(_, members) => members.capacity() * 4,
+                _ => 0,
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            /// Arbitrary bytes decode to some verdict, never a panic, and
+            /// reserve nothing the frame does not back.
+            #[test]
+            fn arbitrary_bytes_never_panic(op in 0u8..16, tail in vec(byte(), 0..256)) {
+                let mut frame = vec![op];
+                frame.extend_from_slice(&tail);
+                if let Ok(req) = decode_request(&frame) {
+                    prop_assert!(reserved_wire_bytes(&req) <= frame.len());
+                }
+                let _ = decode_request(&tail);
+            }
+
+            /// A count the frame cannot back is an error before anything
+            /// is allocated for it (17-byte SEND, 21-byte EXCHANGE, 29-byte
+            /// SPLIT headers claiming up to 4 G elements).
+            #[test]
+            fn unbacked_counts_are_rejected(
+                kind in 0u8..3,
+                claimed in 1u32..u32::MAX - 8,
+                blobs in vec(vec(byte(), 0..8), 0..4),
+            ) {
+                let mut frame = valid_frame(kind, 0, 0, &blobs);
+                // Offset of the count field: after op + key (SPLIT), or
+                // op + comm + rank (SEND, EXCHANGE).
+                let at = match kind { 2 => 25, _ => 13 };
+                frame[at..at + 4].copy_from_slice(&(blobs.len() as u32 + claimed).to_le_bytes());
+                prop_assert!(decode_request(&frame).is_err());
+            }
+
+            /// Valid frames decode to the request that encodes them; every
+            /// strict prefix, and any trailing byte, is an error.
+            #[test]
+            fn valid_frames_roundtrip_and_truncations_err(
+                kind in 0u8..4,
+                comm_id in 0u64..u64::MAX,
+                rank in 0u32..u32::MAX,
+                blobs in vec(vec(byte(), 0..24), 0..6),
+            ) {
+                let frame = valid_frame(kind, comm_id, rank, &blobs);
+                let req = decode_request(&frame).expect("valid frame");
+                prop_assert_eq!(&req.encode(), &frame);
+                for cut in 0..frame.len() {
+                    prop_assert!(decode_request(&frame[..cut]).is_err(), "cut {cut} accepted");
+                }
+                let mut long = frame;
+                long.push(0);
+                prop_assert!(decode_request(&long).is_err(), "trailing byte accepted");
+            }
+
+            /// A single flipped byte yields an error or the request that
+            /// encodes the mutated frame — never a panic, never an unbacked
+            /// reservation.
+            #[test]
+            fn point_mutations_never_panic(
+                kind in 0u8..4,
+                blobs in vec(vec(byte(), 0..24), 0..6),
+                pos in 0usize..4096,
+                xor in 1u16..256,
+            ) {
+                let mut frame = valid_frame(kind, 3, 1, &blobs);
+                let i = pos % frame.len();
+                frame[i] ^= xor as u8;
+                if let Ok(req) = decode_request(&frame) {
+                    prop_assert!(reserved_wire_bytes(&req) <= frame.len());
+                    prop_assert_eq!(&req.encode(), &frame);
+                }
+            }
+        }
     }
 }

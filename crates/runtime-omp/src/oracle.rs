@@ -350,15 +350,15 @@ mod tests {
         run_two_region_app(&oracle, 4, 30);
         let trace = oracle.finish_trace().unwrap();
 
-        let oracle = OmpOracle::predictor(&trace, ThresholdPolicy::default(), 0.0, 7);
+        // One cut between the two regions, far above the short one: what
+        // is recorded for a 5µs region is mostly wake-up latency, which on
+        // a loaded host reaches the default table's 200µs bucket.
+        let policy = ThresholdPolicy::new(vec![(Duration::from_millis(1), 1)]);
+        let oracle = OmpOracle::predictor(&trace, policy, 0.0, 7);
         run_two_region_app(&oracle, 4, 30);
         let stats = oracle.stats();
         assert_eq!(stats.regions, 60);
         // The 5µs region must get a smaller team than the 1.5ms region.
-        // Absolute buckets depend on host load (a contended CPU inflates
-        // the recorded durations), so assert the relative ordering: the
-        // histogram must span at least two team sizes, with the smallest
-        // strictly below the largest.
         assert!(stats.adapted > 0, "{stats:?}");
         let min_team = stats.team_histogram.iter().map(|e| e.0).min().unwrap();
         let max_team = stats.team_histogram.iter().map(|e| e.0).max().unwrap();

@@ -147,6 +147,11 @@ pub trait BufMut {
         self.put_slice(&n.to_le_bytes());
     }
 
+    /// Appends a little-endian `i32`.
+    fn put_i32_le(&mut self, n: i32) {
+        self.put_slice(&n.to_le_bytes());
+    }
+
     /// Appends a little-endian `i64`.
     fn put_i64_le(&mut self, n: i64) {
         self.put_slice(&n.to_le_bytes());
