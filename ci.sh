@@ -1,10 +1,14 @@
 #!/bin/sh
-# Tier-1 gate: formatting, lints, release build, full workspace tests.
+# Tier-1 gate: formatting, lints, doc links, release build, full workspace tests.
 # Run from the repository root. Fails fast on the first broken step.
 set -eu
 
 cargo fmt --all --check
 cargo clippy --workspace --all-targets -- -D warnings
+# Doc links that name something that no longer exists (a method that moved
+# to a trait, a deleted type) fail here. Not `-D warnings`: links from
+# public docs to private items are tolerated.
+RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --quiet
 cargo build --release
 cargo test -q --workspace
 

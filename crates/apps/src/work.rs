@@ -21,12 +21,6 @@ impl WorkScale {
     /// No compute: events fire back-to-back (structure-only runs).
     pub const ZERO: WorkScale = WorkScale { ns_per_unit: 0 };
 
-    /// A scale suitable for overhead measurements: regions of thousands of
-    /// units land in the 10µs–1ms range.
-    pub fn default_for_benchmarks() -> Self {
-        WorkScale { ns_per_unit: 20 }
-    }
-
     /// Busy-waits for `units` work units.
     pub fn compute(&self, units: u64) {
         if self.ns_per_unit == 0 || units == 0 {

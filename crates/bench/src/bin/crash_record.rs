@@ -16,7 +16,7 @@
 use std::io::Write;
 
 use pythia_core::persist::PersistConfig;
-use pythia_minimpi::World;
+use pythia_minimpi::{Communicator, World};
 use pythia_runtime_mpi::RecordingSession;
 
 fn main() {

@@ -17,7 +17,7 @@ use pythia_apps::harness::{run_app_in_registry, RunResult};
 use pythia_apps::work::WorkScale;
 use pythia_apps::{find_app, MpiApp, WorkingSet};
 use pythia_bench::{maybe_write_json, Args, Table};
-use pythia_minimpi::World;
+use pythia_minimpi::{Communicator, World};
 use pythia_runtime_mpi::{AggregationConfig, MpiMode, PythiaComm};
 
 /// Runs `app` in predict mode, optionally aggregating, and returns the

@@ -532,13 +532,6 @@ impl GrammarBuilder {
         self.accel.active
     }
 
-    /// Appends a whole sequence of events.
-    pub fn push_all(&mut self, events: impl IntoIterator<Item = EventId>) {
-        for e in events {
-            self.push(e);
-        }
-    }
-
     /// Number of events pushed so far.
     pub fn event_count(&self) -> u64 {
         self.event_count

@@ -10,7 +10,6 @@
 //! branches (mirroring how the paper's runtimes switch between
 //! PYTHIA-RECORD and PYTHIA-PREDICT between executions).
 
-use std::sync::Arc;
 use std::time::Duration;
 
 use crate::error::Result;
@@ -63,11 +62,6 @@ impl Oracle {
         Ok(Oracle::Predict(Predictor::for_thread(
             trace, index, config,
         )?))
-    }
-
-    /// Creates a predicting oracle from a single thread trace.
-    pub fn predict_thread(thread: Arc<ThreadTrace>, config: PredictorConfig) -> Self {
-        Oracle::Predict(Predictor::from_thread_trace(thread, config))
     }
 
     /// The current mode.

@@ -684,15 +684,6 @@ impl Predictor {
     pub fn index(&self) -> &Arc<GrammarIndex> {
         &self.index
     }
-
-    /// Weighted candidate summary: `(depth, weight)` per candidate, for
-    /// diagnostics.
-    pub fn candidate_summary(&self) -> Vec<(usize, f64)> {
-        self.candidates
-            .iter()
-            .map(|(p, w)| (p.depth(), *w))
-            .collect()
-    }
 }
 
 /// Re-export the key types at module level.

@@ -516,11 +516,6 @@ impl HardenedOracle {
         self.inner.recorded_events()
     }
 
-    /// Events submitted by the host through this facade.
-    pub fn observed_events(&self) -> u64 {
-        self.observed
-    }
-
     /// Finishes a recording facade into its thread trace. `Ok(None)` for
     /// other modes — and for a poisoned facade, whose recording cannot be
     /// trusted past the panic point. A panic while finishing is likewise

@@ -259,13 +259,6 @@ impl TraceData {
         Self::from_bytes(&data)
     }
 
-    /// Loads the binary format from `path` without the invariant lint (see
-    /// [`TraceData::from_bytes_lenient`]).
-    pub fn load_lenient(path: impl AsRef<Path>) -> Result<Self> {
-        let data = std::fs::read(path)?;
-        Self::from_bytes_lenient(&data)
-    }
-
     /// Recovers an interrupted recording from the durability sidecars of
     /// the trace at `path` (`<path>.r<k>.journal` / `<path>.r<k>.ckpt`,
     /// written by a [`crate::record::Recorder`] in durable mode).
@@ -435,19 +428,6 @@ impl TraceData {
     /// [`TraceData::save`]).
     pub fn save_json(&self, path: impl AsRef<Path>) -> Result<()> {
         crate::persist::atomic_write(path.as_ref(), self.to_json()?.as_bytes())
-    }
-
-    /// Loads the JSON format from `path`.
-    pub fn load_json(path: impl AsRef<Path>) -> Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json(&json)
-    }
-
-    /// Loads the JSON format from `path` without the invariant lint (see
-    /// [`TraceData::from_json_lenient`]).
-    pub fn load_json_lenient(path: impl AsRef<Path>) -> Result<Self> {
-        let json = std::fs::read_to_string(path)?;
-        Self::from_json_lenient(&json)
     }
 }
 

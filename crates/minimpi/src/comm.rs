@@ -1,4 +1,9 @@
-//! Worlds, communicators, and the full MPI-like call surface.
+//! Worlds and the threads backend's communicator handle.
+//!
+//! A world's rendezvous state (`WorldShared`: mailboxes, boards, the
+//! split registry, failure bookkeeping) lives here once. [`World`] drives
+//! it with one thread per rank; the socket hub hosts the same state and
+//! drives it with one thread per connection.
 
 use std::cell::Cell;
 use std::collections::HashMap;
@@ -9,30 +14,32 @@ use parking_lot::Mutex;
 
 use crate::collective::Board;
 use crate::communicator::Communicator;
-use crate::datatype::{MpiReduce, MpiType, ReduceOp};
 use crate::failure::{CommError, FailureState, PoisonedWorld, RankFault};
-use crate::p2p::{Mailbox, Message, Status, Tag};
-use crate::request::Request;
+use crate::p2p::{Mailbox, Message, Tag};
 
-/// Key identifying a sub-communicator produced by [`Comm::split`]: every
+/// Key identifying a sub-communicator produced by `split`: every
 /// member computes the same `(parent id, split sequence number, color)`
 /// triple and attaches to the same shared state.
 type CommKey = (u64, u64, i64);
 
 /// Process-wide state shared by all ranks.
 #[derive(Debug)]
-struct WorldShared {
+pub(crate) struct WorldShared {
     mailboxes: Vec<Mailbox>,
     registry: Mutex<CommRegistry>,
-    failure: Arc<FailureState>,
+    pub(crate) failure: Arc<FailureState>,
     /// The world communicator's shared state (board + identity mapping),
     /// kept here so failure paths can wake its board too.
     world_comm: Arc<CommShared>,
 }
 
 impl WorldShared {
-    fn new(size: usize) -> Arc<Self> {
+    /// State of a `size`-rank world; an `elastic` one marks failures but
+    /// never poisons, so survivors wait for a replacement rank.
+    pub(crate) fn new(size: usize, elastic: bool) -> Arc<Self> {
+        assert!(size >= 1, "world size must be at least 1");
         let failure = Arc::new(FailureState::new(size));
+        failure.set_elastic(elastic);
         let world_comm = Arc::new(CommShared {
             id: 0,
             board: Board::with_failure(size, Arc::clone(&failure)),
@@ -53,7 +60,7 @@ impl WorldShared {
 
     /// Wakes every blocking primitive in the world so it re-checks the
     /// poison flag.
-    fn wake_world(&self) {
+    pub(crate) fn wake_world(&self) {
         for mb in &self.mailboxes {
             mb.wake_all();
         }
@@ -65,7 +72,7 @@ impl WorldShared {
 
     /// Marks `rank` failed and, unless the world is elastic, poisons it
     /// and wakes all blocked survivors.
-    fn fail_rank(&self, rank: usize) {
+    pub(crate) fn fail_rank(&self, rank: usize) {
         self.failure.mark_failed(rank);
         if !self.failure.is_elastic() {
             self.failure.poison(rank);
@@ -89,7 +96,8 @@ struct CommShared {
     members: Vec<usize>,
 }
 
-/// Counters returned by [`World::run_elastic`].
+/// Failure counters of a completed world, returned by
+/// [`World::run_elastic`] and by the socket hub's `serve`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElasticWorldStats {
     /// Rank failures the supervisor (or a heartbeat scan) detected.
@@ -145,7 +153,7 @@ impl World {
     /// respawns it with the next incarnation number (up to `size * 4`
     /// respawns) while survivors keep blocking at the rendezvous until
     /// the replacement catches up. The closure observes replacement via
-    /// [`Comm::incarnation`] (0 = first spawn) and is expected to resume
+    /// the handle's `incarnation` (0 = first spawn) and is expected to resume
     /// from its durable journal rather than re-issuing completed
     /// communication. Exceeding the respawn budget fails the world.
     pub fn run_elastic<R, F>(size: usize, f: F) -> Result<(Vec<R>, ElasticWorldStats), CommError>
@@ -191,9 +199,7 @@ impl World {
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
-        assert!(size >= 1, "world size must be at least 1");
-        let shared = WorldShared::new(size);
-        shared.failure.set_elastic(elastic);
+        let shared = WorldShared::new(size, elastic);
         let failure = Arc::clone(&shared.failure);
         let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
         let mut primary: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
@@ -202,13 +208,7 @@ impl World {
         std::thread::scope(|s| {
             let (tx, rx) = std::sync::mpsc::channel::<(usize, std::thread::Result<R>)>();
             let spawn_rank = |rank: usize, incarnation: u64| {
-                let comm = Comm {
-                    world: Arc::clone(&shared),
-                    shared: Arc::clone(&shared.world_comm),
-                    local_rank: rank,
-                    split_seq: Cell::new(0),
-                    incarnation,
-                };
+                let comm = Comm::attach(&shared, rank, incarnation);
                 let tx = tx.clone();
                 let f = &f;
                 s.spawn(move || {
@@ -258,12 +258,11 @@ impl World {
 }
 
 /// A communicator handle held by one rank (the `MPI_Comm` equivalent plus
-/// the calling rank's identity). Cloneable only through [`Comm::split`];
-/// each rank drives its own handle.
+/// the calling rank's identity). New handles come only from `split` and
+/// `dup`; each rank drives its own.
 ///
-/// The full call surface (p2p, collectives, splitting) is provided by the
-/// backend-independent [`Communicator`] trait; the inherent methods below
-/// are thin delegators kept so existing call sites need no trait import.
+/// The whole call surface (p2p, collectives, splitting) is the
+/// backend-independent [`Communicator`] trait: import it to call anything.
 #[derive(Debug)]
 pub struct Comm {
     world: Arc<WorldShared>,
@@ -275,30 +274,17 @@ pub struct Comm {
 }
 
 impl Comm {
-    /// This rank's index within the communicator.
-    pub fn rank(&self) -> usize {
-        self.local_rank
-    }
-
-    /// Number of ranks in the communicator.
-    pub fn size(&self) -> usize {
-        self.shared.members.len()
-    }
-
-    /// Stable identifier of the communicator (0 = world).
-    pub fn id(&self) -> u64 {
-        self.shared.id
-    }
-
-    /// World rank of a communicator-local rank.
-    pub fn world_rank(&self, local: usize) -> usize {
-        self.shared.members[local]
-    }
-
-    /// How many times this rank has been replaced (0 = first spawn); see
-    /// [`World::run_elastic`].
-    pub fn incarnation(&self) -> u64 {
-        self.incarnation
+    /// World-communicator handle of `rank` in `world`: what a rank thread
+    /// of [`World`] holds, and what a hub connection drives on behalf of
+    /// the rank process behind it.
+    pub(crate) fn attach(world: &Arc<WorldShared>, rank: usize, incarnation: u64) -> Comm {
+        Comm {
+            world: Arc::clone(world),
+            shared: Arc::clone(&world.world_comm),
+            local_rank: rank,
+            split_seq: Cell::new(0),
+            incarnation,
+        }
     }
 
     fn mailbox(&self) -> &Mailbox {
@@ -310,173 +296,6 @@ impl Comm {
         self.world
             .failure
             .beat(self.shared.members[self.local_rank]);
-    }
-
-    // ------------------------------------------------------------------
-    // Point-to-point (delegators into the Communicator trait)
-    // ------------------------------------------------------------------
-
-    /// Blocking standard send (eager: buffers and returns immediately, as
-    /// small-message MPI sends do).
-    pub fn send<T: MpiType>(&self, buf: &[T], dest: usize, tag: Tag) {
-        Communicator::send(self, buf, dest, tag)
-    }
-
-    /// Blocking receive matching `(src, tag)` (`None` = wildcard).
-    pub fn recv<T: MpiType>(&self, src: Option<usize>, tag: Option<Tag>) -> (Vec<T>, Status) {
-        Communicator::recv(self, src, tag)
-    }
-
-    /// Nonblocking receive if a matching message is already queued.
-    pub fn try_recv<T: MpiType>(
-        &self,
-        src: Option<usize>,
-        tag: Option<Tag>,
-    ) -> Option<(Vec<T>, Status)> {
-        Communicator::try_recv(self, src, tag)
-    }
-
-    /// Whether a matching message is queued (`MPI_Iprobe`).
-    pub fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> bool {
-        Communicator::probe(self, src, tag)
-    }
-
-    /// Sends several messages to `dest` as one modeled wire transfer (an
-    /// aggregated send). The messages still match receives individually,
-    /// in order.
-    pub fn send_batch<T: MpiType>(&self, bufs: &[Vec<T>], dest: usize, tag: Tag) {
-        Communicator::send_batch(self, bufs, dest, tag)
-    }
-
-    /// [`Comm::send_batch`] for already-encoded payloads (used by the
-    /// prediction-driven aggregation layer in `pythia-runtime-mpi`).
-    pub fn send_batch_raw(&self, bufs: Vec<bytes::Bytes>, dest: usize, tag: Tag) {
-        Communicator::send_batch_raw(self, bufs, dest, tag)
-    }
-
-    /// Network counters of this rank's incoming mailbox (transfers vs
-    /// logical messages; see [`crate::p2p::NetworkStats`]).
-    pub fn network_stats(&self) -> crate::p2p::NetworkStats {
-        Communicator::network_stats(self)
-    }
-
-    /// Nonblocking send; completes immediately (eager buffering).
-    pub fn isend<T: MpiType>(&self, buf: &[T], dest: usize, tag: Tag) -> Request<T> {
-        Communicator::isend(self, buf, dest, tag)
-    }
-
-    /// Nonblocking receive; the matching happens at wait time.
-    pub fn irecv<T: MpiType>(&self, src: Option<usize>, tag: Option<Tag>) -> Request<T> {
-        Communicator::irecv(self, src, tag)
-    }
-
-    /// Completes a request. Send requests yield `None`; receive requests
-    /// block until their message arrives and yield the payload.
-    pub fn wait<T: MpiType>(&self, request: Request<T>) -> Option<(Vec<T>, Status)> {
-        Communicator::wait(self, request)
-    }
-
-    /// Completes a batch of requests in order (`MPI_Waitall`).
-    pub fn waitall<T: MpiType>(&self, requests: Vec<Request<T>>) -> Vec<Option<(Vec<T>, Status)>> {
-        Communicator::waitall(self, requests)
-    }
-
-    // ------------------------------------------------------------------
-    // Collectives (delegators into the Communicator trait)
-    // ------------------------------------------------------------------
-
-    /// Synchronizes all ranks of the communicator (`MPI_Barrier`).
-    pub fn barrier(&self) {
-        Communicator::barrier(self)
-    }
-
-    /// Broadcast from `root`: every rank passes its local `data` (only the
-    /// root's matters) and receives the root's (`MPI_Bcast`).
-    pub fn bcast<T: MpiType>(&self, data: &[T], root: usize) -> Vec<T> {
-        Communicator::bcast(self, data, root)
-    }
-
-    /// Reduction to `root` (`MPI_Reduce`): returns `Some` on the root.
-    pub fn reduce<T: MpiReduce>(&self, contrib: &[T], op: ReduceOp, root: usize) -> Option<Vec<T>> {
-        Communicator::reduce(self, contrib, op, root)
-    }
-
-    /// Reduction to all ranks (`MPI_Allreduce`).
-    pub fn allreduce<T: MpiReduce>(&self, contrib: &[T], op: ReduceOp) -> Vec<T> {
-        Communicator::allreduce(self, contrib, op)
-    }
-
-    /// Personalized all-to-all exchange (`MPI_Alltoall(v)`): `sends[i]`
-    /// goes to rank `i`; returns what every rank sent to this one.
-    pub fn alltoall<T: MpiType>(&self, sends: &[Vec<T>]) -> Vec<Vec<T>> {
-        Communicator::alltoall(self, sends)
-    }
-
-    /// Gather to `root` (`MPI_Gather`): returns `Some(per-rank data)` on
-    /// the root.
-    pub fn gather<T: MpiType>(&self, contrib: &[T], root: usize) -> Option<Vec<Vec<T>>> {
-        Communicator::gather(self, contrib, root)
-    }
-
-    /// Gather to all ranks (`MPI_Allgather`).
-    pub fn allgather<T: MpiType>(&self, contrib: &[T]) -> Vec<Vec<T>> {
-        Communicator::allgather(self, contrib)
-    }
-
-    /// Scatter from `root` (`MPI_Scatter`): the root provides one chunk per
-    /// rank; every rank receives its chunk.
-    pub fn scatter<T: MpiType>(&self, chunks: Option<&[Vec<T>]>, root: usize) -> Vec<T> {
-        Communicator::scatter(self, chunks, root)
-    }
-
-    /// Combined send+receive (`MPI_Sendrecv`): ships `buf` to `dest` and
-    /// receives one message from `src`. Deadlock-free because sends are
-    /// eager.
-    pub fn sendrecv<T: MpiType>(
-        &self,
-        buf: &[T],
-        dest: usize,
-        src: Option<usize>,
-        tag: Tag,
-    ) -> (Vec<T>, Status) {
-        Communicator::sendrecv(self, buf, dest, src, tag)
-    }
-
-    /// Inclusive prefix reduction (`MPI_Scan`): rank `r` receives the
-    /// reduction of the contributions of ranks `0..=r`.
-    pub fn scan<T: MpiReduce>(&self, contrib: &[T], op: ReduceOp) -> Vec<T> {
-        Communicator::scan(self, contrib, op)
-    }
-
-    /// Reduce-scatter (`MPI_Reduce_scatter_block`-style): every rank
-    /// contributes one chunk per rank; rank `r` receives the element-wise
-    /// reduction of everyone's `r`-th chunk.
-    pub fn reduce_scatter<T: MpiReduce>(&self, chunks: &[Vec<T>], op: ReduceOp) -> Vec<T> {
-        Communicator::reduce_scatter(self, chunks, op)
-    }
-
-    /// Duplicates the communicator (`MPI_Comm_dup`): same members and
-    /// ranks, separate message-matching space.
-    pub fn dup(&self) -> Comm {
-        Communicator::dup(self)
-    }
-
-    /// Splits the communicator by `color` (`MPI_Comm_split`): ranks with
-    /// the same color form a new communicator, ordered by `(key, rank)`.
-    /// Every member must call `split` the same number of times in the same
-    /// order.
-    pub fn split(&self, color: i64, key: i64) -> Comm {
-        Communicator::split(self, color, key)
-    }
-
-    /// The rank whose failure poisoned the world, if any.
-    pub fn poisoned(&self) -> Option<usize> {
-        Communicator::poisoned(self)
-    }
-
-    /// Rank failures detected in this world so far.
-    pub fn failures_detected(&self) -> u64 {
-        Communicator::failures_detected(self)
     }
 }
 
@@ -555,7 +374,6 @@ impl Communicator for Comm {
                 created
             }
         };
-        debug_assert_eq!(shared.members, members);
         Comm {
             world: Arc::clone(&self.world),
             shared,
@@ -597,6 +415,7 @@ impl Communicator for Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::datatype::ReduceOp;
 
     #[test]
     fn ring_send_recv() {
@@ -812,6 +631,7 @@ mod tests {
 #[cfg(test)]
 mod extended_api_tests {
     use super::*;
+    use crate::datatype::ReduceOp;
 
     #[test]
     fn sendrecv_ring_shift() {

@@ -349,7 +349,10 @@ pub trait Communicator: Sized {
             .iter()
             .position(|&(_, r)| r == self.rank())
             .expect("caller must be a member of its own color group");
-        self.register_split(seq, color, world_members, my_new_rank)
+        let me = self.world_rank(self.rank());
+        let sub = self.register_split(seq, color, world_members, my_new_rank);
+        debug_assert_eq!(sub.world_rank(sub.rank()), me, "split members disagree");
+        sub
     }
 }
 

@@ -1,6 +1,7 @@
 //! # pythia-minimpi
 //!
-//! An in-process, thread-based MPI-like message-passing runtime.
+//! An MPI-like message-passing runtime: one call surface, one world, two
+//! ways for a rank to reach it.
 //!
 //! This crate is the communication substrate of the PYTHIA reproduction
 //! (Colin et al., CLUSTER 2022). The paper evaluates PYTHIA by intercepting
@@ -14,26 +15,30 @@
 //!
 //! ## Model
 //!
+//! * The whole call surface is the [`Communicator`] trait, written once
+//!   over a handful of backend primitives; import it to call anything.
 //! * [`World::run`] launches `n` ranks, each executing the same closure on
 //!   its own OS thread with a [`Comm`] handle (the `MPI_COMM_WORLD`
 //!   equivalent).
-//! * Point-to-point messages are eager and buffered: [`Comm::send`]
-//!   deposits into the destination's mailbox and returns; [`Comm::recv`]
-//!   blocks until a message matching `(source, tag)` arrives. Matching is
-//!   FIFO per (source, tag) pair — MPI's non-overtaking rule.
+//! * Point-to-point messages are eager and buffered:
+//!   [`Communicator::send`] deposits into the destination's mailbox and
+//!   returns; [`Communicator::recv`] blocks until a message matching
+//!   `(source, tag)` arrives. Matching is FIFO per (source, tag) pair —
+//!   MPI's non-overtaking rule.
 //! * Nonblocking operations return [`Request`]s completed by
-//!   [`Comm::wait`] / [`Comm::waitall`]. Receive requests are *lazy*: the
-//!   matching happens at wait time (sufficient for the skeleton
-//!   applications; documented deviation from eager MPI progress).
-//! * Collectives ([`Comm::barrier`], [`Comm::bcast`], [`Comm::reduce`],
-//!   [`Comm::allreduce`], [`Comm::alltoall`], [`Comm::gather`],
-//!   [`Comm::allgather`], [`Comm::scatter`]) are built on a generation-
-//!   counted rendezvous board.
-//! * [`Comm::split`] creates sub-communicators, as used by e.g. the NPB
-//!   kernels (row/column communicators in CG, BT).
+//!   [`Communicator::wait`] / [`Communicator::waitall`]. Receive requests
+//!   are *lazy*: the matching happens at wait time (sufficient for the
+//!   skeleton applications; documented deviation from eager MPI progress).
+//! * Collectives ([`Communicator::barrier`], [`Communicator::bcast`],
+//!   [`Communicator::reduce`], [`Communicator::allreduce`],
+//!   [`Communicator::alltoall`], [`Communicator::gather`],
+//!   [`Communicator::allgather`], [`Communicator::scatter`]) are built on
+//!   a generation-counted rendezvous board.
+//! * [`Communicator::split`] creates sub-communicators, as used by e.g.
+//!   the NPB kernels (row/column communicators in CG, BT).
 //!
 //! ```
-//! use pythia_minimpi::{World, ReduceOp};
+//! use pythia_minimpi::{Communicator, ReduceOp, World};
 //!
 //! let sums = World::run(4, |comm| {
 //!     let mine = [comm.rank() as u64 + 1];
@@ -42,24 +47,26 @@
 //! });
 //! assert_eq!(sums, vec![10, 10, 10, 10]);
 //! ```
-
+//!
 //! ## Backends and fault tolerance
 //!
-//! The call surface is abstracted by the [`Communicator`] trait; two
-//! backends implement it:
+//! Both backends run the same world state (mailboxes, rendezvous boards,
+//! split registry, failure bookkeeping — [`comm`]) behind the same
+//! [`Comm`] handles; they differ only in how a rank reaches its handle:
 //!
-//! * **threads** (default feature): [`World::run`] launches ranks as
-//!   threads of one process. [`World::run_result`] converts a rank
-//!   failure into [`CommError::RankFailed`] instead of hanging the
-//!   survivors; [`World::run_elastic`] replaces a failed rank with a
-//!   fresh incarnation that resumes from its durable journal.
-//! * **socket** (optional feature): [`socket::Hub`] serves mailboxes and
-//!   rendezvous boards over a Unix socket so ranks run as separate
-//!   processes ([`socket::SocketComm`]); a `kill -9`'d rank is detected
-//!   by connection EOF and an elastic hub admits its replacement.
+//! * **threads** (always built): [`World::run`] launches ranks as
+//!   threads of one process, each holding its handle.
+//!   [`World::run_result`] converts a rank failure into
+//!   [`CommError::RankFailed`] instead of hanging the survivors;
+//!   [`World::run_elastic`] replaces a failed rank with a fresh
+//!   incarnation that resumes from its durable journal.
+//! * **socket** (feature `socket`): `socket::Hub` hosts the world in a
+//!   process of its own and drives each rank's handles from the thread
+//!   serving that rank's Unix-socket connection, so ranks run as separate
+//!   processes (`socket::SocketComm`); a `kill -9`'d rank is detected by
+//!   connection EOF and an elastic hub admits its replacement.
 
 pub mod collective;
-#[cfg(feature = "threads")]
 pub mod comm;
 pub mod communicator;
 pub mod datatype;
@@ -69,7 +76,6 @@ pub mod request;
 #[cfg(feature = "socket")]
 pub mod socket;
 
-#[cfg(feature = "threads")]
 pub use comm::{Comm, ElasticWorldStats, World};
 pub use communicator::Communicator;
 pub use datatype::{MpiReduce, MpiType, ReduceOp};

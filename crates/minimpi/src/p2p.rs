@@ -17,10 +17,10 @@ use crate::failure::FailureState;
 /// Message tag (application-chosen demultiplexing key).
 pub type Tag = i32;
 
-/// Wildcard source for [`crate::Comm::recv`] (`MPI_ANY_SOURCE`).
+/// Wildcard source for [`crate::Communicator::recv`] (`MPI_ANY_SOURCE`).
 pub const ANY_SOURCE: Option<usize> = None;
 
-/// Wildcard tag for [`crate::Comm::recv`] (`MPI_ANY_TAG`).
+/// Wildcard tag for [`crate::Communicator::recv`] (`MPI_ANY_TAG`).
 pub const ANY_TAG: Option<Tag> = None;
 
 /// A buffered message.

@@ -4,7 +4,7 @@ use crate::datatype::MpiType;
 use crate::p2p::Tag;
 
 /// Handle for a pending nonblocking operation, completed by
-/// [`crate::Comm::wait`] or [`crate::Comm::waitall`].
+/// [`crate::Communicator::wait`] or [`crate::Communicator::waitall`].
 ///
 /// Send requests are already complete when created (sends are eager and
 /// buffered); receive requests perform their matching at wait time.

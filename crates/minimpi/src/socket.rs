@@ -1,12 +1,15 @@
 //! Multi-process backend: ranks as processes around a Unix-socket hub.
 //!
-//! The hub owns the same [`Mailbox`] and [`Board`] primitives the threads
-//! backend uses — they just live in the hub process, so a rank dying does
-//! not take the world's rendezvous state with it. Each rank connects once
-//! ([`SocketComm::connect`]) and speaks a tiny length-prefixed frame
-//! protocol; every blocking operation is serviced by that connection's
-//! dedicated hub thread, which parks in `take_matching`/`exchange` on the
-//! rank's behalf.
+//! The hub hosts the threads backend's world — the same mailboxes, boards
+//! and split registry behind the same [`Comm`] handles — in its own
+//! process, so a rank dying does not take the world's rendezvous state
+//! with it. Each rank connects once ([`SocketComm::connect`]) and speaks
+//! a tiny length-prefixed frame protocol; the connection's dedicated hub
+//! thread owns that rank's [`Comm`] handles and turns every frame into
+//! the [`Communicator`] primitive it names, parking in `take`/`exchange`
+//! on the rank's behalf. The two backends differ only in how a rank
+//! reaches its world: a thread holds the handle, a process holds a socket
+//! to the thread that does.
 //!
 //! Failure detection is by connection EOF: a `kill -9`'d or disconnected
 //! rank drops its socket (a rank that sends a malformed frame is treated
@@ -29,10 +32,10 @@ use std::time::Duration;
 use bytes::{BufMut, Bytes};
 use parking_lot::{Condvar, Mutex};
 
-use crate::collective::Board;
+use crate::comm::{Comm, ElasticWorldStats, WorldShared};
 use crate::communicator::Communicator;
-use crate::failure::{FailureState, PoisonedWorld, RankFault};
-use crate::p2p::{Mailbox, Message, NetworkStats, Tag};
+use crate::failure::{PoisonedWorld, RankFault};
+use crate::p2p::{Message, NetworkStats, Tag};
 
 // Client → hub opcodes.
 const OP_HELLO: u8 = 1;
@@ -180,92 +183,21 @@ fn decode_tag(v: i64) -> io::Result<Option<Tag>> {
 // Hub
 // ----------------------------------------------------------------------
 
-/// Counters reported by [`Hub::serve`] once the world completed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct HubStats {
-    /// Rank failures detected (connection EOF, a malformed frame, or
-    /// heartbeat staleness).
-    pub failures_detected: u64,
-    /// Replacement connections admitted for a previously-failed rank.
-    pub ranks_replaced: u64,
-}
+/// Counters reported by [`Hub::serve`] once the world completed; a
+/// failure is a connection EOF, a malformed frame, or heartbeat staleness.
+pub type HubStats = ElasticWorldStats;
 
 type CommKey = (u64, u64, i64);
 
-#[derive(Debug)]
-struct HubComm {
-    board: Board,
-    /// Communicator-local rank → world rank.
-    members: Vec<usize>,
-}
-
+/// What the hub adds to the world it hosts: which ranks completed, and
+/// how many replacements it admitted.
 #[derive(Debug)]
 struct HubState {
-    size: usize,
-    mailboxes: Vec<Mailbox>,
-    failure: Arc<FailureState>,
-    next_id: Mutex<u64>,
-    splits: Mutex<HashMap<CommKey, u64>>,
-    by_id: Mutex<HashMap<u64, Arc<HubComm>>>,
+    world: Arc<WorldShared>,
     /// Ranks that completed cleanly (sent BYE).
     done: Mutex<HashSet<usize>>,
     done_cv: Condvar,
     replaced: AtomicU64,
-    elastic: bool,
-}
-
-impl HubState {
-    fn new(size: usize, elastic: bool) -> Arc<Self> {
-        let failure = Arc::new(FailureState::new(size));
-        failure.set_elastic(elastic);
-        let world = Arc::new(HubComm {
-            board: Board::with_failure(size, Arc::clone(&failure)),
-            members: (0..size).collect(),
-        });
-        let mut by_id = HashMap::new();
-        by_id.insert(0u64, world);
-        Arc::new(HubState {
-            size,
-            mailboxes: (0..size)
-                .map(|r| Mailbox::for_rank(r, Arc::clone(&failure)))
-                .collect(),
-            failure,
-            next_id: Mutex::new(1),
-            splits: Mutex::new(HashMap::new()),
-            by_id: Mutex::new(by_id),
-            done: Mutex::new(HashSet::new()),
-            done_cv: Condvar::new(),
-            replaced: AtomicU64::new(0),
-            elastic,
-        })
-    }
-
-    fn comm(&self, id: u64) -> Option<Arc<HubComm>> {
-        self.by_id.lock().get(&id).cloned()
-    }
-
-    /// Wakes every blocked primitive so parked handler threads re-check
-    /// the poison flag.
-    fn wake_world(&self) {
-        for mb in &self.mailboxes {
-            mb.wake_all();
-        }
-        for c in self.by_id.lock().values() {
-            c.board.wake_all();
-        }
-    }
-
-    fn fail_rank(&self, rank: usize) {
-        self.failure.mark_failed(rank);
-        if !self.elastic {
-            self.failure.poison(rank);
-            self.wake_world();
-        }
-        // Even a poisoned world must terminate serve(): count the rank as
-        // accounted for so the hub does not wait for a BYE that will
-        // never come.
-        self.done_cv.notify_all();
-    }
 }
 
 /// The rendezvous hub of a multi-process world.
@@ -277,43 +209,38 @@ impl Hub {
     /// possibly via a replacement incarnation) or the world poisoned.
     /// Returns the failure counters.
     pub fn serve(path: &Path, size: usize, elastic: bool) -> io::Result<HubStats> {
-        assert!(size >= 1, "world size must be at least 1");
+        let state = HubState {
+            world: WorldShared::new(size, elastic),
+            done: Mutex::new(HashSet::new()),
+            done_cv: Condvar::new(),
+            replaced: AtomicU64::new(0),
+        };
         let _ = std::fs::remove_file(path);
         let listener = UnixListener::bind(path)?;
         listener.set_nonblocking(true)?;
-        let state = HubState::new(size, elastic);
-        let stop = Arc::new(AtomicBool::new(false));
+        let stop = AtomicBool::new(false);
+        let (state, stop, failure) = (&state, &stop, &state.world.failure);
 
         std::thread::scope(|s| {
             // Heartbeat monitor: only armed when a rank timeout is set.
-            if state.failure.wait_budget().is_some() {
-                let state = Arc::clone(&state);
-                let stop = Arc::clone(&stop);
+            if let Some(budget) = failure.wait_budget() {
                 s.spawn(move || {
-                    let budget = state.failure.wait_budget().expect("armed");
                     while !stop.load(Ordering::SeqCst) {
                         std::thread::sleep(budget / 2);
-                        if let Some(rank) = state.failure.suspect_stall(usize::MAX) {
-                            let _ = rank;
-                            state.wake_world();
+                        if failure.suspect_stall(usize::MAX).is_some() {
+                            state.world.wake_world();
                             state.done_cv.notify_all();
                         }
                     }
                 });
             }
             // Accept loop: polls so it can stop once the world is done.
-            {
-                let state = Arc::clone(&state);
-                let stop = Arc::clone(&stop);
-                s.spawn(move || loop {
-                    if stop.load(Ordering::SeqCst) {
-                        break;
-                    }
+            s.spawn(move || {
+                while !stop.load(Ordering::SeqCst) {
                     match listener.accept() {
                         Ok((conn, _)) => {
-                            let state = Arc::clone(&state);
                             s.spawn(move || {
-                                let _ = serve_connection(conn, &state);
+                                let _ = serve_connection(conn, state);
                             });
                         }
                         Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -321,17 +248,17 @@ impl Hub {
                         }
                         Err(_) => break,
                     }
-                });
-            }
+                }
+            });
             // Wait for completion: all ranks done, or world poisoned with
             // no survivors able to finish.
             {
                 let mut done = state.done.lock();
                 loop {
-                    if done.len() == state.size {
+                    if done.len() == size {
                         break;
                     }
-                    if state.failure.poisoned().is_some() {
+                    if failure.poisoned().is_some() {
                         // Poisoned: remaining ranks will abort, not BYE.
                         break;
                     }
@@ -339,11 +266,11 @@ impl Hub {
                 }
             }
             stop.store(true, Ordering::SeqCst);
-            state.wake_world();
+            state.world.wake_world();
         });
         let _ = std::fs::remove_file(path);
         Ok(HubStats {
-            failures_detected: state.failure.detected(),
+            failures_detected: failure.detected(),
             ranks_replaced: state.replaced.load(Ordering::SeqCst),
         })
     }
@@ -493,17 +420,22 @@ fn decode_request(frame: &[u8]) -> io::Result<Request> {
 /// the rank is gone, and take the same `fail_rank` path so the hub never
 /// waits for a BYE that will not come.
 fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
-    let rank = admit(&mut conn, state)?;
-    let ended = serve_rank(&mut conn, state, rank);
+    let world = admit(&mut conn, state)?;
+    let rank = world.rank();
+    let ended = serve_rank(&mut conn, state, world);
     if !state.done.lock().contains(&rank) {
-        state.fail_rank(rank);
+        state.world.fail_rank(rank);
+        // Even a poisoned world must terminate serve(): wake it so it does
+        // not wait for a BYE that will never come.
+        state.done_cv.notify_all();
     }
     ended
 }
 
 /// HELLO handshake: validates the claimed rank against the world and
-/// admits it (as a replacement if it failed before).
-fn admit(conn: &mut UnixStream, state: &HubState) -> io::Result<usize> {
+/// admits it (as a replacement if it failed before), returning the world
+/// communicator handle this connection drives.
+fn admit(conn: &mut UnixStream, state: &HubState) -> io::Result<Comm> {
     let hello = read_frame(conn)?;
     let mut r = Reader::new(&hello);
     if r.chunk(1)?[0] != OP_HELLO {
@@ -512,121 +444,117 @@ fn admit(conn: &mut UnixStream, state: &HubState) -> io::Result<usize> {
     let rank = r.u32()? as usize;
     let size = r.u32()? as usize;
     let incarnation = r.u64()?;
-    if rank >= state.size || size != state.size {
+    let world = Comm::attach(&state.world, rank, incarnation);
+    if rank >= world.size() || size != world.size() {
         return Err(malformed(format!("bad HELLO: rank {rank} size {size}")));
     }
-    if incarnation > 0 || state.failure.is_failed(rank) {
-        state.failure.clear_failed(rank);
+    let failure = &state.world.failure;
+    if incarnation > 0 || failure.is_failed(rank) {
+        failure.clear_failed(rank);
         state.replaced.fetch_add(1, Ordering::SeqCst);
     }
-    state.failure.beat(rank);
+    world.heartbeat();
     write_frame(conn, &[RE_WELCOME])?;
-    Ok(rank)
+    Ok(world)
 }
 
-/// Request loop of an admitted rank; `Ok` after BYE or FAILSELF.
-fn serve_rank(conn: &mut UnixStream, state: &HubState, rank: usize) -> io::Result<()> {
+/// Runs a blocking primitive on the rank's behalf; the abort out of a
+/// poisoned world becomes the `POISONED` reply.
+fn reply_or_poisoned(primitive: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(primitive)).unwrap_or_else(|payload| {
+        let rank = payload
+            .downcast_ref::<PoisonedWorld>()
+            .map_or(u32::MAX, |p| p.rank as u32);
+        let mut out = vec![RE_POISONED];
+        out.put_u32_le(rank);
+        out
+    })
+}
+
+/// Request loop of an admitted rank; `Ok` after BYE or FAILSELF. The
+/// connection drives `world` and the sub-communicators it registered
+/// itself: a frame naming any other communicator, another member's rank
+/// as its own, or a forged sender is malformed.
+fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Result<()> {
+    let mut subs: HashMap<u64, Comm> = HashMap::new();
     loop {
         let frame = read_frame(conn)?;
-        state.failure.beat(rank);
+        world.heartbeat();
+        let own = |id: u64| match id {
+            0 => Ok(&world),
+            _ => subs
+                .get(&id)
+                .ok_or_else(|| malformed(format!("communicator {id} is not this rank's"))),
+        };
         match decode_request(&frame)? {
             Request::Send(comm_id, dest, msgs) => {
-                let Some(comm) = state.comm(comm_id) else {
-                    continue;
-                };
-                let &world_dest = comm
-                    .members
-                    .get(dest)
-                    .ok_or_else(|| malformed(format!("send to rank {dest} outside the comm")))?;
-                state.mailboxes[world_dest].deposit_batch(msgs);
+                let comm = own(comm_id)?;
+                if dest >= comm.size() || msgs.iter().any(|m| m.src != comm.rank()) {
+                    return Err(malformed(format!(
+                        "send to rank {dest} outside the comm, or not from rank {}",
+                        comm.rank()
+                    )));
+                }
+                comm.deposit(dest, msgs);
             }
             Request::Match(op, comm_id, src, tag) => {
-                if state.comm(comm_id).is_none() {
-                    write_frame(conn, &[RE_NOMSG])?;
-                    continue;
-                }
-                let mailbox = &state.mailboxes[rank];
+                let comm = own(comm_id)?;
                 let reply = match op {
-                    OP_RECV => {
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            mailbox.take_matching(comm_id, src, tag)
-                        })) {
-                            Ok(msg) => encode_msg(&msg),
-                            Err(payload) => poisoned_reply(payload),
-                        }
-                    }
-                    OP_TRYRECV => match mailbox.try_take_matching(comm_id, src, tag) {
+                    OP_RECV => reply_or_poisoned(|| encode_msg(&comm.take(src, tag))),
+                    OP_TRYRECV => match comm.try_take(src, tag) {
                         Some(msg) => encode_msg(&msg),
                         None => vec![RE_NOMSG],
                     },
-                    _ => {
-                        let hit = mailbox.probe(comm_id, src, tag);
-                        vec![RE_BOOL, hit as u8]
-                    }
+                    _ => vec![RE_BOOL, comm.probe(src, tag) as u8],
                 };
                 write_frame(conn, &reply)?;
             }
             Request::Exchange(comm_id, local, mine) => {
-                let Some(comm) = state.comm(comm_id) else {
-                    write_frame(conn, &[RE_NOMSG])?;
-                    continue;
-                };
-                if local >= comm.members.len() {
+                let comm = own(comm_id)?;
+                if local != comm.rank() {
                     return Err(malformed(format!(
-                        "exchange as rank {local} outside the comm"
+                        "exchange as rank {local}, not rank {}",
+                        comm.rank()
                     )));
                 }
-                let reply = match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    comm.board.exchange(local, mine)
-                })) {
-                    Ok(snap) => {
-                        let mut out = vec![RE_SNAP];
-                        out.put_u32_le(snap.len() as u32);
-                        for slots in snap.iter() {
-                            out.put_u32_le(slots.len() as u32);
-                            for slot in slots {
-                                out.put_u32_le(slot.len() as u32);
-                                out.put_slice(slot);
-                            }
+                let reply = reply_or_poisoned(|| {
+                    let snap = comm.exchange(mine);
+                    let mut out = vec![RE_SNAP];
+                    out.put_u32_le(snap.len() as u32);
+                    for slots in snap.iter() {
+                        out.put_u32_le(slots.len() as u32);
+                        for slot in slots {
+                            out.put_u32_le(slot.len() as u32);
+                            out.put_slice(slot);
                         }
-                        out
                     }
-                    Err(payload) => poisoned_reply(payload),
-                };
+                    out
+                });
                 write_frame(conn, &reply)?;
             }
-            Request::Split(key, members) => {
-                if members.is_empty() || members.iter().any(|&m| m >= state.size) {
-                    return Err(malformed(format!("split members {members:?}")));
+            Request::Split((parent, seq, color), members) => {
+                let parent = own(parent)?;
+                let bad = || malformed(format!("split {seq} with members {members:?}"));
+                let my_rank = members.iter().position(|&m| m == world.rank());
+                let my_rank = my_rank.ok_or_else(bad)?;
+                if members.iter().any(|&m| m >= world.size()) {
+                    return Err(bad());
                 }
-                let id = {
-                    let mut splits = state.splits.lock();
-                    if let Some(&id) = splits.get(&key) {
-                        id
-                    } else {
-                        let mut next = state.next_id.lock();
-                        let id = *next;
-                        *next += 1;
-                        drop(next);
-                        let comm = Arc::new(HubComm {
-                            board: Board::with_members(
-                                members.len(),
-                                members.clone(),
-                                Arc::clone(&state.failure),
-                            ),
-                            members,
-                        });
-                        state.by_id.lock().insert(id, comm);
-                        splits.insert(key, id);
-                        id
-                    }
-                };
+                let sub = parent.register_split(seq, color, members.clone(), my_rank);
+                // An earlier registration of this key decides the members.
+                if !(0..sub.size())
+                    .map(|r| sub.world_rank(r))
+                    .eq(members.iter().copied())
+                {
+                    return Err(bad());
+                }
                 let mut out = vec![RE_COMMID];
-                out.put_u64_le(id);
+                out.put_u64_le(sub.id());
                 write_frame(conn, &out)?;
+                subs.insert(sub.id(), sub);
             }
             Request::Stats => {
-                let stats = state.mailboxes[rank].network_stats();
+                let stats = world.network_stats();
                 let mut out = vec![RE_STATS];
                 out.put_u64_le(stats.transfers);
                 out.put_u64_le(stats.messages);
@@ -634,12 +562,12 @@ fn serve_rank(conn: &mut UnixStream, state: &HubState, rank: usize) -> io::Resul
             }
             Request::Status => {
                 let mut out = vec![RE_STATUS];
-                out.put_i64_le(state.failure.poisoned().map_or(-1, |r| r as i64));
-                out.put_u64_le(state.failure.detected());
+                out.put_i64_le(world.poisoned().map_or(-1, |r| r as i64));
+                out.put_u64_le(world.failures_detected());
                 write_frame(conn, &out)?;
             }
             Request::Bye => {
-                state.done.lock().insert(rank);
+                state.done.lock().insert(world.rank());
                 state.done_cv.notify_all();
                 return Ok(());
             }
@@ -658,21 +586,12 @@ fn encode_msg(msg: &Message) -> Vec<u8> {
     out
 }
 
-fn poisoned_reply(payload: Box<dyn std::any::Any + Send>) -> Vec<u8> {
-    let rank = payload
-        .downcast_ref::<PoisonedWorld>()
-        .map_or(u32::MAX, |p| p.rank as u32);
-    let mut out = vec![RE_POISONED];
-    out.put_u32_le(rank);
-    out
-}
-
 // ----------------------------------------------------------------------
 // Client
 // ----------------------------------------------------------------------
 
 /// A rank's communicator handle over the socket backend. Implements the
-/// same [`Communicator`] surface as the in-process [`crate::Comm`].
+/// same [`Communicator`] surface as the in-process [`Comm`].
 #[derive(Debug)]
 pub struct SocketComm {
     stream: Arc<Mutex<UnixStream>>,
@@ -810,10 +729,10 @@ impl Communicator for SocketComm {
         let mut r = Reader::new(&reply);
         let op = r.chunk(1).map(|c| c[0]).unwrap_or(0);
         assert_eq!(op, RE_SNAP, "exchange expects a snapshot reply");
-        let nranks = r.u32().expect("snapshot rank count") as usize;
+        let nranks = r.count(4).expect("snapshot rank count");
         let mut snap = Vec::with_capacity(nranks);
         for _ in 0..nranks {
-            let nslots = r.u32().expect("snapshot slot count") as usize;
+            let nslots = r.count(4).expect("snapshot slot count");
             let mut slots = Vec::with_capacity(nslots);
             for _ in 0..nslots {
                 slots.push(r.bytes().expect("snapshot slot"));
@@ -1097,23 +1016,41 @@ mod tests {
     /// A rank that sends a malformed frame is failed like one that died:
     /// the hub counts it, poisons the world so the survivor aborts, and
     /// `Hub::serve` returns — it must neither wait for a BYE that will
-    /// never come nor lose its handler thread to a panic.
+    /// never come nor lose its handler thread to a panic. Malformed
+    /// includes well-formed frames that speak for somebody else.
     #[test]
     fn garbage_frame_fails_the_rank_and_serve_returns() {
         let send_out_of_comm = valid_frame(0, 0, 7, &[]);
         let mut send_huge_count = valid_frame(0, 0, 0, &[]);
         send_huge_count[13..17].copy_from_slice(&u32::MAX.to_le_bytes());
         let split_nobody = valid_frame(2, 0, 0, &[]);
-        for garbage in [vec![0xEE], send_out_of_comm, send_huge_count, split_nobody] {
+        // Rank 1 says these; rank 0 is the sender, the board slot, the
+        // only member, and comm 9 a communicator it never registered.
+        let send_forged_src = valid_frame(0, 0, 0, &[vec![1]]);
+        let exchange_foreign_local = valid_frame(1, 0, 0, &[]);
+        let split_without_me = valid_frame(2, 0, 0, &[vec![]]);
+        let recv_foreign_comm = valid_frame(3, 9, 0, &[]);
+        for garbage in [
+            vec![0xEE],
+            send_out_of_comm,
+            send_huge_count,
+            split_nobody,
+            send_forged_src,
+            exchange_foreign_local,
+            split_without_me,
+            recv_foreign_comm,
+        ] {
             let path = temp_socket("garbage");
             let (tx, rx) = std::sync::mpsc::channel();
             let hub_path = path.clone();
             std::thread::spawn(move || tx.send(Hub::serve(&hub_path, 2, false)));
             wait_bound(&path);
+            let (admitted_tx, admitted) = std::sync::mpsc::channel();
             let survivor = {
                 let path = path.clone();
                 std::thread::spawn(move || {
                     let comm = SocketComm::connect(&path, 0, 2, 0).expect("connect");
+                    admitted_tx.send(()).expect("main thread");
                     let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                         comm.recv::<u64>(Some(1), Some(7))
                     }))
@@ -1122,6 +1059,9 @@ mod tests {
                     aborted
                 })
             };
+            // The garbage poisons the world and closes the listener: the
+            // survivor must be in before it is said.
+            admitted.recv().expect("survivor connects");
             // Rank 1 by hand, so it can say something no client would.
             let mut raw = UnixStream::connect(&path).expect("connect");
             let mut hello = vec![OP_HELLO];

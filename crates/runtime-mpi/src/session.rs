@@ -712,13 +712,6 @@ impl<C: Communicator> PythiaComm<C> {
         });
     }
 
-    /// Aggregation counters (zero if aggregation was never enabled).
-    pub fn aggregation_stats(&self) -> AggregationStats {
-        self.state
-            .with(|st| st.aggregation.as_ref().map(|a| a.stats))
-            .unwrap_or_default()
-    }
-
     /// Ships any buffered messages (one transfer per destination batch).
     fn flush_pending_locked(&self, st: &mut RankState) {
         if let Some(agg) = st.aggregation.as_mut() {

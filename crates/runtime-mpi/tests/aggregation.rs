@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use pythia_minimpi::{NetworkStats, World};
+use pythia_minimpi::{Communicator, NetworkStats, World};
 use pythia_runtime_mpi::session::assemble_trace;
 use pythia_runtime_mpi::{AggregationConfig, MpiMode, PythiaComm, RankReport};
 
