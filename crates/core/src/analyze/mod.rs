@@ -24,9 +24,10 @@
 //!   form, intersected across ranks with the extended Euclidean algorithm
 //!   to find the earliest conflicting unordered access pair;
 //! * [`pattern`] — a **pattern-query matcher**: a small regular pattern
-//!   language compiled to a scanning DFA whose transition function is
-//!   summarized per rule as `state → (state, match count, earliest hit)`
-//!   and composed bottom-up, with exponentiation-by-squaring for loops;
+//!   language compiled to a scanning DFA over symbol classes, whose
+//!   effect on a rule is summarized as `(rule, entry state) → (state,
+//!   match count, earliest hit)` for the entry states the stream reaches,
+//!   loops being walked to the fixed point of the entry state's orbit;
 //! * [`predictability`] — a **predictability report**: per-rule expansion
 //!   lengths, compression ratio, and per-event distance-1 branching
 //!   entropy computed from the grammar's weighted bigram distribution,

@@ -2,14 +2,34 @@
 //!
 //! A small regular pattern language over event names is compiled to a
 //! scanning DFA and evaluated **on the grammar**, never on the expanded
-//! stream: each rule is summarized as a total transfer function
-//! `state → (state, match count, earliest hit offset)` ([`Xfer`]), rule
-//! bodies compose transfer functions left to right, and a repetition
-//! exponent `k` raises a transfer function to the `k`-th power by
-//! exponentiation-by-squaring — O(|Q| log k) instead of O(k). The same
-//! machinery runs the query over an expanded stream
-//! ([`Dfa::match_events`]); `tests/analyze_consistency.rs` proves both
-//! agree (count, first-hit index, end state) on random sessions.
+//! stream, at a cost that follows the grammar:
+//!
+//! * **Symbol classes.** [`Dfa::compile`] evaluates each distinct name
+//!   test of the pattern once per registry symbol, groups the symbols no
+//!   test tells apart into classes (a handful, whatever the vocabulary)
+//!   and runs the subset construction over classes, on bit-set NFA state
+//!   sets.
+//! * **Reached pairs only.** [`match_grammar`] evaluates a rule from the
+//!   DFA states the stream actually enters it in and from no other:
+//!   demand-driven from `(root, start)`, with a memo `(rule, entry state)
+//!   → (end state, match count, earliest hit offset)`. Recordings enter a
+//!   rule in one to three of the automaton's states, not in all of them.
+//! * **Repetition by orbit.** A body unit with exponent `k` follows the
+//!   orbit of its entry state under the child's summary until `k` is used
+//!   up or a state repeats, then accounts for the remaining repetitions
+//!   arithmetically: whole cycles plus a tail. The language has no Kleene
+//!   star, so once a word is as long as the longest match, `M` events,
+//!   the state depends on its last `M` events alone, and the orbit of a
+//!   segment of `L` events settles within ⌈M / L⌉ + 1 steps.
+//!
+//! That is O(|registry| · tests) to classify the vocabulary, O(|Q| ·
+//! classes) set operations to determinize, and O(reached pairs · body
+//! length) to sweep; the worst case, a stream that enters every rule in
+//! every state, is the `rules × |Q|` of a full transfer table. The same
+//! DFA runs the query over an expanded stream ([`Dfa::match_events`]);
+//! `tests/analyze_consistency.rs` proves both agree (count, first-hit
+//! index, end state) on random sessions, and this module's tests hold the
+//! compiler to a direct evaluation of the pattern on the AST.
 //!
 //! ## Pattern grammar
 //!
@@ -34,8 +54,11 @@
 //! Counting windows are exponential under determinization (overlapping
 //! match threads), so window widths much past ~10 hit the DFA state cap.
 
+use std::collections::HashMap;
+
 use crate::event::{EventId, EventRegistry};
-use crate::grammar::{Grammar, Symbol};
+use crate::grammar::{Grammar, RuleId, Symbol};
+use crate::util::FxHashMap;
 
 use super::{Diagnostic, Pass, Severity};
 
@@ -51,40 +74,45 @@ const MAX_DFA_STATES: usize = 4096;
 enum Pred {
     /// `.` — any event.
     Any,
-    /// `NAME` / `NAME(P)`.
+    /// `NAME` / `NAME(P)`; `name` is stored normalised ([`normalize`]).
     Name { name: String, payload: Option<i64> },
     /// `!atom`.
     Not(Box<Pred>),
 }
 
 impl Pred {
-    fn matches(&self, desc: Option<(&str, Option<i64>)>) -> bool {
+    /// The name test under the `!` chain (`None` for `.`) and whether an
+    /// odd number of `!`s negates it.
+    fn leaf(&self) -> (Option<(&str, Option<i64>)>, bool) {
         match self {
-            Pred::Any => true,
-            Pred::Name { name, payload } => {
-                let Some((n, p)) = desc else { return false };
-                name_matches(name, n)
-                    && match payload {
-                        Some(want) => p == Some(*want),
-                        None => true,
-                    }
+            Pred::Any => (None, false),
+            Pred::Name { name, payload } => (Some((name, *payload)), false),
+            Pred::Not(inner) => {
+                let (leaf, negated) = inner.leaf();
+                (leaf, !negated)
             }
-            Pred::Not(inner) => !inner.matches(desc),
         }
     }
 }
 
-/// Case-insensitive, `MPI_`-prefix-eliding event name comparison:
-/// `wait` == `MPI_Wait` == `mpi_wait`.
+/// Drops a leading `MPI_` (any case). A bare `MPI_` becomes the empty
+/// name, which only another bare prefix or an empty event name equals.
+fn strip_mpi(name: &str) -> &str {
+    match name.get(..4) {
+        Some(prefix) if prefix.eq_ignore_ascii_case("mpi_") => &name[4..],
+        _ => name,
+    }
+}
+
+/// The form query names are stored in: lower-case, `MPI_` prefix dropped.
+fn normalize(name: &str) -> String {
+    strip_mpi(name).to_ascii_lowercase()
+}
+
+/// Case-insensitive, `MPI_`-prefix-eliding comparison of a [`normalize`]d
+/// query name with an event name: `wait` == `MPI_Wait` == `mpi_wait`.
 fn name_matches(query: &str, event: &str) -> bool {
-    let strip = |s: &str| {
-        let lower = s.to_ascii_lowercase();
-        lower
-            .strip_prefix("mpi_")
-            .map(str::to_owned)
-            .unwrap_or(lower)
-    };
-    strip(query) == strip(event)
+    query.eq_ignore_ascii_case(strip_mpi(event))
 }
 
 /// Parsed pattern.
@@ -173,7 +201,7 @@ impl<'s> Parser<'s> {
             .map_err(|_| format!("expected a number at byte {start} of pattern"))
     }
 
-    fn ident(&mut self) -> Result<String, String> {
+    fn ident(&mut self) -> Result<&'s str, String> {
         self.skip_ws();
         let start = self.pos;
         while self
@@ -186,7 +214,7 @@ impl<'s> Parser<'s> {
         if start == self.pos {
             return Err(format!("expected an event name at byte {start} of pattern"));
         }
-        Ok(self.src[start..self.pos].to_owned())
+        Ok(&self.src[start..self.pos])
     }
 
     fn alt(&mut self) -> Result<Ast, String> {
@@ -295,7 +323,7 @@ impl<'s> Parser<'s> {
                 Ok(Ast::One(PredNode(Pred::Any)))
             }
             _ => {
-                let name = self.ident()?;
+                let name = normalize(self.ident()?);
                 // Payload parens bind tightly: `send(2)` is a payload,
                 // `send (x | y)` is a group.
                 let payload = if self.bytes.get(self.pos) == Some(&b'(') {
@@ -330,30 +358,69 @@ pub fn parse(src: &str) -> Result<Ast, String> {
 // NFA (Thompson construction)
 // ---------------------------------------------------------------------------
 
-#[derive(Default)]
-struct Nfa {
-    /// Per state: predicate edges and epsilon edges.
-    steps: Vec<Vec<(Pred, usize)>>,
-    eps: Vec<Vec<usize>>,
+/// One NFA edge label: leaf `leaf` of [`Nfa::leaves`] (`None` for `.`)
+/// must hold of the symbol, or must not when `negated`.
+#[derive(Clone, Copy)]
+struct Test {
+    leaf: Option<usize>,
+    negated: bool,
 }
 
-impl Nfa {
+impl Test {
+    /// Evaluates the label on a symbol's leaf signature (bit `i` set when
+    /// leaf `i` holds of the symbol).
+    fn holds(self, signature: &[u64]) -> bool {
+        self.leaf.is_none_or(|i| bit(signature, i)) != self.negated
+    }
+}
+
+fn bit(set: &[u64], i: usize) -> bool {
+    set[i / 64] >> (i % 64) & 1 == 1
+}
+
+/// Sets bit `i`; returns whether it was clear.
+fn set_bit(set: &mut [u64], i: usize) -> bool {
+    let fresh = !bit(set, i);
+    set[i / 64] |= 1 << (i % 64);
+    fresh
+}
+
+#[derive(Default)]
+struct Nfa<'a> {
+    /// Per state: its labelled edge (the construction gives a state at
+    /// most one) and its epsilon edges.
+    step: Vec<Option<(Test, usize)>>,
+    eps: Vec<Vec<usize>>,
+    /// The distinct `(name, payload)` tests of the pattern; edges name
+    /// them by index.
+    leaves: Vec<(&'a str, Option<i64>)>,
+    leaf_ids: HashMap<(&'a str, Option<i64>), usize>,
+}
+
+impl<'a> Nfa<'a> {
     fn state(&mut self) -> Result<usize, String> {
-        if self.steps.len() >= MAX_NFA_STATES {
+        if self.step.len() >= MAX_NFA_STATES {
             return Err(format!("pattern too large (> {MAX_NFA_STATES} NFA states)"));
         }
-        self.steps.push(Vec::new());
+        self.step.push(None);
         self.eps.push(Vec::new());
-        Ok(self.steps.len() - 1)
+        Ok(self.step.len() - 1)
     }
 
     /// Builds the fragment for `ast`; returns `(start, accept)`.
-    fn build(&mut self, ast: &Ast) -> Result<(usize, usize), String> {
+    fn build(&mut self, ast: &'a Ast) -> Result<(usize, usize), String> {
         match ast {
             Ast::One(p) => {
                 let s = self.state()?;
                 let a = self.state()?;
-                self.steps[s].push((p.0.clone(), a));
+                let (leaf, negated) = p.0.leaf();
+                let leaf = leaf.map(|key| {
+                    *self.leaf_ids.entry(key).or_insert_with(|| {
+                        self.leaves.push(key);
+                        self.leaves.len() - 1
+                    })
+                });
+                self.step[s] = Some((Test { leaf, negated }, a));
                 Ok((s, a))
             }
             Ast::Seq(items) => {
@@ -398,11 +465,12 @@ impl Nfa {
         }
     }
 
-    fn closure(&self, set: &mut [bool], work: &mut Vec<usize>) {
+    /// Closes the bit set `set` under epsilon edges; `work` holds the
+    /// states whose edges are still to be followed.
+    fn closure(&self, set: &mut [u64], work: &mut Vec<usize>) {
         while let Some(s) = work.pop() {
             for &t in &self.eps[s] {
-                if !set[t] {
-                    set[t] = true;
+                if set_bit(set, t) {
                     work.push(t);
                 }
             }
@@ -415,27 +483,36 @@ impl Nfa {
 // ---------------------------------------------------------------------------
 
 /// A pattern compiled against one trace's event vocabulary: a dense
-/// scanning DFA. State sets always include the NFA start (unanchored
-/// matching), transitions are total over `registry.len() + 1` symbols (the
-/// extra column absorbs ids outside the registry), and a state is
-/// accepting when it contains the NFA accept — entering an accepting
-/// state counts one match.
+/// scanning DFA over **symbol classes**. The `registry.len() + 1` symbols
+/// (the extra one absorbs ids outside the registry) are partitioned into
+/// the classes no leaf of the pattern tells apart, and transitions are
+/// total over those. State sets always include the NFA start (unanchored
+/// matching), and a state is accepting when it contains the NFA accept —
+/// entering an accepting state counts one match.
 #[derive(Debug, Clone)]
 pub struct Dfa {
-    /// `delta[state * alphabet + symbol] -> state`.
+    /// `delta[state * classes + class] -> state`.
     delta: Vec<u32>,
     /// Per-state accepting flag.
     accept: Vec<bool>,
-    /// Symbols per state row (`registry.len() + 1`).
-    alphabet: usize,
+    /// `class_of[symbol]`; the last entry is the "unknown id" symbol.
+    class_of: Vec<u32>,
+    /// Symbol classes per state row.
+    classes: usize,
     /// Start state.
     start: u32,
 }
 
 impl Dfa {
-    /// Number of DFA states (the `|Q|` in the O(|Q| log k) composition).
+    /// Number of DFA states (`|Q|`).
     pub fn states(&self) -> usize {
         self.accept.len()
+    }
+
+    /// Number of symbol classes: what a state row costs, whatever the
+    /// size of the vocabulary.
+    pub fn classes(&self) -> usize {
+        self.classes
     }
 
     /// Start state.
@@ -452,86 +529,112 @@ impl Dfa {
     pub fn compile(ast: &Ast, registry: &EventRegistry) -> Result<Dfa, String> {
         let mut nfa = Nfa::default();
         let (nstart, naccept) = nfa.build(ast)?;
-        let nn = nfa.steps.len();
-        let alphabet = registry.len() + 1;
-        // Event id -> (name, payload) lookup for predicate evaluation; the
-        // final column is "unknown id" (no descriptor).
-        let descs: Vec<Option<(&str, Option<i64>)>> = (0..registry.len())
-            .map(|i| {
-                registry
-                    .describe(EventId(i as u32))
-                    .map(|d| (d.name.as_str(), d.payload))
-            })
-            .chain(std::iter::once(None))
-            .collect();
 
-        let closure_of = |nfa: &Nfa, seed: &[usize]| -> Vec<bool> {
-            let mut set = vec![false; nn];
-            let mut work = Vec::new();
-            for &s in seed {
-                if !set[s] {
-                    set[s] = true;
-                    work.push(s);
+        // Each symbol's signature — which leaves hold of it, every leaf
+        // evaluated once per symbol — and one class per distinct signature.
+        // The unknown-id symbol satisfies no leaf.
+        let symbols = registry.len() + 1;
+        let sig_words = nfa.leaves.len().div_ceil(64).max(1);
+        let mut signatures = vec![0u64; symbols * sig_words];
+        for (i, signature) in signatures.chunks_mut(sig_words).enumerate() {
+            let Some(desc) = registry.describe(EventId(i as u32)) else {
+                continue;
+            };
+            for (leaf, &(name, payload)) in nfa.leaves.iter().enumerate() {
+                if name_matches(name, &desc.name) && payload.is_none_or(|p| desc.payload == Some(p))
+                {
+                    set_bit(signature, leaf);
                 }
             }
-            nfa.closure(&mut set, &mut work);
-            set
-        };
+        }
+        let mut class_signatures: Vec<&[u64]> = Vec::new();
+        let mut class_ids: FxHashMap<&[u64], u32> = FxHashMap::default();
+        let class_of: Vec<u32> = signatures
+            .chunks(sig_words)
+            .map(|signature| {
+                *class_ids.entry(signature).or_insert_with(|| {
+                    class_signatures.push(signature);
+                    class_signatures.len() as u32 - 1
+                })
+            })
+            .collect();
+        let classes = class_signatures.len();
 
-        let start_set = closure_of(&nfa, &[nstart]);
-        let mut states: Vec<Vec<bool>> = vec![start_set.clone()];
-        let mut ids: std::collections::HashMap<Vec<bool>, u32> = std::collections::HashMap::new();
-        ids.insert(start_set, 0);
+        // Subset construction over classes. NFA state sets are bit sets,
+        // `sets` holds one per DFA state back to back; every set contains
+        // the closure of the NFA start (unanchored scan).
+        let words = nfa.step.len().div_ceil(64);
+        let mut work = vec![nstart];
+        let mut start_set = vec![0u64; words];
+        set_bit(&mut start_set, nstart);
+        nfa.closure(&mut start_set, &mut work);
+        let mut sets = start_set.clone();
+        let mut ids: FxHashMap<Box<[u64]>, u32> = FxHashMap::default();
+        ids.insert(start_set.clone().into_boxed_slice(), 0);
         let mut delta: Vec<u32> = Vec::new();
         let mut accept: Vec<bool> = Vec::new();
+        let mut next = vec![0u64; words];
 
-        let mut i = 0;
-        while i < states.len() {
-            let cur = states[i].clone();
-            accept.push(cur[naccept]);
-            for &desc in &descs {
-                let mut seed: Vec<usize> = vec![nstart]; // unanchored scan
-                for (s, active) in cur.iter().enumerate() {
-                    if !active {
-                        continue;
-                    }
-                    for (pred, t) in &nfa.steps[s] {
-                        if pred.matches(desc) {
-                            seed.push(*t);
+        while accept.len() * words < sets.len() {
+            let cur = accept.len() * words..(accept.len() + 1) * words;
+            accept.push(bit(&sets[cur.clone()], naccept));
+            for signature in &class_signatures {
+                next.copy_from_slice(&start_set);
+                for (w, &word) in sets[cur.clone()].iter().enumerate() {
+                    let mut live = word;
+                    while live != 0 {
+                        let s = w * 64 + live.trailing_zeros() as usize;
+                        live &= live - 1;
+                        if let Some((test, t)) = nfa.step[s] {
+                            if test.holds(signature) && set_bit(&mut next, t) {
+                                work.push(t);
+                            }
                         }
                     }
                 }
-                let next = closure_of(&nfa, &seed);
-                let id = match ids.get(&next) {
+                nfa.closure(&mut next, &mut work);
+                let id = match ids.get(&next[..]) {
                     Some(&id) => id,
                     None => {
-                        if states.len() >= MAX_DFA_STATES {
+                        if ids.len() >= MAX_DFA_STATES {
                             return Err(format!(
                                 "pattern too large (> {MAX_DFA_STATES} DFA states)"
                             ));
                         }
-                        let id = states.len() as u32;
-                        ids.insert(next.clone(), id);
-                        states.push(next);
+                        let id = ids.len() as u32;
+                        ids.insert(next.clone().into_boxed_slice(), id);
+                        sets.extend_from_slice(&next);
                         id
                     }
                 };
                 delta.push(id);
             }
-            i += 1;
         }
         Ok(Dfa {
             delta,
             accept,
-            alphabet,
+            class_of,
+            classes,
             start: 0,
         })
     }
 
     #[inline]
     fn step(&self, state: u32, event: EventId) -> u32 {
-        let sym = (event.index()).min(self.alphabet - 1);
-        self.delta[state as usize * self.alphabet + sym]
+        let class = self.class_of[event.index().min(self.class_of.len() - 1)];
+        self.delta[state as usize * self.classes + class as usize]
+    }
+
+    /// The one-event segment from `state`.
+    #[inline]
+    fn single(&self, state: u32, event: EventId) -> MatchResult {
+        let end_state = self.step(state, event);
+        let hit = self.accept[end_state as usize];
+        MatchResult {
+            count: hit as u64,
+            first: hit.then_some(0),
+            end_state,
+        }
     }
 
     /// Runs the query over an expanded stream — the ground truth the
@@ -567,125 +670,108 @@ pub struct MatchResult {
     pub end_state: u32,
 }
 
-/// The transfer function of one trace segment: for every DFA start state,
-/// the end state, the number of matches inside the segment, and the offset
-/// of the earliest match. Segments compose associatively ([`Xfer::then`]),
-/// and a segment repeated `k` times is `Xfer::power(k)` — exponentiation
-/// by squaring, O(|Q|² log k) worst case but O(|Q| log k) in the common
-/// single-path case.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Xfer {
-    next: Vec<u32>,
-    hits: Vec<u64>,
-    first: Vec<Option<u64>>,
-    len: u64,
+/// One rule being evaluated from one entry state: the body units before
+/// `pos`, and `rep` repetitions of unit `pos`, are folded into `at`.
+struct Frame {
+    rule: RuleId,
+    entry: u32,
+    pos: usize,
+    rep: u64,
+    /// Events covered by the units before `pos`.
+    offset: u64,
+    /// Matches, earliest hit and state so far.
+    at: MatchResult,
 }
 
-impl Xfer {
-    /// The empty segment (identity of [`Xfer::then`]).
-    pub fn identity(states: usize) -> Xfer {
-        Xfer {
-            next: (0..states as u32).collect(),
-            hits: vec![0; states],
-            first: vec![None; states],
-            len: 0,
-        }
-    }
-
-    /// The one-event segment.
-    pub fn single(dfa: &Dfa, event: EventId) -> Xfer {
-        let states = dfa.states();
-        let mut x = Xfer {
-            next: Vec::with_capacity(states),
-            hits: Vec::with_capacity(states),
-            first: Vec::with_capacity(states),
-            len: 1,
-        };
-        for s in 0..states as u32 {
-            let t = dfa.step(s, event);
-            let hit = dfa.accepting(t);
-            x.next.push(t);
-            x.hits.push(hit as u64);
-            x.first.push(hit.then_some(0));
-        }
-        x
-    }
-
-    /// The segment `self` followed by `other`.
-    pub fn then(&self, other: &Xfer) -> Xfer {
-        let states = self.next.len();
-        let mut x = Xfer {
-            next: Vec::with_capacity(states),
-            hits: Vec::with_capacity(states),
-            first: Vec::with_capacity(states),
-            len: self.len.saturating_add(other.len),
-        };
-        for s in 0..states {
-            let mid = self.next[s] as usize;
-            x.next.push(other.next[mid]);
-            x.hits.push(self.hits[s].saturating_add(other.hits[mid]));
-            x.first.push(
-                self.first[s].or_else(|| other.first[mid].map(|f| f.saturating_add(self.len))),
-            );
-        }
-        x
-    }
-
-    /// The segment `self` repeated `k` times (exponentiation by squaring).
-    pub fn power(&self, mut k: u64) -> Xfer {
-        let mut acc = Xfer::identity(self.next.len());
-        let mut base = self.clone();
-        while k > 0 {
-            if k & 1 == 1 {
-                acc = acc.then(&base);
-            }
-            k >>= 1;
-            if k > 0 {
-                base = base.then(&base);
-            }
-        }
-        acc
-    }
-
-    /// Applies the segment from `state`.
-    pub fn apply(&self, state: u32) -> MatchResult {
-        MatchResult {
-            count: self.hits[state as usize],
-            first: self.first[state as usize],
-            end_state: self.next[state as usize],
-        }
-    }
-}
-
-/// Runs the query over a grammar, bottom-up in O(|grammar| · |Q|) without
-/// expanding the trace. The grammar must be a structurally sound DAG (run
-/// the linter first).
+/// Runs the query over a grammar without expanding the trace: only the
+/// `(rule, entry state)` pairs the stream reaches are evaluated, each once.
+/// The grammar must be a structurally sound DAG (run the linter first).
 pub fn match_grammar(g: &Grammar, dfa: &Dfa) -> MatchResult {
-    let mut xfers: Vec<Option<Xfer>> = vec![None; g.rules_slots()];
-    let order = g.topological_order(); // parents first
-    for &id in order.iter().rev() {
-        // children first
-        let mut x = Xfer::identity(dfa.states());
-        for u in &g.rule(id).body {
-            let step = match u.symbol {
-                Symbol::Terminal(e) => Xfer::single(dfa, e).power(u.count as u64),
-                Symbol::Rule(r) => xfers[r.index()]
-                    .clone()
-                    .expect("topological order visits children first")
-                    .power(u.count as u64),
-            };
-            x = x.then(&step);
-        }
-        xfers[id.index()] = Some(x);
-    }
-    xfers[g.root().index()]
-        .take()
-        .map(|x| x.apply(dfa.start()))
-        .unwrap_or(MatchResult {
+    sweep(g, dfa).0
+}
+
+/// How many `(rule, entry state)` pairs [`match_grammar`] evaluates for
+/// this grammar and query: its cost in a unit no machine changes.
+pub fn reached_pairs(g: &Grammar, dfa: &Dfa) -> usize {
+    sweep(g, dfa).1
+}
+
+fn sweep(g: &Grammar, dfa: &Dfa) -> (MatchResult, usize) {
+    let frame = |rule, entry| Frame {
+        rule,
+        entry,
+        pos: 0,
+        rep: 0,
+        offset: 0,
+        at: MatchResult {
             count: 0,
             first: None,
-            end_state: 0,
-        })
+            end_state: entry,
+        },
+    };
+    // One expansion of a rule entered in a state: its summary (`first`
+    // relative to the expansion's start) and its length in events.
+    let mut memo: FxHashMap<(RuleId, u32), (MatchResult, u64)> =
+        FxHashMap::with_capacity_and_hasher(g.rules_slots(), Default::default());
+    // An explicit stack: nesting depth is bounded only by the rule count.
+    let mut stack = vec![frame(g.root(), dfa.start())];
+    'frames: loop {
+        let f = stack.last_mut().expect("the root frame is popped last");
+        let body = &g.rule(f.rule).body;
+        while let Some(u) = body.get(f.pos) {
+            let reps = u.count as u64;
+            // Events per repetition.
+            let mut seg = 1;
+            while f.rep < reps {
+                let state = f.at.end_state;
+                let step = match u.symbol {
+                    Symbol::Terminal(e) => dfa.single(state, e),
+                    Symbol::Rule(r) => match memo.get(&(r, state)) {
+                        Some(&(m, len)) => {
+                            seg = len;
+                            m
+                        }
+                        None => {
+                            stack.push(frame(r, state));
+                            assert!(
+                                stack.len() <= g.rules_slots(),
+                                "grammar rule graph has a cycle at {r}"
+                            );
+                            continue 'frames;
+                        }
+                    },
+                };
+                if f.at.first.is_none() {
+                    f.at.first = step.first.map(|i| {
+                        f.offset
+                            .saturating_add(f.rep.saturating_mul(seg))
+                            .saturating_add(i)
+                    });
+                }
+                // A repetition that ends in the state it started in is how
+                // all the remaining ones go. The scanning DFA is definite
+                // (see the module header), so the orbit of the entry state
+                // reaches that fixed point within ⌈M / seg⌉ + 1 steps; a
+                // DFA that cycled instead would be walked to the end.
+                let same = if step.end_state == state {
+                    reps - f.rep
+                } else {
+                    1
+                };
+                f.at.count = f.at.count.saturating_add(same.saturating_mul(step.count));
+                f.at.end_state = step.end_state;
+                f.rep += same;
+            }
+            f.offset = f.offset.saturating_add(reps.saturating_mul(seg));
+            f.rep = 0;
+            f.pos += 1;
+        }
+        let done = stack.pop().expect("the frame just evaluated");
+        memo.insert((done.rule, done.entry), (done.at, done.offset));
+        if stack.is_empty() {
+            return (done.at, memo.len());
+        }
+    }
 }
 
 /// One user query as carried by [`super::AnalyzeConfig`]: the parsed
@@ -733,12 +819,23 @@ pub fn run_query(
             )];
         }
     };
+    // Without an accepting state (the vocabulary lacks a queried name)
+    // nothing can match, and no grammar needs sweeping.
+    let live = dfa.accept.contains(&true);
     let mut diags = Vec::new();
     for (i, t) in trace.threads().iter().enumerate() {
         if !sound.get(i).copied().unwrap_or(false) {
             continue;
         }
-        let m = match_grammar(&t.grammar, &dfa);
+        let m = if live {
+            match_grammar(&t.grammar, &dfa)
+        } else {
+            MatchResult {
+                count: 0,
+                first: None,
+                end_state: dfa.start,
+            }
+        };
         if query.absent {
             if m.count == 0 {
                 diags.push(
@@ -778,8 +875,11 @@ pub fn run_query(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::EventRegistry;
     use crate::grammar::builder::GrammarBuilder;
+    use crate::grammar::{Rule, SymbolUse};
+    use proptest::collection::vec;
+    use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     fn grammar_of(events: &[EventId]) -> Grammar {
         let mut b = GrammarBuilder::new();
@@ -797,6 +897,17 @@ mod tests {
         (reg, isend, wait, pad)
     }
 
+    /// A one-rank trace of `events` repeated `repeat` times.
+    fn trace_of(reg: &EventRegistry, events: &[EventId], repeat: usize) -> crate::trace::TraceData {
+        let mut rec = crate::record::Recorder::new(crate::record::RecordConfig::default());
+        for _ in 0..repeat {
+            for &e in events {
+                rec.record(e);
+            }
+        }
+        rec.finish(reg).unwrap()
+    }
+
     #[test]
     fn parse_rejects_garbage() {
         assert!(parse("").is_err());
@@ -811,10 +922,20 @@ mod tests {
 
     #[test]
     fn name_matching_elides_prefix_and_case() {
-        assert!(name_matches("wait", "MPI_Wait"));
-        assert!(name_matches("MPI_WAIT", "mpi_wait"));
-        assert!(name_matches("Isend", "MPI_Isend"));
-        assert!(!name_matches("wait", "MPI_Waitall"));
+        let matches = |query: &str, event: &str| name_matches(&normalize(query), event);
+        assert!(matches("wait", "MPI_Wait"));
+        assert!(matches("MPI_WAIT", "mpi_wait"));
+        assert!(matches("Isend", "MPI_Isend"));
+        assert!(!matches("wait", "MPI_Waitall"));
+        // A bare prefix normalises to the empty name: another bare prefix
+        // or an empty event name equals it, nothing else does.
+        assert_eq!(normalize("MPI_"), "");
+        assert!(matches("MPI_", "mpi_"));
+        assert!(matches("mpi_", ""));
+        assert!(!matches("MPI_", "MPI_Wait"));
+        assert!(!matches("wait", "MPI_"));
+        // The prefix test never slices a multi-byte name mid-character.
+        assert!(!matches("wait", "mpé_wait"));
     }
 
     #[test]
@@ -893,37 +1014,297 @@ mod tests {
         assert_eq!(cm.first, Some(5));
     }
 
+    /// `R0 -> lead R1^k`, `R1 -> body`: a hand-built grammar, for exponents
+    /// and shapes the builder would not choose.
+    fn repeated(lead: EventId, body: &[EventId], k: u32) -> Grammar {
+        let terminal = |e| SymbolUse::new(Symbol::Terminal(e), 1);
+        let root = Rule {
+            body: vec![terminal(lead), SymbolUse::new(Symbol::Rule(RuleId(1)), k)],
+            refcount: 0,
+        };
+        let child = Rule {
+            body: body.iter().map(|&e| terminal(e)).collect(),
+            refcount: k,
+        };
+        Grammar {
+            rules: vec![Some(root), Some(child)],
+            root: RuleId(0),
+        }
+    }
+
     #[test]
     fn power_matches_naive_composition() {
+        // A repeated unit against the unfolded stream, for every exponent
+        // from below the point where the entry state's orbit closes to
+        // well past it.
         let (reg, isend, wait, pad) = reg3();
-        let dfa = Dfa::compile(&parse("isend ~3 wait").unwrap(), &reg).unwrap();
-        let seg = Xfer::single(&dfa, isend)
-            .then(&Xfer::single(&dfa, pad))
-            .then(&Xfer::single(&dfa, wait));
-        for k in 0..9u64 {
-            let mut naive = Xfer::identity(dfa.states());
-            for _ in 0..k {
-                naive = naive.then(&seg);
+        for src in ["isend ~3 wait", "isend (!wait){5}", "pad{7}", ". . wait"] {
+            let dfa = Dfa::compile(&parse(src).unwrap(), &reg).unwrap();
+            for body in [&[isend, pad, wait][..], &[pad], &[isend, pad]] {
+                for k in 1..40 {
+                    let g = repeated(isend, body, k);
+                    let naive = dfa.match_events(g.unfold());
+                    assert_eq!(match_grammar(&g, &dfa), naive, "{src}, k={k}");
+                }
             }
-            assert_eq!(seg.power(k), naive, "k={k}");
         }
+        // A terminal raised to a power far past what could be unfolded.
+        let dfa = Dfa::compile(&parse("pad{7}").unwrap(), &reg).unwrap();
+        let mut g = repeated(isend, &[pad], 1);
+        g.rules[1].as_mut().unwrap().body[0].count = u32::MAX;
+        let m = match_grammar(&g, &dfa);
+        assert_eq!((m.count, m.first), (u32::MAX as u64 - 6, Some(7)));
+    }
+
+    #[test]
+    fn deep_chain_grammar_does_not_overflow_the_stack() {
+        // R_i -> isend R_{i+1} pad, 50 000 deep: the nesting a lenient
+        // load can hand the analyzer, and far beyond what recursion on a
+        // test thread's stack survives.
+        const DEPTH: u32 = 50_000;
+        let (reg, isend, wait, pad) = reg3();
+        let terminal = |e| SymbolUse::new(Symbol::Terminal(e), 1);
+        let mut rules: Vec<Option<Rule>> = (1..DEPTH)
+            .map(|next| {
+                Some(Rule {
+                    body: vec![
+                        terminal(isend),
+                        SymbolUse::new(Symbol::Rule(RuleId(next)), 1),
+                        terminal(pad),
+                    ],
+                    refcount: 1,
+                })
+            })
+            .collect();
+        rules.push(Some(Rule {
+            body: vec![terminal(isend), terminal(wait)],
+            refcount: 1,
+        }));
+        let g = Grammar {
+            rules,
+            root: RuleId(0),
+        };
+        let dfa = Dfa::compile(&parse("isend ~2 wait | wait pad{3}").unwrap(), &reg).unwrap();
+        assert_eq!(match_grammar(&g, &dfa), dfa.match_events(g.unfold()));
+        assert_eq!(reached_pairs(&g, &dfa), DEPTH as usize);
+    }
+
+    /// A registry holding `names` plus `padding` events no query names.
+    fn padded_registry(names: &[&str], padding: usize) -> EventRegistry {
+        let mut reg = EventRegistry::new();
+        for i in 0..padding {
+            reg.intern(&format!("compute_phase_{i}"), Some(i as i64));
+        }
+        for name in names {
+            reg.intern(name, None);
+        }
+        reg
+    }
+
+    #[test]
+    fn compile_cost_follows_classes_not_vocabulary() {
+        // The benchmark's two queries: a vocabulary 2 000 events larger
+        // changes neither the automaton nor the width of its rows.
+        let names = ["MPI_Isend", "MPI_Irecv", "MPI_Wait", "MPI_Waitall"];
+        for src in ["MPI_Isend ~6 MPI_Waitall", "MPI_Irecv (!MPI_Wait){6}"] {
+            let ast = parse(src).unwrap();
+            let minimal = Dfa::compile(&ast, &padded_registry(&names, 0)).unwrap();
+            let padded = Dfa::compile(&ast, &padded_registry(&names, 2_000)).unwrap();
+            assert_eq!(padded.states(), minimal.states(), "{src}");
+            assert_eq!(padded.classes(), minimal.classes(), "{src}");
+            assert!(minimal.classes() <= 4, "{src}: {}", minimal.classes());
+        }
+    }
+
+    #[test]
+    fn over_cap_window_is_invalid_not_a_stall() {
+        // 2^13 overlapping windows exceed the DFA state cap; with rows
+        // over classes the cap is hit after 4 096 cheap rows even on a
+        // large vocabulary.
+        let reg = padded_registry(&["a", "b"], 2_000);
+        let trace = trace_of(&reg, &[EventId(2_000), EventId(2_001)], 8);
+        let q = PatternQuery::new("a (!b){13}", Severity::Warning, false).unwrap();
+        let diags = run_query(&q, &trace, &[true]);
+        assert_eq!(diags.len(), 1, "{diags:?}");
+        assert_eq!(diags[0].code, "pattern-invalid");
     }
 
     #[test]
     fn absent_query_flags_missing_pattern() {
         let (reg, isend, wait, pad) = reg3();
-        let mut rec = crate::record::Recorder::new(crate::record::RecordConfig::default());
-        for _ in 0..8 {
-            rec.record(isend);
-            rec.record(pad);
-            rec.record(wait);
-        }
-        let trace = rec.finish(&reg).unwrap();
+        let trace = trace_of(&reg, &[isend, pad, wait], 8);
         let q = PatternQuery::new("barrier", Severity::Warning, true).unwrap();
         let diags = run_query(&q, &trace, &[true]);
         assert_eq!(diags.len(), 1, "{diags:?}");
         assert_eq!(diags[0].code, "pattern-absent");
         let q = PatternQuery::new("isend ~2 wait", Severity::Warning, true).unwrap();
         assert!(run_query(&q, &trace, &[true]).is_empty());
+    }
+
+    #[test]
+    fn query_on_absent_names_has_no_accepting_state() {
+        // The short-circuit's premise and its verdict: no accepting state
+        // when the vocabulary lacks a queried name, and no finding.
+        let (reg, isend, wait, pad) = reg3();
+        let dfa = Dfa::compile(&parse("isend ~6 waitall").unwrap(), &reg).unwrap();
+        assert!((0..dfa.states() as u32).all(|s| !dfa.accepting(s)));
+        let trace = trace_of(&reg, &[isend, pad, wait], 8);
+        let q = PatternQuery::new("isend ~6 waitall", Severity::Warning, false).unwrap();
+        assert!(run_query(&q, &trace, &[true]).is_empty());
+    }
+
+    // -- Reference semantics -------------------------------------------
+    //
+    // The pattern language evaluated directly on the AST and the event
+    // descriptors, sharing nothing with the compiler: no NFA, no classes,
+    // and the name comparison spelled out on freshly lower-cased strings.
+
+    fn reference_holds(pred: &Pred, desc: Option<&crate::event::EventDesc>) -> bool {
+        let plain = |s: &str| {
+            let lower = s.to_ascii_lowercase();
+            lower
+                .strip_prefix("mpi_")
+                .map(str::to_owned)
+                .unwrap_or(lower)
+        };
+        match pred {
+            Pred::Any => true,
+            Pred::Name { name, payload } => desc.is_some_and(|d| {
+                plain(name) == plain(&d.name) && payload.is_none_or(|p| d.payload == Some(p))
+            }),
+            Pred::Not(inner) => !reference_holds(inner, desc),
+        }
+    }
+
+    /// The positions at which a match of `ast` can end when it starts at
+    /// one of `starts`.
+    fn reference_ends(
+        ast: &Ast,
+        starts: &BTreeSet<usize>,
+        descs: &[Option<&crate::event::EventDesc>],
+    ) -> BTreeSet<usize> {
+        match ast {
+            Ast::One(p) => starts
+                .iter()
+                .filter(|&&s| s < descs.len() && reference_holds(&p.0, descs[s]))
+                .map(|s| s + 1)
+                .collect(),
+            Ast::Seq(items) => items
+                .iter()
+                .fold(starts.clone(), |at, item| reference_ends(item, &at, descs)),
+            Ast::Alt(arms) => arms
+                .iter()
+                .flat_map(|arm| reference_ends(arm, starts, descs))
+                .collect(),
+            Ast::Repeat { node, min, max } => {
+                let mut at = starts.clone();
+                let mut ends = if *min == 0 {
+                    starts.clone()
+                } else {
+                    BTreeSet::new()
+                };
+                for i in 1..=*max {
+                    at = reference_ends(node, &at, descs);
+                    if i >= *min {
+                        ends.extend(&at);
+                    }
+                }
+                ends
+            }
+        }
+    }
+
+    /// `(count, first)` of the unanchored scan: every event after which
+    /// some match (an empty one included) ends.
+    fn reference_match(ast: &Ast, reg: &EventRegistry, events: &[EventId]) -> (u64, Option<u64>) {
+        let descs: Vec<_> = events.iter().map(|&e| reg.describe(e)).collect();
+        let ends = reference_ends(ast, &(0..=events.len()).collect(), &descs);
+        let hits: Vec<u64> = ends
+            .iter()
+            .filter(|&&e| e > 0)
+            .map(|&e| e as u64 - 1)
+            .collect();
+        (hits.len() as u64, hits.first().copied())
+    }
+
+    /// Spells a pattern of the module header's grammar from a tape of
+    /// random choices; repetition bounds and nesting stay small so that
+    /// most patterns compile under the state cap.
+    struct Speller<'t> {
+        tape: std::slice::Iter<'t, u32>,
+    }
+
+    impl Speller<'_> {
+        fn pick(&mut self, n: u32) -> u32 {
+            self.tape.next().map_or(0, |&t| t % n)
+        }
+
+        fn atom(&mut self) -> String {
+            const NAMES: [&str; 5] = ["isend", "MPI_Wait", "mpi_waitall", "PAD", "MPI_"];
+            match self.pick(8) {
+                0 => ".".into(),
+                1 => format!("!{}", self.atom()),
+                2 => format!("{}({})", NAMES[self.pick(5) as usize], self.pick(3)),
+                _ => NAMES[self.pick(5) as usize].into(),
+            }
+        }
+
+        fn term(&mut self, depth: u32) -> String {
+            let mut s = match self.pick(6) {
+                0 if depth > 0 => format!("({})", self.alt(depth - 1)),
+                1 => format!("{} ~{} {}", self.atom(), 1 + self.pick(4), self.atom()),
+                _ => self.atom(),
+            };
+            if self.pick(3) == 0 {
+                let min = self.pick(3);
+                s += &format!("{{{min},{}}}", min + self.pick(3));
+            }
+            s
+        }
+
+        fn alt(&mut self, depth: u32) -> String {
+            let arms: Vec<String> = (0..1 + self.pick(2))
+                .map(|_| {
+                    let terms: Vec<String> =
+                        (0..1 + self.pick(3)).map(|_| self.term(depth)).collect();
+                    terms.join(" ")
+                })
+                .collect();
+            arms.join(" | ")
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        // Compile correctness: the class-compiled DFA reports what the
+        // reference semantics report, on random patterns, vocabularies
+        // and streams — ids beyond the registry (the unknown symbol)
+        // included.
+        #[test]
+        fn compiled_dfa_equals_reference_semantics(
+            tape in vec(0u32..1 << 16, 4..40),
+            vocabulary in vec((0usize..6, 0i64..4), 0..10),
+            stream in vec(0u32..13, 0..60),
+        ) {
+            const NAMES: [&str; 6] = ["MPI_Isend", "wait", "MPI_WAITALL", "pad", "mpi_", ""];
+            let src = Speller { tape: tape.iter() }.alt(2);
+            let ast = parse(&src).unwrap();
+            let mut reg = EventRegistry::new();
+            for &(name, payload) in &vocabulary {
+                reg.intern(NAMES[name], (payload > 0).then_some(payload - 1));
+            }
+            let events: Vec<EventId> = stream.iter().map(|&i| EventId(i)).collect();
+            // A pattern over the state cap is a compile error, not a case.
+            if let Ok(dfa) = Dfa::compile(&ast, &reg) {
+                prop_assert!(dfa.classes() <= reg.len() + 1);
+                let m = dfa.match_events(events.iter().copied());
+                prop_assert_eq!(
+                    (m.count, m.first),
+                    reference_match(&ast, &reg, &events),
+                    "pattern {:?}", src
+                );
+            }
+        }
     }
 }

@@ -13,10 +13,16 @@
 //! run sequentially inside a single `#[test]` — a second libtest thread
 //! warming up its own scenario (or the harness spawning one) would
 //! bump the counter mid-window and fail the accounting spuriously.
+//!
+//! The same counter gates the pattern sweep, which is not allocation-free
+//! but must allocate for the pairs it reaches, never per body symbol; the
+//! two tests take one lock so that neither counts the other's work.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
+use pythia_core::analyze::pattern::{match_grammar, parse, Dfa};
 use pythia_core::event::{EventId, EventRegistry};
 use pythia_core::persist::PersistConfig;
 use pythia_core::predict::{Predictor, PredictorConfig};
@@ -59,18 +65,19 @@ fn allocations_in(f: impl FnOnce()) -> usize {
 
 /// Runs `attempt` — which re-arms the path's reservations and returns
 /// the allocation count of one measured window — up to three times,
-/// settling on 0 as soon as one window is allocation-free. The counter
-/// is process-global, so a bump from outside the measured path
-/// (another runtime thread, allocator bookkeeping) can land inside one
-/// window by bad luck — but a real per-event leak allocates in *every*
-/// window, so a single clean window proves the path while a persistent
-/// count is still reported faithfully.
+/// settling on the smallest count, 0 as soon as one window is
+/// allocation-free. The counter is process-global, so a bump from
+/// outside the measured path (another runtime thread, allocator
+/// bookkeeping) can land inside one window by bad luck — but what the
+/// path itself allocates it allocates in *every* window, so the cleanest
+/// window proves the path while a persistent count is still reported
+/// faithfully.
 fn settled_allocations(mut attempt: impl FnMut() -> usize) -> usize {
-    let mut n = 0;
+    let mut n = usize::MAX;
     for _ in 0..3 {
-        n = attempt();
+        n = n.min(attempt());
         if n == 0 {
-            return 0;
+            break;
         }
     }
     n
@@ -78,8 +85,13 @@ fn settled_allocations(mut attempt: impl FnMut() -> usize) -> usize {
 
 const WINDOW_EVENTS: usize = 4_096;
 
+/// Held by each test from start to end: whatever one allocates, the other
+/// must not count.
+static COUNTING: Mutex<()> = Mutex::new(());
+
 #[test]
 fn hot_paths_are_allocation_free_at_steady_state() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
     in_memory_record();
     durable_record();
     observe();
@@ -195,4 +207,58 @@ fn observe() {
     });
     assert_eq!(n, 0, "observe fast path allocated {n} times");
     assert_eq!(p.candidate_count(), 1);
+}
+
+/// `match_grammar` allocates its memo and its work stack, sized by the
+/// rules it reaches — not three vectors per body symbol: a grammar ten
+/// times larger, swept with the same DFA, costs the same number of
+/// allocations.
+#[test]
+fn pattern_sweep_allocations_do_not_follow_grammar_size() {
+    const PHASES: [usize; 2] = [20, 200];
+    // Setting up allocates too: not inside the other test's windows.
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut reg = EventRegistry::new();
+    let isend = reg.intern("MPI_Isend", Some(1));
+    let wait = reg.intern("MPI_Wait", None);
+    let phase: Vec<EventId> = (0..PHASES[1])
+        .map(|i| reg.intern("compute_phase", Some(i as i64)))
+        .collect();
+    let dfa = Dfa::compile(&parse("MPI_Isend (!MPI_Wait){6}").unwrap(), &reg).unwrap();
+
+    // One loop per phase: a rule and a root unit each.
+    let [small, large] = PHASES.map(|phases| {
+        let mut rec = Recorder::new(RecordConfig {
+            timestamps: false,
+            validate: false,
+        });
+        for &p in &phase[..phases] {
+            for _ in 0..5 {
+                for e in [isend, p, p, wait] {
+                    rec.record(e);
+                }
+            }
+        }
+        rec.finish_thread().unwrap().grammar
+    });
+    let symbols = |g: &pythia_core::grammar::Grammar| -> usize {
+        g.iter_rules().map(|(_, rule)| rule.body.len()).sum()
+    };
+    assert!(symbols(&large) >= 8 * symbols(&small));
+
+    let [n_small, n_large] = [&small, &large].map(|g| {
+        settled_allocations(|| {
+            allocations_in(|| {
+                std::hint::black_box(match_grammar(g, &dfa));
+            })
+        })
+    });
+    assert!(
+        n_small <= 4,
+        "sweep of a small grammar allocated {n_small} times"
+    );
+    assert!(
+        n_large <= n_small + 1,
+        "allocations grew with the grammar: {n_small} -> {n_large}"
+    );
 }
