@@ -23,6 +23,11 @@ cargo test -q --workspace
 # parent-vs-change runs against the bounds in BENCHMARK.json.
 cargo run --release --quiet --offline --manifest-path pythia_benchmark/Cargo.toml -- \
     --all --seconds 1 >/dev/null
+# The benchmark is a package outside the workspace, so the workspace test
+# and clippy runs above never compile its tests — which name core types
+# literally (`Prediction { distribution: vec![..], .. }`). Run them here, so
+# that a change to such a type fails CI and not the next benchmark run.
+cargo test --release --offline --quiet --manifest-path pythia_benchmark/Cargo.toml
 
 # Race & pattern gates: the seeded-violation fixture carries a same-epoch
 # racy store pair and an Isend-without-Wait window; the race subcommand

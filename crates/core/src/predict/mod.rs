@@ -24,21 +24,31 @@
 //! # Hot-path costs
 //!
 //! All read-side queries go through the [`crate::grammar::GrammarIndex`]
-//! built once per thread trace and shared (`Arc`) by every predictor:
+//! built once per thread trace and shared (`Arc`) by every predictor; the
+//! grammar is immutable at predict time, so every walk only *reads* it and
+//! the candidate it starts from.
 //!
-//! * [`Predictor::observe`] advances candidates with
-//!   [`Walker::expand_matching`], which decides each branch's next terminal
-//!   in O(1) and never materializes non-matching successor paths; re-seeding
-//!   reads the precomputed occurrence index instead of scanning the grammar.
-//!   Scratch buffers (branch vector, merge map) are reused across calls, so
-//!   steady-state observation performs no per-call allocation beyond the
-//!   successor paths themselves.
+//! * [`Predictor::observe`] advances each candidate with
+//!   [`Walker::advance_in_place`]: one scan outward from the innermost
+//!   frame that rewrites the frames in place and reports the matched
+//!   branch's weight factor. Equal successors are merged by comparing
+//!   frames, and candidates that fall away leave their frame buffers in a
+//!   spare pool that re-seeding and the fallback draw from — so a tracked
+//!   stream, with one candidate or several, performs **no allocation**.
+//!   Two cases fall back to the general expansion (the enumerator behind
+//!   [`Walker::expand`]): two branches of one candidate
+//!   emitting the observed event, and a partial path ascending past its
+//!   top frame (upward extension branches over the rule's use sites).
+//!   Re-seeding reads the precomputed occurrence index instead of scanning
+//!   the grammar.
 //! * [`Predictor::predict`] runs the distance-striding simulation
 //!   ([`Walker::simulate_distance`]), skipping repetition runs and whole
 //!   rule subtrees shorter than the remaining distance in O(1) — roughly
 //!   O(distance + path depth) per candidate instead of O(unfolded events ×
-//!   branching). The stepwise reference implementation is kept as
-//!   [`Predictor::predict_scan`].
+//!   branching). The walk accumulates straight into the vector returned as
+//!   [`Prediction::distribution`]: an informed answer costs **one
+//!   allocation**, an uninformed one none. The stepwise reference it is
+//!   held to lives with this module's tests (`predict_scan`).
 
 pub mod path;
 pub mod walker;
@@ -48,9 +58,8 @@ use std::time::{Duration, Instant};
 
 use crate::error::{Error, Result};
 use crate::event::EventId;
-use crate::grammar::GrammarIndex;
+use crate::grammar::{GrammarIndex, Loc};
 use crate::trace::{ThreadTrace, TraceData};
-use crate::util::FxHashMap;
 use path::Path;
 use walker::{Advance, Branch, DistanceAccumulator, Outcome, Walker};
 
@@ -143,6 +152,25 @@ pub struct Prediction {
 }
 
 impl Prediction {
+    /// Normalizes accumulated masses into probabilities, most probable
+    /// event first (ties by event id).
+    fn from_masses(mut distribution: Vec<(EventId, f64)>, mut end_mass: f64) -> Self {
+        let total: f64 = distribution.iter().map(|&(_, w)| w).sum::<f64>() + end_mass;
+        if total > 0.0 {
+            for (_, w) in &mut distribution {
+                *w /= total;
+            }
+            end_mass /= total;
+        }
+        if distribution.len() > 1 {
+            distribution.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        }
+        Prediction {
+            distribution,
+            end_probability: end_mass,
+        }
+    }
+
     /// The most probable event, if any.
     pub fn most_likely(&self) -> Option<EventId> {
         self.distribution.first().map(|&(e, _)| e)
@@ -171,13 +199,15 @@ pub struct Predictor {
     /// Precomputed query tables over `thread.grammar`, shared by every
     /// predictor (and walker) over the same thread trace.
     index: Arc<GrammarIndex>,
+    /// Heaviest first, equal weights by frames; weights sum to 1.
     candidates: Vec<(Path, f64)>,
     stats: PredictStats,
-    // Scratch storage reused across `observe` calls so the steady-state hot
-    // path allocates nothing beyond the successor paths themselves.
+    /// The next candidate generation while `observe` builds it; empty
+    /// between calls, kept for its capacity.
     scratch_branches: Vec<(Path, f64)>,
-    scratch_expand: Vec<Branch>,
-    scratch_merge: FxHashMap<Path, f64>,
+    /// Paths that fell out of the candidate set, kept for their frame
+    /// buffers: every new candidate is written into one of these.
+    spare: Vec<Path>,
 }
 
 impl Predictor {
@@ -215,8 +245,7 @@ impl Predictor {
             candidates: Vec::new(),
             stats: PredictStats::default(),
             scratch_branches: Vec::new(),
-            scratch_expand: Vec::new(),
-            scratch_merge: FxHashMap::default(),
+            spare: Vec::new(),
         })
     }
 
@@ -248,67 +277,18 @@ impl Predictor {
         if !self.index.knows_event(event) {
             // Never seen in the reference execution: the oracle loses track
             // (paper §II-B2 — the runtime must fall back to heuristics).
-            self.candidates.clear();
+            self.retire_candidates();
             self.stats.unknown += 1;
             return ObserveOutcome::Unknown;
         }
-        if self.candidates.len() == 1 {
-            // Steady-state fast path: a synchronized stream tracks one
-            // candidate, and the in-place advance mutates its frames
-            // without cloning, allocating, or touching the merge map. On
-            // ambiguity it falls through to the general expansion, which
-            // produces the identical result.
-            let walker = Walker {
-                grammar: &self.thread.grammar,
-                index: &self.index,
-            };
-            let (path, weight) = &mut self.candidates[0];
-            match walker.advance_in_place(&mut path.frames, event) {
-                Advance::Advanced => {
-                    *weight = 1.0; // a lone candidate always normalizes to 1
-                    self.stats.matched += 1;
-                    return ObserveOutcome::Matched;
-                }
-                Advance::NoMatch => {
-                    self.seed(event);
-                    self.stats.reseeded += 1;
-                    return ObserveOutcome::Reseeded;
-                }
-                Advance::Ambiguous => {}
-            }
-        }
-        if !self.candidates.is_empty() {
-            // Advance every candidate, materializing only the branches that
-            // emit the observed event. The buffers are taken out of `self`
-            // for the duration of the walk (the walker borrows `self`
-            // immutably) and put back afterwards, keeping their capacity.
-            let mut branches = std::mem::take(&mut self.scratch_branches);
-            let mut out = std::mem::take(&mut self.scratch_expand);
-            branches.clear();
-            {
-                let walker = self.walker();
-                for (path, weight) in &self.candidates {
-                    out.clear();
-                    walker.expand_matching(path, event, &mut out);
-                    for b in out.drain(..) {
-                        branches.push((b.path, weight * b.factor));
-                    }
-                }
-            }
-            self.scratch_expand = out;
-            let matched = !branches.is_empty();
-            if matched {
-                self.consolidate_into(&mut branches);
-            }
-            self.scratch_branches = branches;
-            if matched {
-                self.stats.matched += 1;
-                return ObserveOutcome::Matched;
-            }
+        if self.advance_candidates(event) {
+            self.stats.matched += 1;
+            return ObserveOutcome::Matched;
         }
         // Start (or re-start after a mismatch) from every occurrence of the
         // event, weighted by occurrence counts.
-        self.seed(event);
+        let index = Arc::clone(&self.index);
+        self.seed(index.occurrences(event).unwrap_or_default());
         self.stats.reseeded += 1;
         ObserveOutcome::Reseeded
     }
@@ -340,23 +320,20 @@ impl Predictor {
                     grammar: &self.thread.grammar,
                     index: &self.index,
                 };
-                let (path, weight) = &mut self.candidates[0];
+                // A lone candidate's weight stays 1 whatever the factor.
+                let path = &mut self.candidates[0].0;
                 let mut advanced = 0u64;
-                while i < events.len() {
-                    let event = events[i];
-                    if !walker.index.knows_event(event) {
-                        break;
-                    }
-                    match walker.advance_in_place(&mut path.frames, event) {
-                        Advance::Advanced => {
-                            i += 1;
-                            advanced += 1;
-                        }
-                        Advance::NoMatch | Advance::Ambiguous => break,
-                    }
+                while i < events.len()
+                    && walker.index.knows_event(events[i])
+                    && matches!(
+                        walker.advance_in_place(&mut path.frames, events[i]),
+                        Advance::Advanced(_)
+                    )
+                {
+                    i += 1;
+                    advanced += 1;
                 }
                 if advanced > 0 {
-                    *weight = 1.0; // a lone candidate always normalizes to 1
                     self.stats.observed += advanced;
                     self.stats.matched += advanced;
                     last = Some(ObserveOutcome::Matched);
@@ -374,39 +351,76 @@ impl Predictor {
         last
     }
 
-    /// Rebuilds the candidate set from the occurrence index: one candidate
-    /// per use site of `event`, pre-weighted with `expansions × count`.
-    fn seed(&mut self, event: EventId) {
-        let index = Arc::clone(&self.index);
-        let mut cands = std::mem::take(&mut self.scratch_branches);
-        cands.clear();
-        if let Some(occs) = index.occurrences(event) {
-            cands.reserve(occs.len());
-            for &(loc, weight) in occs {
-                if weight > 0.0 {
-                    cands.push((Path::seed(loc.rule, loc.pos), weight));
+    /// Replaces every candidate by its successors emitting `event`, each
+    /// weighted by its branch factor; `false` (and no candidate left) when
+    /// none emits it. A candidate with a single matching branch — the
+    /// steady state — is advanced in place; the rest take the general
+    /// expansion, their successors written into spare buffers.
+    fn advance_candidates(&mut self, event: EventId) -> bool {
+        let walker = Walker {
+            grammar: &self.thread.grammar,
+            index: &self.index,
+        };
+        let (next, spare) = (&mut self.scratch_branches, &mut self.spare);
+        for (mut path, weight) in self.candidates.drain(..) {
+            match walker.advance_in_place(&mut path.frames, event) {
+                Advance::Advanced(factor) => merge_into(next, spare, path, weight * factor),
+                Advance::NoMatch => spare.push(path),
+                Advance::Ambiguous => {
+                    walker.steps(&path.frames, &mut |step| {
+                        if step.outcome == Outcome::Event(event) {
+                            let mut successor = spare.pop().unwrap_or_default();
+                            walker.successor(&path.frames, &step, &mut successor.frames);
+                            merge_into(next, spare, successor, weight * step.factor);
+                        }
+                    });
+                    spare.push(path);
                 }
             }
         }
-        self.consolidate_into(&mut cands);
-        self.scratch_branches = cands;
+        std::mem::swap(&mut self.candidates, &mut self.scratch_branches);
+        self.settle_candidates();
+        !self.candidates.is_empty()
     }
 
-    /// Merges identical paths, keeps the heaviest `max_candidates`, and
-    /// normalizes weights — draining `cands` into `self.candidates` through
-    /// the reused merge map, so no fresh map or vector is allocated.
-    fn consolidate_into(&mut self, cands: &mut Vec<(Path, f64)>) {
-        self.scratch_merge.clear();
-        for (p, w) in cands.drain(..) {
-            *self.scratch_merge.entry(p).or_insert(0.0) += w;
+    /// Rebuilds the candidate set from occurrence-index entries: one
+    /// candidate per use site, pre-weighted with `expansions × count`.
+    fn seed(&mut self, occurrences: &[(Loc, f64)]) {
+        self.retire_candidates();
+        self.candidates.reserve(occurrences.len());
+        for &(loc, weight) in occurrences {
+            if weight > 0.0 {
+                let mut path = self.spare.pop().unwrap_or_default();
+                path.reseed(loc.rule, loc.pos);
+                self.candidates.push((path, weight));
+            }
         }
-        self.candidates.clear();
-        self.candidates.extend(self.scratch_merge.drain());
-        self.candidates.sort_by(|a, b| b.1.total_cmp(&a.1));
-        self.candidates.truncate(self.config.max_candidates);
-        let total: f64 = self.candidates.iter().map(|&(_, w)| w).sum();
+        self.settle_candidates();
+    }
+
+    /// Empties the candidate set into the spare pool.
+    fn retire_candidates(&mut self) {
+        let retired = self.candidates.drain(..).map(|(path, _)| path);
+        self.spare.extend(retired);
+    }
+
+    /// Puts the (distinct) candidates in their total order — heaviest
+    /// first, equal weights by frames, so that neither the survivors of
+    /// the cap nor any later summation depends on how the set was built —
+    /// keeps the heaviest `max_candidates`, and normalizes weights.
+    fn settle_candidates(&mut self) {
+        let candidates = &mut self.candidates;
+        if candidates.len() > 1 {
+            candidates.sort_unstable_by(|a, b| {
+                b.1.total_cmp(&a.1)
+                    .then_with(|| a.0.frames.cmp(&b.0.frames))
+            });
+            let dropped = candidates.drain(self.config.max_candidates.min(candidates.len())..);
+            self.spare.extend(dropped.map(|(path, _)| path));
+        }
+        let total: f64 = candidates.iter().map(|&(_, w)| w).sum();
         if total > 0.0 {
-            for (_, w) in &mut self.candidates {
+            for (_, w) in candidates {
                 *w /= total;
             }
         }
@@ -419,8 +433,7 @@ impl Predictor {
     /// Uses the distance-striding simulation: repetition runs and whole
     /// rule subtrees shorter than the remaining distance are skipped in
     /// O(1), so the cost grows with the distance and the grammar depth, not
-    /// with the number of unfolded events. [`Predictor::predict_scan`] is
-    /// the stepwise reference returning the same distribution.
+    /// with the number of unfolded events.
     pub fn predict(&self, distance: usize) -> Prediction {
         self.predict_inner(distance, None)
             .expect("only a deadline can abort the distance walk")
@@ -457,92 +470,7 @@ impl Predictor {
                 )));
             }
         }
-        let mut end_mass = acc.end_mass;
-        let mut distribution: Vec<(EventId, f64)> = acc.per_event.into_iter().collect();
-        let total: f64 = distribution.iter().map(|&(_, w)| w).sum::<f64>() + end_mass;
-        if total > 0.0 {
-            for (_, w) in &mut distribution {
-                *w /= total;
-            }
-            end_mass /= total;
-        }
-        distribution.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Ok(Prediction {
-            distribution,
-            end_probability: end_mass,
-        })
-    }
-
-    /// Stepwise reference implementation of [`Predictor::predict`]: expands
-    /// every state one event at a time. Kept for regression testing and as
-    /// executable documentation of the semantics the striding simulation
-    /// must reproduce; prefer [`Predictor::predict`] everywhere else.
-    pub fn predict_scan(&self, distance: usize) -> Prediction {
-        assert!(distance >= 1, "prediction distance must be >= 1");
-        if self.candidates.is_empty() {
-            return Prediction::default();
-        }
-        let walker = self.walker();
-        let mut states = self.candidates.clone();
-        let mut end_mass = 0.0f64;
-        let mut last_step: Vec<(EventId, f64)> = Vec::new();
-        for step in 0..distance {
-            let mut next: Vec<(Path, f64)> = Vec::new();
-            let mut out: Vec<Branch> = Vec::new();
-            if step + 1 == distance {
-                last_step.clear();
-            }
-            for (path, weight) in &states {
-                out.clear();
-                walker.expand(path, &mut out);
-                for b in &out {
-                    let w = weight * b.factor;
-                    match b.outcome {
-                        Outcome::End => end_mass += w,
-                        Outcome::Event(e) => {
-                            if step + 1 == distance {
-                                last_step.push((e, w));
-                            } else {
-                                next.push((b.path.clone(), w));
-                            }
-                        }
-                    }
-                }
-            }
-            if step + 1 == distance {
-                break;
-            }
-            if next.is_empty() {
-                break;
-            }
-            // Merge identical states but do not renormalize: remaining mass
-            // must stay comparable with `end_mass`.
-            let mut merged: FxHashMap<Path, f64> = FxHashMap::default();
-            for (p, w) in next {
-                *merged.entry(p).or_insert(0.0) += w;
-            }
-            let mut v: Vec<(Path, f64)> = merged.into_iter().collect();
-            v.sort_by(|a, b| b.1.total_cmp(&a.1));
-            v.truncate(self.config.max_states);
-            states = v;
-        }
-        let mut per_event: FxHashMap<EventId, f64> = FxHashMap::default();
-        for (e, w) in last_step {
-            *per_event.entry(e).or_insert(0.0) += w;
-        }
-        let mut distribution: Vec<(EventId, f64)> = per_event.into_iter().collect();
-        let total: f64 = distribution.iter().map(|&(_, w)| w).sum::<f64>() + end_mass;
-        if total > 0.0 {
-            for (_, w) in &mut distribution {
-                *w /= total;
-            }
-            end_mass /= total;
-        }
-        distribution.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
-        Prediction {
-            distribution,
-            end_probability: end_mass,
-        }
+        Ok(Prediction::from_masses(acc.per_event, acc.end_mass))
     }
 
     /// Estimated time (nanoseconds) until the event `distance` steps ahead,
@@ -672,7 +600,7 @@ impl Predictor {
 
     /// Drops all tracked candidates, forcing a re-seed on the next event.
     pub fn desynchronize(&mut self) {
-        self.candidates.clear();
+        self.retire_candidates();
     }
 
     /// The grammar being tracked.
@@ -683,6 +611,19 @@ impl Predictor {
     /// The precomputed index over the tracked grammar.
     pub fn index(&self) -> &Arc<GrammarIndex> {
         &self.index
+    }
+}
+
+/// Adds `path` to `set`, or its weight to the equal path already there
+/// (weights add up in arrival order); a merged path's buffer goes to
+/// `spare`.
+fn merge_into(set: &mut Vec<(Path, f64)>, spare: &mut Vec<Path>, path: Path, weight: f64) {
+    match set.iter_mut().find(|(p, _)| p.frames == path.frames) {
+        Some((_, w)) => {
+            *w += weight;
+            spare.push(path);
+        }
+        None => set.push((path, weight)),
     }
 }
 
@@ -701,9 +642,71 @@ mod tests {
     use super::*;
     use crate::event::EventRegistry;
     use crate::record::{RecordConfig, Recorder};
+    use crate::util::FxHashMap;
 
     fn e(n: u32) -> EventId {
         EventId(n)
+    }
+
+    impl Predictor {
+        /// Stepwise reference implementation of [`Predictor::predict`]: expands
+        /// every state one event at a time — executable documentation of the
+        /// semantics every distance walk must reproduce.
+        fn predict_scan(&self, distance: usize) -> Prediction {
+            assert!(distance >= 1, "prediction distance must be >= 1");
+            if self.candidates.is_empty() {
+                return Prediction::default();
+            }
+            let walker = self.walker();
+            let mut states = self.candidates.clone();
+            let mut end_mass = 0.0f64;
+            let mut last_step: Vec<(EventId, f64)> = Vec::new();
+            for step in 0..distance {
+                let mut next: Vec<(Path, f64)> = Vec::new();
+                let mut out: Vec<Branch> = Vec::new();
+                if step + 1 == distance {
+                    last_step.clear();
+                }
+                for (path, weight) in &states {
+                    out.clear();
+                    walker.expand(path, &mut out);
+                    for b in &out {
+                        let w = weight * b.factor;
+                        match b.outcome {
+                            Outcome::End => end_mass += w,
+                            Outcome::Event(e) => {
+                                if step + 1 == distance {
+                                    last_step.push((e, w));
+                                } else {
+                                    next.push((b.path.clone(), w));
+                                }
+                            }
+                        }
+                    }
+                }
+                if step + 1 == distance {
+                    break;
+                }
+                if next.is_empty() {
+                    break;
+                }
+                // Merge identical states but do not renormalize: remaining mass
+                // must stay comparable with `end_mass`.
+                let mut merged: FxHashMap<Path, f64> = FxHashMap::default();
+                for (p, w) in next {
+                    *merged.entry(p).or_insert(0.0) += w;
+                }
+                let mut v: Vec<(Path, f64)> = merged.into_iter().collect();
+                v.sort_by(|a, b| b.1.total_cmp(&a.1));
+                v.truncate(self.config.max_states);
+                states = v;
+            }
+            let mut per_event: FxHashMap<EventId, f64> = FxHashMap::default();
+            for (e, w) in last_step {
+                *per_event.entry(e).or_insert(0.0) += w;
+            }
+            Prediction::from_masses(per_event.into_iter().collect(), end_mass)
+        }
     }
 
     /// Records `seq` (with uniform 100ns spacing) into a trace.
@@ -885,6 +888,33 @@ mod tests {
     }
 
     #[test]
+    fn candidate_order_is_independent_of_seeding_order() {
+        // 24 equal-weight occurrences, 8 kept: which survive the cap, and
+        // in what order, must not follow the order they were listed in.
+        let seq: Vec<u32> = (0..24u32).flat_map(|i| [200 + i, 7]).collect();
+        let trace = trace_of(&seq);
+        let cfg = PredictorConfig {
+            max_candidates: 8,
+            max_states: 16,
+        };
+        let mut p = Predictor::for_thread(&trace, 0, cfg).unwrap();
+        let mut occurrences = p.index().occurrences(e(7)).unwrap().to_vec();
+        assert_eq!(occurrences.len(), 24);
+        p.seed(&occurrences);
+        let want = p.candidates.clone();
+        assert_eq!(want.len(), 8);
+        assert!(want.windows(2).all(|w| w[0].0.frames < w[1].0.frames));
+        for turn in 0..occurrences.len() {
+            occurrences.rotate_left(5);
+            if turn % 2 == 0 {
+                occurrences.reverse();
+            }
+            p.seed(&occurrences);
+            assert_eq!(p.candidates, want, "turn {turn}");
+        }
+    }
+
+    #[test]
     fn varying_problem_size_prediction() {
         // Record a loop of 10 iterations; predict on a run with 30
         // iterations: inner-loop predictions stay accurate (paper §III-C2's
@@ -1008,6 +1038,61 @@ mod tests {
                         fast.probability(ev),
                         slow.probability(ev)
                     );
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The subtree-skipping `predict` reproduces the stepwise
+        /// reference on recorded traces of repeated blocks with a tail
+        /// (deep grammars, long repetitions) — distributions and end
+        /// probability — while observing the reference stream at several
+        /// positions.
+        #[test]
+        fn striding_predict_matches_stepwise_scan(
+            (block, reps, tail) in (
+                proptest::collection::vec(0u32..6, 1..8),
+                1usize..24,
+                proptest::collection::vec(0u32..6, 0..5),
+            )
+        ) {
+            use proptest::prop_assert;
+            let mut seq = block.repeat(reps);
+            seq.extend(&tail);
+            let trace = trace_of(&seq);
+            // A state cap large enough that the stepwise scan never truncates:
+            // under truncation the scan *drops* low-weight states while the
+            // striding simulation keeps their mass, so exact equivalence is
+            // only defined on the untruncated semantics.
+            let config = PredictorConfig { max_candidates: 64, max_states: 1 << 16 };
+            let mut p = Predictor::for_thread(&trace, 0, config).unwrap();
+            let upto = seq.len().min(30);
+            for (i, &s) in seq[..upto].iter().enumerate() {
+                p.observe(e(s));
+                if i % 3 != 0 {
+                    continue;
+                }
+                for distance in [1usize, 2, 5, 17, 64] {
+                    let fast = p.predict(distance);
+                    let slow = p.predict_scan(distance);
+                    prop_assert!(
+                        (fast.end_probability - slow.end_probability).abs() < 1e-9,
+                        "end probability {} vs {} (i={}, d={})",
+                        fast.end_probability, slow.end_probability, i, distance
+                    );
+                    // `most_likely` itself may differ only on exact ties (the
+                    // two implementations sum weights in different orders), so
+                    // compare the probabilities, not the argmax.
+                    for &(ev, _) in fast.distribution.iter().chain(&slow.distribution) {
+                        prop_assert!(
+                            (fast.probability(ev) - slow.probability(ev)).abs() < 1e-9,
+                            "event {:?}: {} vs {} (i={}, d={})",
+                            ev, fast.probability(ev), slow.probability(ev), i, distance
+                        );
+                    }
                 }
             }
         }

@@ -8,12 +8,12 @@
 //! recovered from an unexpected event — partial sequences are extended
 //! upward lazily as more events disambiguate the position (paper §II-B2).
 
-use crate::grammar::{Grammar, RuleId, Symbol};
+use crate::grammar::{Grammar, RuleId};
 use crate::timing::ContextFrame;
 
 /// Repetition state of one frame: how many repetitions of the symbol use
 /// have *completed* at this level.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Rep {
     /// The frame was entered at repetition 0 (start offset known); `r`
     /// repetitions have completed.
@@ -27,7 +27,7 @@ pub enum Rep {
 
 /// One level of a progress sequence: a symbol use (`pos`-th entry of
 /// `rule`'s body) plus its repetition state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Frame {
     /// Rule whose body contains the use.
     pub rule: RuleId,
@@ -50,13 +50,20 @@ impl Path {
     /// offset within its repetition run is unknown; the observed event
     /// counts as one completed repetition.
     pub fn seed(rule: RuleId, pos: usize) -> Self {
-        Path {
-            frames: vec![Frame {
-                rule,
-                pos,
-                rep: Rep::Unknown(1),
-            }],
-        }
+        let mut path = Path::default();
+        path.reseed(rule, pos);
+        path
+    }
+
+    /// Turns this path into [`Path::seed`]`(rule, pos)`, keeping its frame
+    /// buffer.
+    pub(crate) fn reseed(&mut self, rule: RuleId, pos: usize) {
+        self.frames.clear();
+        self.frames.push(Frame {
+            rule,
+            pos,
+            rep: Rep::Unknown(1),
+        });
     }
 
     /// The innermost frame (terminal level).
@@ -88,34 +95,6 @@ impl Path {
     /// Context frames for the timing model: `(rule, pos)` innermost first.
     pub fn context_frames(&self) -> Vec<ContextFrame> {
         self.frames.iter().rev().map(|f| (f.rule, f.pos)).collect()
-    }
-
-    /// Appends the frames needed to reach the first terminal of `symbol`
-    /// (fresh descent: offsets known, nothing completed; the terminal frame
-    /// records one completed repetition — the event it emits).
-    ///
-    /// `rule`/`pos` locate the use of `symbol` whose frame was already
-    /// pushed by the caller; this only descends *below* it.
-    pub(crate) fn descend(&mut self, grammar: &Grammar, mut symbol: Symbol) {
-        while let Symbol::Rule(r) = symbol {
-            self.frames.push(Frame {
-                rule: r,
-                pos: 0,
-                rep: Rep::Known(0),
-            });
-            symbol = grammar.rule(r).body[0].symbol;
-        }
-        // The innermost frame now points at the first use of a (possibly
-        // new) rule; mark the terminal's emitted repetition.
-        let f = self.frames.last_mut().expect("descend on empty path");
-        debug_assert!(matches!(
-            grammar.rule(f.rule).body[f.pos].symbol,
-            Symbol::Terminal(_)
-        ));
-        f.rep = match f.rep {
-            Rep::Known(r) => Rep::Known(r + 1),
-            Rep::Unknown(k) => Rep::Unknown(k + 1),
-        };
     }
 }
 

@@ -1,15 +1,16 @@
 //! Single-step expansion of progress sequences — and its distance-striding
-//! generalization.
+//! generalization. Every walk here only *reads* the candidate's frames:
+//! the repetition state bumped by an ascent is carried as an argument, so
+//! nothing is cloned or truncated along the way.
 //!
 //! [`Walker::expand`] enumerates, for a candidate path, every possible next
 //! terminal together with the successor path and its relative weight (paper
 //! §II-B1's depth-first traversal, extended with the branching needed for
 //! partial paths and unknown repetition offsets).
 //!
-//! [`Walker::expand_matching`] is the observe-side variant: it materializes
-//! successor paths *only* for branches emitting one given event, deciding
-//! each branch's first terminal in O(1) through the [`GrammarIndex`] so
-//! non-matching branches cost no allocation.
+//! [`Walker::advance_in_place`] is the observe-side fast path: when exactly
+//! one continuation emits the observed event it rewrites the candidate's
+//! frames in place and reports that continuation's weight factor.
 //!
 //! [`Walker::simulate_distance`] answers "which event happens `d` steps
 //! from here" without stepping once per event: repetition runs and whole
@@ -21,9 +22,8 @@
 use std::time::Instant;
 
 use crate::event::EventId;
-use crate::grammar::{Grammar, GrammarIndex, Symbol};
+use crate::grammar::{Grammar, GrammarIndex, RuleId, Symbol};
 use crate::predict::path::{Frame, Path, Rep};
-use crate::util::FxHashMap;
 
 /// What a branch leads to.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -39,11 +39,22 @@ pub enum Outcome {
 pub struct Branch {
     /// Next event or end of trace.
     pub outcome: Outcome,
-    /// Successor path (meaningless for [`Outcome::End`]).
+    /// Successor path (empty for [`Outcome::End`]).
     pub path: Path,
     /// Weight of this branch relative to the input path's weight
     /// (occurrence-count fraction; branches of one expansion sum to 1).
     pub factor: f64,
+}
+
+/// A [`Branch`] before its successor path is built: the successor keeps
+/// `frames[..keep]` of the path it continues, then `frame`, then the
+/// descent to the first terminal under `frame` (see [`Walker::successor`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Step {
+    pub(crate) outcome: Outcome,
+    pub(crate) factor: f64,
+    keep: usize,
+    frame: Frame,
 }
 
 /// Advances a repetition state by one completed repetition.
@@ -54,12 +65,43 @@ fn bump(rep: Rep) -> Rep {
     }
 }
 
+/// A repetition of a use repeated `count` times just completed and `rep`
+/// already counts it: splits `weight` into (begin another repetition, move
+/// past the use).
+fn split(rep: Rep, count: u32, weight: f64) -> (f64, f64) {
+    match rep {
+        Rep::Known(r) => {
+            debug_assert!(r >= 1 && r <= count);
+            // Offset known: deterministically stay or exit.
+            if r < count {
+                (weight, 0.0)
+            } else {
+                (0.0, weight)
+            }
+        }
+        Rep::Unknown(k) => {
+            debug_assert!(k >= 1 && k <= count);
+            // k repetitions completed at an unknown start offset: the
+            // first one could have been any of offsets 0..=c-k, so of
+            // the (c-k+1) possibilities, (c-k) continue and 1 exits.
+            let possibilities = (count - k + 1) as f64;
+            (
+                weight * (count - k) as f64 / possibilities,
+                weight / possibilities,
+            )
+        }
+    }
+}
+
 /// Weighted event distribution accumulated by
 /// [`Walker::simulate_distance`] across all candidates of a prediction.
 #[derive(Debug, Default)]
 pub struct DistanceAccumulator {
-    /// Total weight per predicted event (unnormalized).
-    pub per_event: FxHashMap<EventId, f64>,
+    /// Total weight per predicted event (unnormalized), in the order the
+    /// walk first reached each event. Distributions hold a handful of
+    /// events, so a linear find-or-push beats any map — and the vector is
+    /// handed out as the answer's distribution, the query's one allocation.
+    pub per_event: Vec<(EventId, f64)>,
     /// Weight on "the reference trace ends before that distance".
     pub end_mass: f64,
     /// Remaining exploration budget (see [`DistanceAccumulator::new`]).
@@ -94,7 +136,7 @@ impl DistanceAccumulator {
     /// host past the budget.
     pub fn with_deadline(budget: usize, deadline: Option<Instant>) -> Self {
         DistanceAccumulator {
-            per_event: FxHashMap::default(),
+            per_event: Vec::new(),
             end_mass: 0.0,
             nodes_left: budget,
             deadline,
@@ -106,6 +148,15 @@ impl DistanceAccumulator {
     /// Whether the walk was abandoned because the deadline passed.
     pub fn deadline_hit(&self) -> bool {
         self.deadline_hit
+    }
+
+    /// Puts `weight` on `event`.
+    #[inline]
+    fn add(&mut self, event: EventId, weight: f64) {
+        match self.per_event.iter_mut().find(|(e, _)| *e == event) {
+            Some((_, mass)) => *mass += weight,
+            None => self.per_event.push((event, weight)),
+        }
     }
 
     /// Periodic deadline probe: reads the clock every `DEADLINE_STRIDE`
@@ -134,15 +185,17 @@ impl DistanceAccumulator {
 }
 
 /// Result of [`Walker::advance_in_place`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Advance {
-    /// Exactly one branch matched; the frames were advanced in place.
-    Advanced,
-    /// No branch emits the event from here (reseed).
+    /// Exactly one branch matched; the frames were advanced in place and
+    /// the branch carries this share of the path's weight (its
+    /// [`Branch::factor`]).
+    Advanced(f64),
+    /// No branch emits the event from here.
     NoMatch,
     /// More than one branch could match, or the walk would extend the
-    /// path upward — the caller must take the general
-    /// [`Walker::expand_matching`] route.
+    /// path upward; the frames are untouched and the caller must take the
+    /// general expansion.
     Ambiguous,
 }
 
@@ -158,55 +211,72 @@ impl Walker<'_> {
     /// Enumerates all continuations of `path`, appending them to `out`.
     /// The factors of the produced branches sum to 1 (up to rounding).
     pub fn expand(&self, path: &Path, out: &mut Vec<Branch>) {
-        debug_assert!(!path.frames.is_empty());
-        let mut frames = path.frames.clone();
+        self.steps(&path.frames, &mut |step| {
+            let mut successor = Path::default();
+            if step.outcome != Outcome::End {
+                self.successor(&path.frames, &step, &mut successor.frames);
+            }
+            out.push(Branch {
+                outcome: step.outcome,
+                path: successor,
+                factor: step.factor,
+            });
+        });
+    }
+
+    /// Hands every continuation of `frames` to `sink`, in the order
+    /// [`Walker::expand`] lists them, without building any successor.
+    pub(crate) fn steps(&self, frames: &[Frame], sink: &mut impl FnMut(Step)) {
+        debug_assert!(!frames.is_empty());
         let innermost = frames.len() - 1;
-        self.decide(&mut frames, innermost, 1.0, None, out);
+        self.decide(frames, innermost, frames[innermost].rep, 1.0, sink);
+    }
+
+    /// Writes into `out` the path `step` leads to from `frames`.
+    pub(crate) fn successor(&self, frames: &[Frame], step: &Step, out: &mut Vec<Frame>) {
+        out.clear();
+        out.extend_from_slice(&frames[..step.keep]);
+        out.push(step.frame);
+        let symbol = self.index.body(step.frame.rule)[step.frame.pos].symbol;
+        self.descend_frames(out, symbol);
     }
 
     /// Allocation-free single-candidate advance: when the observed event
     /// continues the path along exactly one branch, mutate `frames` to
     /// the successor in place — no clone, no `Branch` materialization.
     ///
-    /// The scan mirrors [`Walker::decide`]/[`Walker::exit`] without
-    /// building anything: walking outward from the innermost frame, each
-    /// level can *stay* (begin another repetition — matches iff the use's
-    /// first terminal is `event`) and/or *exit* (move to the next use —
-    /// matches iff that use's first terminal is `event`; a finished body
-    /// ascends instead). Two potential matches, or an ascent past a
-    /// non-root top frame (upward extension branches over use sites),
-    /// bail out as [`Advance::Ambiguous`] — the caller falls back to
-    /// [`Walker::expand_matching`], whose result this advance reproduces
-    /// byte-for-byte whenever it returns [`Advance::Advanced`].
+    /// The scan is [`Walker::decide`]/[`Walker::exit`] as a loop: walking
+    /// outward from the innermost frame, each level can *stay* (begin
+    /// another repetition — matches iff the use's first terminal is
+    /// `event`) and/or *exit* (move to the next use — matches iff that
+    /// use's first terminal is `event`; a finished body ascends instead).
+    /// Two potential matches, or an ascent past a non-root top frame
+    /// (upward extension branches over use sites), bail out as
+    /// [`Advance::Ambiguous`] — the caller falls back to the general
+    /// expansion ([`Walker::expand`]), whose only matching branch this
+    /// advance reproduces byte-for-byte, factor included, whenever it
+    /// returns [`Advance::Advanced`].
     pub fn advance_in_place(&self, frames: &mut Vec<Frame>, event: EventId) -> Advance {
         debug_assert!(!frames.is_empty());
-        #[derive(Clone, Copy)]
-        enum Hit {
-            Stay { level: usize, rep: Rep },
-            ExitNext { level: usize },
-        }
-        let mut hit: Option<Hit> = None;
+        // The replacement for `frames[level..]`, before the descent.
+        let mut hit: Option<(usize, Frame, f64)> = None;
         let mut level = frames.len() - 1;
         // Effective completed-repetition state at the current level: the
-        // stored value at the innermost frame, bumped once per ascent
-        // (mirroring `exit`'s mutation before it recurses).
+        // stored value at the innermost frame, bumped once per ascent.
         let mut rep = frames[level].rep;
+        let mut weight = 1.0;
         loop {
             let f = frames[level];
             let body = self.index.body(f.rule);
             let use_ = body[f.pos];
-            let c = use_.count;
-            let (stay_possible, exit_possible) = match rep {
-                Rep::Known(r) => (r < c, r >= c),
-                Rep::Unknown(k) => (k < c, true),
-            };
-            if stay_possible && self.index.first_terminal(use_.symbol) == event {
+            let (stay_w, exit_w) = split(rep, use_.count, weight);
+            if stay_w > 0.0 && self.index.first_terminal(use_.symbol) == event {
                 if hit.is_some() {
                     return Advance::Ambiguous;
                 }
-                hit = Some(Hit::Stay { level, rep });
+                hit = Some((level, Frame { rep, ..f }, stay_w));
             }
-            if !exit_possible {
+            if exit_w <= 0.0 {
                 break;
             }
             if f.pos + 1 < body.len() {
@@ -214,7 +284,12 @@ impl Walker<'_> {
                     if hit.is_some() {
                         return Advance::Ambiguous;
                     }
-                    hit = Some(Hit::ExitNext { level });
+                    let next = Frame {
+                        rule: f.rule,
+                        pos: f.pos + 1,
+                        rep: Rep::Known(0),
+                    };
+                    hit = Some((level, next, exit_w));
                 }
                 break;
             }
@@ -226,34 +301,21 @@ impl Walker<'_> {
             }
             level -= 1;
             rep = bump(frames[level].rep);
+            weight = exit_w;
         }
-        match hit {
-            None => Advance::NoMatch,
-            Some(Hit::Stay { level, rep }) => {
-                frames.truncate(level + 1);
-                frames[level].rep = rep;
-                let symbol = self.index.body(frames[level].rule)[frames[level].pos].symbol;
-                self.descend_frames(frames, symbol);
-                Advance::Advanced
-            }
-            Some(Hit::ExitNext { level }) => {
-                frames.truncate(level + 1);
-                let f = frames[level];
-                frames[level] = Frame {
-                    rule: f.rule,
-                    pos: f.pos + 1,
-                    rep: Rep::Known(0),
-                };
-                let symbol = self.index.body(f.rule)[f.pos + 1].symbol;
-                self.descend_frames(frames, symbol);
-                Advance::Advanced
-            }
-        }
+        let Some((level, frame, factor)) = hit else {
+            return Advance::NoMatch;
+        };
+        frames.truncate(level);
+        frames.push(frame);
+        self.descend_frames(frames, self.index.body(frame.rule)[frame.pos].symbol);
+        Advance::Advanced(factor)
     }
 
-    /// Arena-backed equivalent of `Path::descend`: appends the frames
-    /// from `symbol` down to its first terminal (offsets known), then
-    /// counts the terminal's emitted repetition on the innermost frame.
+    /// Appends the frames from `symbol` down to its first terminal
+    /// (offsets known), then counts the terminal's emitted repetition on
+    /// the innermost frame. The frame of the use of `symbol` itself is
+    /// already the last of `frames`.
     fn descend_frames(&self, frames: &mut Vec<Frame>, mut symbol: Symbol) {
         while let Symbol::Rule(r) = symbol {
             frames.push(Frame {
@@ -267,177 +329,84 @@ impl Walker<'_> {
         f.rep = bump(f.rep);
     }
 
-    /// Like [`Walker::expand`], but only materializes branches whose next
-    /// terminal is `event` — the observe hot path, where every other
-    /// branch is discarded anyway. `End` branches never match.
-    pub fn expand_matching(&self, path: &Path, event: EventId, out: &mut Vec<Branch>) {
-        debug_assert!(!path.frames.is_empty());
-        let mut frames = path.frames.clone();
-        let innermost = frames.len() - 1;
-        self.decide(&mut frames, innermost, 1.0, Some(event), out);
-    }
-
-    /// A repetition of the use at `frames[idx]` just completed — `rep`
-    /// already counts it (frames below `idx` have been truncated). Emit the
-    /// possible continuations: begin another repetition of the same use, or
-    /// move past it. With a `filter`, only branches emitting that event are
-    /// pushed (their factors still reflect the full expansion).
+    /// A repetition of the use at `frames[idx]` just completed and `rep`
+    /// counts it (the frame's stored state is one ascent behind). Emit the
+    /// possible continuations: begin another repetition of the same use —
+    /// a terminal's completes at once, a rule's when the child body
+    /// finishes a pass — or move past it.
     fn decide(
         &self,
-        frames: &mut Vec<Frame>,
+        frames: &[Frame],
         idx: usize,
+        rep: Rep,
         weight: f64,
-        filter: Option<EventId>,
-        out: &mut Vec<Branch>,
+        sink: &mut impl FnMut(Step),
     ) {
         if weight <= 0.0 {
             return;
         }
-        frames.truncate(idx + 1);
         let f = frames[idx];
         let use_ = self.index.body(f.rule)[f.pos];
-        let c = use_.count;
-        let (stay_w, exit_w) = match f.rep {
-            Rep::Known(r) => {
-                debug_assert!(r >= 1 && r <= c);
-                // Offset known: deterministically stay or exit.
-                if r < c {
-                    (weight, 0.0)
-                } else {
-                    (0.0, weight)
-                }
-            }
-            Rep::Unknown(k) => {
-                debug_assert!(k >= 1 && k <= c);
-                // k repetitions completed at an unknown start offset: the
-                // first one could have been any of offsets 0..=c-k, so of
-                // the (c-k+1) possibilities, (c-k) continue and 1 exits.
-                let possibilities = (c - k + 1) as f64;
-                (
-                    weight * (c - k) as f64 / possibilities,
-                    weight / possibilities,
-                )
-            }
-        };
+        let (stay_w, exit_w) = split(rep, use_.count, weight);
         if stay_w > 0.0 {
-            let mut stay_frames = frames.clone();
-            self.stay(&mut stay_frames, idx, stay_w, filter, out);
+            sink(Step {
+                outcome: Outcome::Event(self.index.first_terminal(use_.symbol)),
+                factor: stay_w,
+                keep: idx,
+                frame: Frame { rep, ..f },
+            });
         }
         if exit_w > 0.0 {
-            self.exit(frames, idx, exit_w, filter, out);
-        }
-    }
-
-    /// Begin another repetition of the use at `frames[idx]`. For a terminal
-    /// the new repetition completes immediately (the event is emitted), so
-    /// the completed count advances; for a rule it completes later, when
-    /// the child body finishes a pass (see [`Walker::exit`]).
-    fn stay(
-        &self,
-        frames: &mut [Frame],
-        idx: usize,
-        weight: f64,
-        filter: Option<EventId>,
-        out: &mut Vec<Branch>,
-    ) {
-        let use_ = self.index.body(frames[idx].rule)[frames[idx].pos];
-        // The emitted event is known in O(1) before any successor path is
-        // built, so filtered expansion skips non-matching branches for
-        // free.
-        let e = self.index.first_terminal(use_.symbol);
-        if filter.is_some_and(|want| want != e) {
-            return;
-        }
-        match use_.symbol {
-            Symbol::Terminal(_) => {
-                frames[idx].rep = bump(frames[idx].rep);
-                out.push(Branch {
-                    outcome: Outcome::Event(e),
-                    path: Path {
-                        frames: frames.to_vec(),
-                    },
-                    factor: weight,
-                });
-            }
-            Symbol::Rule(_) => {
-                let mut path = Path {
-                    frames: frames.to_vec(),
-                };
-                // Re-enter the sub-rule from its first terminal.
-                path.descend(self.grammar, use_.symbol);
-                debug_assert_eq!(path.terminal(self.grammar), e);
-                out.push(Branch {
-                    outcome: Outcome::Event(e),
-                    path,
-                    factor: weight,
-                });
-            }
+            self.exit(frames, idx, exit_w, sink);
         }
     }
 
     /// The use at `frames[idx]` is done repeating: move to the next
     /// position of the rule, or complete the rule and continue one level
     /// up, extending partial paths past their top frame when needed.
-    fn exit(
-        &self,
-        frames: &mut Vec<Frame>,
-        idx: usize,
-        weight: f64,
-        filter: Option<EventId>,
-        out: &mut Vec<Branch>,
-    ) {
-        if weight <= 0.0 {
-            return;
-        }
+    fn exit(&self, frames: &[Frame], idx: usize, weight: f64, sink: &mut impl FnMut(Step)) {
         let f = frames[idx];
-        let body_len = self.index.body(f.rule).len();
-        if f.pos + 1 < body_len {
+        let body = self.index.body(f.rule);
+        if f.pos + 1 < body.len() {
             // Next use within the same rule.
-            let symbol = self.index.body(f.rule)[f.pos + 1].symbol;
-            let e = self.index.first_terminal(symbol);
-            if filter.is_some_and(|want| want != e) {
-                return;
-            }
-            frames[idx] = Frame {
-                rule: f.rule,
-                pos: f.pos + 1,
-                rep: Rep::Known(0),
-            };
-            let mut path = Path {
-                frames: frames.clone(),
-            };
-            path.descend(self.grammar, symbol);
-            out.push(Branch {
-                outcome: Outcome::Event(e),
-                path,
+            sink(Step {
+                outcome: Outcome::Event(self.index.first_terminal(body[f.pos + 1].symbol)),
                 factor: weight,
+                keep: idx,
+                frame: Frame {
+                    rule: f.rule,
+                    pos: f.pos + 1,
+                    rep: Rep::Known(0),
+                },
             });
             return;
         }
         // The rule body completed one pass: that completes one repetition
         // of the parent use.
         if idx > 0 {
-            frames[idx - 1].rep = bump(frames[idx - 1].rep);
-            self.decide(frames, idx - 1, weight, filter, out);
+            self.decide(frames, idx - 1, bump(frames[idx - 1].rep), weight, sink);
             return;
         }
         // Popping past the top frame.
-        let top_rule = f.rule;
-        if top_rule == self.grammar.root() {
-            if filter.is_none() {
-                out.push(Branch {
-                    outcome: Outcome::End,
-                    path: Path {
-                        frames: frames.clone(),
-                    },
-                    factor: weight,
-                });
-            }
+        if f.rule == self.grammar.root() {
+            sink(Step {
+                outcome: Outcome::End,
+                factor: weight,
+                keep: 0,
+                frame: f,
+            });
             return;
         }
-        // Partial path: extend upward over every use site of the top rule,
-        // weighting by how often each site accounts for the rule's
-        // expansions (paper §II-C: probabilities are occurrence counts).
+        self.each_use_site(f.rule, weight, |site, w| {
+            self.decide(&[site], 0, site.rep, w, sink)
+        });
+    }
+
+    /// Partial path: extends upward over every use site of `top_rule`,
+    /// weighting by how often each site accounts for the rule's expansions
+    /// (paper §II-C: probabilities are occurrence counts). One repetition
+    /// of the rule just completed at each site, with unknown offset.
+    fn each_use_site(&self, top_rule: RuleId, weight: f64, mut visit: impl FnMut(Frame, f64)) {
         let total = self.index.expansion(top_rule);
         if total <= 0.0 {
             return;
@@ -447,18 +416,14 @@ impl Walker<'_> {
             debug_assert_eq!(use_.symbol, Symbol::Rule(top_rule));
             let site_visits = self.index.expansion(site.rule) * use_.count as f64;
             let w = weight * site_visits / total;
-            if w <= 0.0 {
-                continue;
+            if w > 0.0 {
+                let site = Frame {
+                    rule: site.rule,
+                    pos: site.pos,
+                    rep: Rep::Unknown(1),
+                };
+                visit(site, w);
             }
-            // We just completed one repetition of the rule at this site,
-            // with unknown offset.
-            let mut new_frames = Vec::with_capacity(frames.len() + 1);
-            new_frames.push(Frame {
-                rule: site.rule,
-                pos: site.pos,
-                rep: Rep::Unknown(1),
-            });
-            self.decide(&mut new_frames, 0, w, filter, out);
         }
     }
 
@@ -472,7 +437,7 @@ impl Walker<'_> {
     /// times and summing the final branch weights, but repetition runs and
     /// rule subtrees shorter than the remaining distance are skipped in
     /// O(1) via the [`GrammarIndex`] lengths — no successor paths are
-    /// materialized at all.
+    /// materialized and `path` is only read.
     pub fn simulate_distance(
         &self,
         path: &Path,
@@ -481,18 +446,19 @@ impl Walker<'_> {
         acc: &mut DistanceAccumulator,
     ) {
         debug_assert!(distance >= 1 && !path.frames.is_empty());
-        let mut frames = path.frames.clone();
-        let innermost = frames.len() - 1;
-        self.sim_decide(&mut frames, innermost, distance, weight, acc);
+        let innermost = path.frames.len() - 1;
+        let rep = path.frames[innermost].rep;
+        self.sim_decide(&path.frames, innermost, rep, distance, weight, acc);
     }
 
     /// Striding counterpart of [`Walker::decide`]: a repetition of the use
-    /// at `frames[idx]` just completed and the target event lies `rem ≥ 1`
-    /// events ahead.
+    /// at `frames[idx]` just completed, `rep` counts it, and the target
+    /// event lies `rem ≥ 1` events ahead.
     fn sim_decide(
         &self,
-        frames: &mut Vec<Frame>,
+        frames: &[Frame],
         idx: usize,
+        rep: Rep,
         rem: u64,
         weight: f64,
         acc: &mut DistanceAccumulator,
@@ -504,14 +470,13 @@ impl Walker<'_> {
             return;
         }
         acc.nodes_left -= 1;
-        frames.truncate(idx + 1);
         let f = frames[idx];
         let use_ = self.index.body(f.rule)[f.pos];
         let c = use_.count as u64;
         // Terminals expand to 1 event; rule bodies are non-empty, so
         // `unit >= 1` and the strides below always make progress.
         let unit = self.index.sym_len(use_.symbol);
-        match f.rep {
+        match rep {
             Rep::Known(r) => {
                 let left = c - r as u64;
                 if left * unit >= rem {
@@ -538,8 +503,7 @@ impl Walker<'_> {
                 }
                 let arm_w = weight / arms as f64;
                 for j in 0..jmin.min(arms) {
-                    let mut arm_frames = frames.clone();
-                    self.sim_exit(&mut arm_frames, idx, rem - j * unit, arm_w, acc);
+                    self.sim_exit(frames, idx, rem - j * unit, arm_w, acc);
                 }
             }
         }
@@ -558,7 +522,7 @@ impl Walker<'_> {
             match sym {
                 Symbol::Terminal(e) => {
                     debug_assert_eq!(rem, 1);
-                    *acc.per_event.entry(e).or_insert(0.0) += weight;
+                    acc.add(e, weight);
                     return;
                 }
                 Symbol::Rule(r) => {
@@ -581,7 +545,7 @@ impl Walker<'_> {
     /// is done repeating and the target lies `rem ≥ 1` events past it.
     fn sim_exit(
         &self,
-        frames: &mut Vec<Frame>,
+        frames: &[Frame],
         idx: usize,
         rem: u64,
         weight: f64,
@@ -610,35 +574,17 @@ impl Walker<'_> {
         // The rule body completed one pass: one repetition of the parent
         // use finished.
         if idx > 0 {
-            frames[idx - 1].rep = bump(frames[idx - 1].rep);
-            self.sim_decide(frames, idx - 1, rem, weight, acc);
+            let rep = bump(frames[idx - 1].rep);
+            self.sim_decide(frames, idx - 1, rep, rem, weight, acc);
             return;
         }
-        let top_rule = f.rule;
-        if top_rule == self.grammar.root() {
+        if f.rule == self.grammar.root() {
             acc.end_mass += weight;
             return;
         }
-        // Partial path: extend upward over every use site, mirroring
-        // `Walker::exit`.
-        let total = self.index.expansion(top_rule);
-        if total <= 0.0 {
-            return;
-        }
-        for site in self.index.rule_uses(top_rule) {
-            let use_ = self.index.body(site.rule)[site.pos];
-            let site_visits = self.index.expansion(site.rule) * use_.count as f64;
-            let w = weight * site_visits / total;
-            if w <= 0.0 {
-                continue;
-            }
-            let mut new_frames = vec![Frame {
-                rule: site.rule,
-                pos: site.pos,
-                rep: Rep::Unknown(1),
-            }];
-            self.sim_decide(&mut new_frames, 0, rem, w, acc);
-        }
+        self.each_use_site(f.rule, weight, |site, w| {
+            self.sim_decide(&[site], 0, site.rep, rem, w, acc)
+        });
     }
 }
 
@@ -647,6 +593,7 @@ mod tests {
     use super::*;
     use crate::grammar::builder::GrammarBuilder;
     use crate::grammar::Loc;
+    use crate::util::FxHashMap;
 
     fn e(n: u32) -> EventId {
         EventId(n)
@@ -789,38 +736,12 @@ mod tests {
     }
 
     #[test]
-    fn expand_matching_agrees_with_filtering_expand() {
-        let seq: Vec<u32> = (0..20).flat_map(|i| [0, 0, 0, 1, (i % 3) + 2]).collect();
-        let fx = Fixture::new(&seq);
-        let w = fx.walker();
-        for ev in 0..5u32 {
-            for loc in fx.terminal_uses(e(ev)) {
-                let p = Path::seed(loc.rule, loc.pos);
-                let mut all = Vec::new();
-                w.expand(&p, &mut all);
-                for want in 0..5u32 {
-                    let mut filtered = Vec::new();
-                    w.expand_matching(&p, e(want), &mut filtered);
-                    let reference: Vec<&Branch> = all
-                        .iter()
-                        .filter(|b| b.outcome == Outcome::Event(e(want)))
-                        .collect();
-                    assert_eq!(filtered.len(), reference.len());
-                    for (f, r) in filtered.iter().zip(reference) {
-                        assert_eq!(f.path, r.path);
-                        assert!((f.factor - r.factor).abs() < 1e-12);
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
     fn advance_in_place_agrees_with_expand_matching() {
         // Over a soup of reachable paths × alphabet: a fast advance must
-        // reproduce the unique matching branch exactly; NoMatch must mean
-        // the filtered expansion is empty; Ambiguous is always allowed to
-        // defer to the slow path (which the predictor then takes).
+        // reproduce the unique matching branch exactly, factor included;
+        // NoMatch must mean no branch emits the event; Ambiguous is always
+        // allowed to defer to the general expansion (which the predictor
+        // then takes) but must leave the frames alone.
         let traces: Vec<Vec<u32>> = vec![
             (0..12).flat_map(|_| vec![0, 1, 2]).collect(),
             (0..8).flat_map(|_| vec![0, 0, 0, 0, 1]).collect(),
@@ -861,20 +782,25 @@ mod tests {
                 }
             }
             for p in &paths {
+                let mut all = Vec::new();
+                w.expand(p, &mut all);
                 for ev in 0..6u32 {
-                    let mut out = Vec::new();
-                    w.expand_matching(p, e(ev), &mut out);
+                    let out: Vec<&Branch> = all
+                        .iter()
+                        .filter(|b| b.outcome == Outcome::Event(e(ev)))
+                        .collect();
                     let mut frames = p.frames.clone();
                     match w.advance_in_place(&mut frames, e(ev)) {
-                        Advance::Advanced => {
+                        Advance::Advanced(factor) => {
                             assert_eq!(out.len(), 1, "path {p:?} event {ev}");
                             assert_eq!(frames, out[0].path.frames, "path {p:?} event {ev}");
+                            assert_eq!(factor.to_bits(), out[0].factor.to_bits());
                         }
                         Advance::NoMatch => {
                             assert!(out.is_empty(), "path {p:?} event {ev}: {out:?}");
                         }
                         Advance::Ambiguous => {
-                            // Deferred to the slow path; nothing to pin.
+                            assert_eq!(frames, p.frames, "path {p:?} event {ev}");
                         }
                     }
                 }
@@ -924,6 +850,15 @@ mod tests {
                 .flat_map(|i| vec![0, 1, 2, 0, 1, 3 + (i % 2)])
                 .collect(),
             vec![0, 1, 2, 3, 4, 5],
+            // Nested repetitions: ((a^3 b)^4 c^2 d)^5 e.
+            (0..5)
+                .flat_map(|_| {
+                    let mut outer: Vec<u32> = (0..4).flat_map(|_| vec![0, 0, 0, 1]).collect();
+                    outer.extend([2, 2, 3]);
+                    outer
+                })
+                .chain([4])
+                .collect(),
         ];
         for seq in traces {
             let fx = Fixture::new(&seq);
@@ -931,7 +866,7 @@ mod tests {
             for ev in 0..6u32 {
                 for loc in fx.terminal_uses(e(ev)) {
                     let p = Path::seed(loc.rule, loc.pos);
-                    for distance in [1usize, 2, 3, 5, 8, 13] {
+                    for distance in [1usize, 2, 3, 5, 8, 13, 21, 34, 64] {
                         let (want, want_end) = stepwise_distance(&w, &p, distance);
                         let mut acc = DistanceAccumulator::new(usize::MAX);
                         w.simulate_distance(&p, distance as u64, 1.0, &mut acc);
@@ -941,8 +876,12 @@ mod tests {
                             acc.end_mass,
                             want_end
                         );
+                        let got_of = |ev: &EventId| {
+                            let found = acc.per_event.iter().find(|(x, _)| x == ev);
+                            found.map_or(0.0, |&(_, wt)| wt)
+                        };
                         for (ev2, wt) in &want {
-                            let got = acc.per_event.get(ev2).copied().unwrap_or(0.0);
+                            let got = got_of(ev2);
                             assert!(
                                 (got - wt).abs() < 1e-9,
                                 "event {ev2:?}: {got} vs {wt} (d={distance})"

@@ -28,7 +28,8 @@ pub mod faults;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use faults::{FaultInjector, FaultPlan, WireFault, WireFaultInjector};
 
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -91,11 +92,14 @@ pub enum OracleHealth {
     Poisoned,
 }
 
-/// One outstanding prediction awaiting its ground-truth event.
-#[derive(Debug, Clone, Copy)]
+/// One outstanding prediction awaiting its ground-truth event. Ordered by
+/// target, equal targets by registration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 struct PendingScore {
     /// 1-based index (in observed events) of the event this predicted.
     target: u64,
+    /// Position among the predictions put on the heap so far.
+    registered: u64,
     /// The predicted event id.
     predicted: EventId,
 }
@@ -121,10 +125,15 @@ pub struct HardenedOracle {
     time_budget: Option<Duration>,
     breaker: CircuitBreaker,
     injector: FaultInjector,
-    /// Fast slot for the common single-outstanding-prediction case.
-    slot: Option<PendingScore>,
-    /// Further outstanding predictions, ascending by target index.
-    pending: VecDeque<PendingScore>,
+    /// Predictions of the very next event, in registration order: what a
+    /// host that asks at every blocking call has outstanding, kept off the
+    /// heap.
+    due_next: Vec<EventId>,
+    /// Outstanding predictions further ahead, earliest target (then
+    /// earliest registration) on top.
+    pending: BinaryHeap<Reverse<PendingScore>>,
+    /// Predictions put on the heap so far.
+    registered: u64,
     /// Events submitted by the host (ground truth for the watchdog; fault
     /// injection happens downstream of this counter).
     observed: u64,
@@ -153,8 +162,9 @@ impl HardenedOracle {
             time_budget: config.time_budget,
             breaker: CircuitBreaker::new(config.breaker),
             injector: FaultInjector::new(plan),
-            slot: None,
-            pending: VecDeque::new(),
+            due_next: Vec::new(),
+            pending: BinaryHeap::new(),
+            registered: 0,
             observed: 0,
             poisoned: false,
             stats: ResilienceStats::default(),
@@ -533,51 +543,55 @@ impl HardenedOracle {
     fn poison(&mut self) {
         self.poisoned = true;
         self.stats.panics_caught += 1;
-        self.slot = None;
+        self.due_next.clear();
         self.pending.clear();
     }
 
-    /// Records a handed-out (or shadow) prediction for later scoring.
+    /// Records a handed-out (or shadow) prediction for later scoring; past
+    /// `MAX_PENDING` the oldest target gives way.
     fn register(&mut self, distance: usize, predicted: EventId) {
-        let target = self.observed + distance as u64;
-        let score = PendingScore { target, predicted };
-        // Hosts that score at every blocking call have exactly one
-        // prediction outstanding at a time: a plain field, no deque
-        // traffic on the hot path.
-        if self.slot.is_none() && self.pending.is_empty() {
-            self.slot = Some(score);
-            return;
+        if distance == 1 {
+            self.due_next.push(predicted);
+        } else {
+            self.registered += 1;
+            self.pending.push(Reverse(PendingScore {
+                target: self.observed + distance as u64,
+                registered: self.registered,
+                predicted,
+            }));
         }
-        let pos = self
-            .pending
-            .iter()
-            .rposition(|p| p.target <= target)
-            .map_or(0, |i| i + 1);
-        self.pending.insert(pos, score);
-        if self.pending.len() > MAX_PENDING {
-            self.pending.pop_front();
-        }
-    }
-
-    /// Scores every outstanding prediction whose target is this event.
-    fn resolve_pending(&mut self, event: EventId, now: u64) {
-        if let Some(s) = self.slot {
-            if s.target <= now {
-                self.slot = None;
-                if s.target == now {
-                    self.score(s.predicted == event, now);
+        if self.due_next.len() + self.pending.len() > MAX_PENDING {
+            // No target precedes the next event's, and a heap entry for it
+            // was registered at an earlier event than any in `due_next`.
+            let next = self.observed + 1;
+            match self.pending.peek() {
+                Some(Reverse(p)) if p.target <= next || self.due_next.is_empty() => {
+                    self.pending.pop();
+                }
+                _ => {
+                    self.due_next.remove(0);
                 }
             }
         }
-        while let Some(front) = self.pending.front() {
-            if front.target > now {
+    }
+
+    /// Scores every outstanding prediction whose target is this event, in
+    /// registration order: the heap's were made at earlier events than
+    /// those in `due_next`, all of which are due now.
+    fn resolve_pending(&mut self, event: EventId, now: u64) {
+        while let Some(&Reverse(p)) = self.pending.peek() {
+            if p.target > now {
                 break;
             }
-            let p = self.pending.pop_front().expect("front exists");
+            self.pending.pop();
             if p.target == now {
                 self.score(p.predicted == event, now);
             }
         }
+        for i in 0..self.due_next.len() {
+            self.score(self.due_next[i] == event, now);
+        }
+        self.due_next.clear();
     }
 
     fn score(&mut self, correct: bool, now: u64) {
@@ -895,6 +909,114 @@ mod tests {
         assert!(off.is_off());
         assert_eq!(off.event(e(0)), None);
         assert!(off.finish().unwrap().is_none());
+    }
+
+    /// The watchdog's bookkeeping under mixed distances, held to a naive
+    /// model: outstanding predictions form a list sorted by target, equal
+    /// targets are scored in registration order, and past `MAX_PENDING`
+    /// the oldest target is evicted.
+    #[test]
+    fn pending_scores_follow_the_naive_sorted_list() {
+        const DISTANCES: [usize; 4] = [1, 1, 8, 64];
+        let seq: Vec<u32> = (0..120).flat_map(|_| [0, 1, 2, 2, 2, 3]).collect();
+        let trace = trace_of(&seq);
+        // Windows of two: whether a wrong score closes this window or opens
+        // the next moves the trip by an event, so the health asserted at
+        // every step follows the order equal targets are scored in.
+        let breaker_config = BreakerConfig {
+            window: 2,
+            max_error_rate: 0.4,
+            failure_threshold: 8,
+            backoff_initial: 2,
+            backoff_max: 16,
+            probe_window: 2,
+            recovery_error_rate: 0.4,
+        };
+        let config = ResilienceConfig {
+            breaker: breaker_config.clone(),
+            ..hermetic()
+        };
+        let mut hard =
+            HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), config).unwrap();
+        let mut bare = Predictor::new(&trace);
+        let mut breaker = CircuitBreaker::new(breaker_config);
+        let mut model: Vec<PendingScore> = Vec::new();
+        let (mut scored, mut mispredicted) = (0u64, 0u64);
+
+        // The reference stream with an out-of-place event now and then and
+        // one stretch that matches nothing the oracle expects.
+        let stream: Vec<u32> = (0..600)
+            .map(|i| match i {
+                300..=340 => [3, 1, 0][i % 3],
+                _ if i % 7 == 3 => seq[i + 2],
+                _ => seq[i],
+            })
+            .collect();
+        for (i, &s) in stream.iter().enumerate() {
+            let now = i as u64 + 1;
+            assert_eq!(hard.event(e(s)), Some(bare.observe(e(s))));
+            while model.first().is_some_and(|p| p.target <= now) {
+                let p = model.remove(0);
+                if p.target == now {
+                    scored += 1;
+                    mispredicted += u64::from(p.predicted != e(s));
+                    breaker.on_scored(p.predicted == e(s), now);
+                }
+            }
+            breaker.on_event(now);
+
+            // One query per event, plus once a burst that overflows the
+            // bound.
+            let burst = if i == 40 { MAX_PENDING + 50 } else { 0 };
+            for q in 0..1 + burst {
+                let distance = if q == 0 { DISTANCES[i % 4] } else { 64 };
+                let got = hard.predict_event(distance);
+                if !breaker.computes() {
+                    assert!(!got.is_informed());
+                    continue;
+                }
+                breaker.on_query_ok();
+                let want = bare.predict(distance);
+                if let Some(predicted) = want.most_likely() {
+                    let target = now + distance as u64;
+                    let at = model
+                        .iter()
+                        .rposition(|p| p.target <= target)
+                        .map_or(0, |j| j + 1);
+                    model.insert(
+                        at,
+                        PendingScore {
+                            target,
+                            registered: 0,
+                            predicted,
+                        },
+                    );
+                    if model.len() > MAX_PENDING {
+                        model.remove(0);
+                    }
+                }
+                if breaker.advice_allowed() {
+                    assert_eq!(got, want);
+                } else {
+                    assert!(!got.is_informed());
+                }
+            }
+            let r = hard.resilience_stats();
+            assert_eq!(
+                (r.scored, r.mispredicted),
+                (scored, mispredicted),
+                "event {i}"
+            );
+            assert_eq!(r.quarantine_transitions, breaker.transitions(), "event {i}");
+            let health = match breaker.state() {
+                BreakerState::Closed => OracleHealth::Healthy,
+                BreakerState::Open => OracleHealth::Quarantined,
+                BreakerState::HalfOpen => OracleHealth::Probing,
+            };
+            assert_eq!(hard.health(), health, "event {i}");
+        }
+        assert!(scored > 300 && mispredicted > 20, "{scored} {mispredicted}");
+        assert!(breaker.transitions() >= 2, "{}", breaker.transitions());
     }
 
     #[test]

@@ -1,15 +1,14 @@
 //! Consistency of the precomputed [`GrammarIndex`] query layer with the
-//! naive grammar scans it replaces, and of the distance-striding
-//! [`Predictor::predict`] with the stepwise reference
-//! [`Predictor::predict_scan`]:
+//! naive grammar scans it replaces:
 //!
 //! * occurrence-index lookups (locations, order, weights) must agree with a
 //!   fresh scan of the grammar for arbitrary event sequences;
 //! * rule lengths, suffix lengths, and first terminals must agree with the
-//!   grammar's own recursive computations;
-//! * on recorded traces, the subtree-skipping prediction must return the
-//!   same distributions, end probabilities, and delays as the pre-cache
-//!   stepwise implementation at every phase and distance.
+//!   grammar's own recursive computations.
+//!
+//! (The distance-striding `Predictor::predict` is held to its stepwise
+//! reference by `predict::tests` inside the crate and by the walk-vs-stepwise
+//! property in `proptests.rs`.)
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -101,7 +100,7 @@ proptest! {
     /// The arena-backed body view is use-for-use identical to the
     /// `Vec`-backed rule bodies it was packed from — the walkers resolve
     /// every symbol through `GrammarIndex::body`/`use_at`, so this is the
-    /// layer the predict/predict_scan agreement below rests on.
+    /// layer every prediction rests on.
     #[test]
     fn arena_bodies_agree_with_vec_backed_grammar(seq in structured()) {
         let trace = trace_of(&seq);
@@ -135,47 +134,6 @@ proptest! {
         let (oi, bi) = (orig.index(), back.index());
         for (id, _) in orig.grammar.iter_rules() {
             prop_assert_eq!(oi.body(id), bi.body(id));
-        }
-    }
-
-    /// Regression: the subtree-skipping `predict` reproduces the stepwise
-    /// pre-cache implementation (`predict_scan`) on recorded traces —
-    /// distributions, end probability, and most-likely event — while
-    /// observing the reference stream at several positions.
-    #[test]
-    fn striding_predict_matches_stepwise_scan(seq in structured()) {
-        let trace = trace_of(&seq);
-        // A state cap large enough that the stepwise scan never truncates:
-        // under truncation the scan *drops* low-weight states while the
-        // striding simulation keeps their mass, so exact equivalence is
-        // only defined on the untruncated semantics.
-        let config = PredictorConfig { max_candidates: 64, max_states: 1 << 16 };
-        let mut p = Predictor::for_thread(&trace, 0, config).unwrap();
-        let upto = seq.len().min(30);
-        for (i, &s) in seq[..upto].iter().enumerate() {
-            p.observe(EventId(s));
-            if i % 3 != 0 {
-                continue;
-            }
-            for distance in [1usize, 2, 5, 17, 64] {
-                let fast = p.predict(distance);
-                let slow = p.predict_scan(distance);
-                prop_assert!(
-                    (fast.end_probability - slow.end_probability).abs() < 1e-9,
-                    "end probability {} vs {} (i={}, d={})",
-                    fast.end_probability, slow.end_probability, i, distance
-                );
-                // `most_likely` itself may differ only on exact ties (the
-                // two implementations sum weights in different orders), so
-                // compare the probabilities, not the argmax.
-                for &(ev, _) in fast.distribution.iter().chain(&slow.distribution) {
-                    prop_assert!(
-                        (fast.probability(ev) - slow.probability(ev)).abs() < 1e-9,
-                        "event {:?}: {} vs {} (i={}, d={})",
-                        ev, fast.probability(ev), slow.probability(ev), i, distance
-                    );
-                }
-            }
         }
     }
 }

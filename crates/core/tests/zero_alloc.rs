@@ -3,13 +3,15 @@
 //! The contention-free hot-path contract says the record and observe
 //! paths perform **zero heap allocations per event at steady state**:
 //! every per-event buffer either has reserved capacity
-//! ([`Recorder::reserve`]) or is reused in place (the single-candidate
-//! observe fast path mutates the tracked path's frames without
-//! reallocating). This harness pins that with a counting global
-//! allocator: warm the path up, snapshot the allocation counter, run a
-//! measurement window, and require the counter unchanged.
+//! ([`Recorder::reserve`]) or is reused in place (observe rewrites each
+//! tracked path's frames without reallocating, with one candidate or
+//! several). A query allocates exactly once — the distribution it returns
+//! — and not at all when the oracle has nothing to say. This harness pins
+//! that with a counting global allocator: warm the path up, snapshot the
+//! allocation counter, run a measurement window, and require the counter
+//! unchanged.
 //!
-//! The allocation counter is process-global, so the three measurements
+//! The allocation counter is process-global, so the measurements
 //! run sequentially inside a single `#[test]` — a second libtest thread
 //! warming up its own scenario (or the harness spawning one) would
 //! bump the counter mid-window and fail the accounting spuriously.
@@ -95,6 +97,8 @@ fn hot_paths_are_allocation_free_at_steady_state() {
     in_memory_record();
     durable_record();
     observe();
+    observe_multi_candidate();
+    query();
 }
 
 fn in_memory_record() {
@@ -175,16 +179,7 @@ fn observe() {
     // A cyclic trace: after the initial seed the predictor tracks a
     // single candidate, and the in-place advance fast path reuses the
     // path's frame stack without reallocating.
-    let mut rec = Recorder::new(RecordConfig {
-        timestamps: false,
-        validate: false,
-    });
-    for _ in 0..4_000 {
-        for e in [0u32, 1, 2, 3] {
-            rec.record(EventId(e));
-        }
-    }
-    let trace = rec.finish(&EventRegistry::new()).unwrap();
+    let trace = trace_of((0..4_000).flat_map(|_| [0u32, 1, 2, 3]));
     let mut p = Predictor::for_thread(&trace, 0, PredictorConfig::default()).unwrap();
     // Warm up: seed + settle into single-candidate tracking, long enough
     // to grow the frame stack to its maximum depth.
@@ -207,6 +202,92 @@ fn observe() {
     });
     assert_eq!(n, 0, "observe fast path allocated {n} times");
     assert_eq!(p.candidate_count(), 1);
+}
+
+/// A recording of `seq` without timestamps.
+fn trace_of(seq: impl IntoIterator<Item = u32>) -> pythia_core::trace::TraceData {
+    let mut rec = Recorder::new(RecordConfig {
+        timestamps: false,
+        validate: false,
+    });
+    for e in seq {
+        rec.record(EventId(e));
+    }
+    rec.finish(&EventRegistry::new()).unwrap()
+}
+
+fn observe_multi_candidate() {
+    // The same long loop in three contexts: a predictor that starts inside
+    // one cannot tell which, and tracks all three for as long as the loop
+    // lasts — each advanced in place, none cloned, nothing hashed.
+    let looped = |runs: usize| (0..runs).flat_map(|_| [0u32, 1, 2]);
+    let trace = trace_of(
+        [10].into_iter()
+            .chain(looped(6_000))
+            .chain([11, 12])
+            .chain(looped(7_000))
+            .chain([13, 14])
+            .chain(looped(8_000))
+            .chain([15]),
+    );
+    let mut p = Predictor::for_thread(&trace, 0, PredictorConfig::default()).unwrap();
+    for _ in 0..64 {
+        for e in [0u32, 1, 2] {
+            p.observe(EventId(e));
+        }
+    }
+    assert_eq!(p.candidate_count(), 3, "the three contexts stay open");
+    let n = settled_allocations(|| {
+        allocations_in(|| {
+            for _ in 0..WINDOW_EVENTS / 3 {
+                for e in [0u32, 1, 2] {
+                    p.observe(EventId(e));
+                }
+            }
+        })
+    });
+    assert_eq!(n, 0, "multi-candidate observe allocated {n} times");
+    assert_eq!(p.candidate_count(), 3);
+    assert_eq!(p.stats().reseeded, 1);
+}
+
+fn query() {
+    let queried = |p: &Predictor, distance: usize| {
+        settled_allocations(|| {
+            allocations_in(|| {
+                std::hint::black_box(p.predict(distance));
+            })
+        })
+    };
+    // A tracked position: the answer's distribution is the one allocation,
+    // whatever the distance.
+    let trace = trace_of((0..4_000).flat_map(|_| [0u32, 1, 2, 3]));
+    let mut p = Predictor::for_thread(&trace, 0, PredictorConfig::default()).unwrap();
+    for _ in 0..64 {
+        for e in [0u32, 1, 2, 3] {
+            p.observe(EventId(e));
+        }
+    }
+    assert_eq!(p.candidate_count(), 1);
+    for distance in [1, 8, 64] {
+        let n = queried(&p, distance);
+        assert_eq!(n, 1, "predict({distance}) allocated {n} times");
+    }
+    // Out of sync there is no distribution to allocate.
+    p.desynchronize();
+    let n = queried(&p, 1);
+    assert_eq!(n, 0, "uninformed predict allocated {n} times");
+
+    // A freshly seeded position inside `a^8`: its offset is unknown, and a
+    // query past the run walks one arm per offset — reading the same
+    // frames, cloning none.
+    let trace = trace_of((0..500).flat_map(|_| [0u32, 0, 0, 0, 0, 0, 0, 0, 1]));
+    let mut p = Predictor::for_thread(&trace, 0, PredictorConfig::default()).unwrap();
+    p.observe(EventId(0));
+    assert_eq!(p.candidate_count(), 1);
+    let n = queried(&p, 64);
+    assert_eq!(n, 1, "unknown-offset predict(64) allocated {n} times");
+    assert_eq!(p.predict(64).distribution.len(), 2);
 }
 
 /// `match_grammar` allocates its memo and its work stack, sized by the
