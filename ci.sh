@@ -72,7 +72,10 @@ rm -rf "$SERVE"
 
 # Serve crash recovery (kill -9 a durable server, `--recover`, byte-identical
 # predictions) is crates/bench/tests/serve_crash_recovery.rs, run by
-# `cargo test --workspace` above.
+# `cargo test --workspace` above. So is what a served request may cost —
+# at most 6 allocations and 2.5 voluntary context switches over a socket,
+# 0.1 switches in process (crates/serve/tests/request_cost.rs): counts,
+# which a slow box cannot blur; no timing is asserted anywhere here.
 
 # Chaos pass: the workspace run above was the fault-injection suite on a
 # clean environment; here the whole suite runs again with faults injected

@@ -5,11 +5,14 @@
 //! reference traces (tenants), prewarms their grammar indexes once,
 //! and serves prediction sessions to many concurrent client runtimes:
 //!
-//! - **Shards, not locks.** Sessions live in per-worker slabs with
-//!   generation-tagged ids; a session's shard is packed into its id, so
-//!   routing is arithmetic and session state is single-owner. The only
-//!   cross-thread structures are immutable `Arc`s (tenant grammars) and
-//!   epoch-published stats snapshots ([`pythia_core::sync::Published`]).
+//! - **Shards, each behind one lock.** Sessions live in per-shard slabs
+//!   with generation-tagged ids; a session's shard is packed into its
+//!   id, so routing is arithmetic. A shard is a value, not a thread: a
+//!   request runs to completion under its shard's lock on the thread
+//!   that brought it — a connection thread writes the reply it computed
+//!   — and no thread holds two shard locks. What is read without a lock
+//!   is immutable `Arc`s (tenant grammars) and epoch-published stats
+//!   snapshots ([`pythia_core::sync::Published`]).
 //! - **Batched observation.** Clients ship events in batches; the shard
 //!   feeds whole batches to [`Predictor::observe_batch`], which hoists
 //!   the grammar-index walker across the batch instead of re-entering

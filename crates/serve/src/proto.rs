@@ -25,6 +25,12 @@ use crate::shard::ShardStats;
 /// never trigger a huge allocation.
 pub const MAX_FRAME: usize = 1 << 22;
 
+/// Upper bound on the fixed-size part of any frame: prefix, tags, a
+/// session id or string length, an `f64` and two varints. The one-shot
+/// encoders add their variable part (5 bytes bound an event id, 13 a
+/// distribution entry, 10 a counter) and so never regrow.
+const FIXED_BOUND: usize = 40;
+
 // Request tags.
 const T_OPEN: u8 = 0x01;
 const T_OBSERVE: u8 = 0x02;
@@ -125,13 +131,14 @@ pub enum Response {
     },
     /// Aggregate per-shard statistics.
     Stats {
-        /// One entry per worker shard, in shard order.
+        /// One entry per shard, in shard order.
         shards: Vec<ShardStats>,
     },
     /// Session closed.
     Closed,
-    /// The shard's queue is full: transient overload, not failure. The
-    /// request was *not* applied; retry after the hinted delay.
+    /// Too many callers are already waiting for the shard: transient
+    /// overload, not failure. The request was *not* applied; retry after
+    /// the hinted delay.
     Busy {
         /// Server-suggested backoff before retrying, in milliseconds.
         retry_after_ms: u32,
@@ -228,46 +235,61 @@ fn outcome_from(code: u8) -> Result<Option<ObserveOutcome>> {
     })
 }
 
-/// Encodes `req` as one frame (length prefix included).
+/// Encodes `req` as one frame (length prefix included) in one
+/// allocation.
 pub fn encode_request(req: &Request) -> BytesMut {
-    let mut body = BytesMut::new();
-    match req {
+    let variable = match req {
+        Request::Open { tenant, .. } => tenant.len(),
+        Request::Observe { events, .. } | Request::ObservePredict { events, .. } => {
+            5 * events.len()
+        }
+        _ => 0,
+    };
+    let mut out = BytesMut::with_capacity(FIXED_BOUND + variable);
+    encode_request_into(req, &mut out);
+    out
+}
+
+/// Appends `req` to `out` as one frame: the length prefix is reserved,
+/// the body written behind it and the length patched in, so a caller
+/// that keeps `out` across requests allocates nothing here.
+pub fn encode_request_into(req: &Request, out: &mut BytesMut) {
+    frame_into(out, |out| match req {
         Request::Open { tenant, durable } => {
-            body.put_u8(T_OPEN);
-            put_str(&mut body, tenant);
-            body.put_u8(*durable as u8);
+            out.put_u8(T_OPEN);
+            put_str(out, tenant);
+            out.put_u8(*durable as u8);
         }
         Request::Resume { session } => {
-            body.put_u8(T_RESUME);
-            body.put_u64_le(session.0);
+            out.put_u8(T_RESUME);
+            out.put_u64_le(session.0);
         }
         Request::Observe { session, events } => {
-            body.put_u8(T_OBSERVE);
-            body.put_u64_le(session.0);
-            put_events(&mut body, events);
+            out.put_u8(T_OBSERVE);
+            out.put_u64_le(session.0);
+            put_events(out, events);
         }
         Request::Predict { session, distance } => {
-            body.put_u8(T_PREDICT);
-            body.put_u64_le(session.0);
-            put_varint(&mut body, *distance as u64);
+            out.put_u8(T_PREDICT);
+            out.put_u64_le(session.0);
+            put_varint(out, *distance as u64);
         }
         Request::ObservePredict {
             session,
             distance,
             events,
         } => {
-            body.put_u8(T_OBSERVE_PREDICT);
-            body.put_u64_le(session.0);
-            put_varint(&mut body, *distance as u64);
-            put_events(&mut body, events);
+            out.put_u8(T_OBSERVE_PREDICT);
+            out.put_u64_le(session.0);
+            put_varint(out, *distance as u64);
+            put_events(out, events);
         }
         Request::Close { session } => {
-            body.put_u8(T_CLOSE);
-            body.put_u64_le(session.0);
+            out.put_u8(T_CLOSE);
+            out.put_u64_le(session.0);
         }
-        Request::Stats => body.put_u8(T_STATS),
-    }
-    frame(body)
+        Request::Stats => out.put_u8(T_STATS),
+    });
 }
 
 /// Decodes one request frame **body** (length prefix already stripped).
@@ -308,51 +330,66 @@ pub fn decode_request(mut buf: &[u8]) -> Result<Request> {
     Ok(req)
 }
 
-/// Encodes `resp` as one frame (length prefix included).
+/// Encodes `resp` as one frame (length prefix included) in one
+/// allocation.
 pub fn encode_response(resp: &Response) -> BytesMut {
-    let mut body = BytesMut::new();
-    match resp {
+    let variable = match resp {
+        Response::Advice {
+            prediction: Some(p),
+            ..
+        } => 13 * p.distribution.len(),
+        Response::Stats { shards } => 10 * ShardStats::FIELDS * shards.len(),
+        Response::Error { message } => message.len(),
+        _ => 0,
+    };
+    let mut out = BytesMut::with_capacity(FIXED_BOUND + variable);
+    encode_response_into(resp, &mut out);
+    out
+}
+
+/// Appends `resp` to `out` as one frame; see [`encode_request_into`].
+pub fn encode_response_into(resp: &Response, out: &mut BytesMut) {
+    frame_into(out, |out| match resp {
         Response::Session { id } => {
-            body.put_u8(T_SESSION);
-            body.put_u64_le(id.0);
+            out.put_u8(T_SESSION);
+            out.put_u64_le(id.0);
         }
         Response::Advice {
             outcome,
             prediction,
             admission,
         } => {
-            body.put_u8(T_ADVICE);
-            body.put_u8(outcome_code(*outcome));
-            body.put_u8(matches!(admission, Admission::Degraded) as u8);
+            out.put_u8(T_ADVICE);
+            out.put_u8(outcome_code(*outcome));
+            out.put_u8(matches!(admission, Admission::Degraded) as u8);
             match prediction {
                 Some(p) => {
-                    body.put_u8(1);
-                    put_prediction(&mut body, p);
+                    out.put_u8(1);
+                    put_prediction(out, p);
                 }
-                None => body.put_u8(0),
+                None => out.put_u8(0),
             }
         }
         Response::Stats { shards } => {
-            body.put_u8(T_STATS_REPLY);
-            put_varint(&mut body, shards.len() as u64);
+            out.put_u8(T_STATS_REPLY);
+            put_varint(out, shards.len() as u64);
             for s in shards {
                 for v in s.fields() {
-                    put_varint(&mut body, v);
+                    put_varint(out, v);
                 }
             }
         }
-        Response::Closed => body.put_u8(T_CLOSED),
+        Response::Closed => out.put_u8(T_CLOSED),
         Response::Busy { retry_after_ms } => {
-            body.put_u8(T_BUSY);
-            put_varint(&mut body, *retry_after_ms as u64);
+            out.put_u8(T_BUSY);
+            put_varint(out, *retry_after_ms as u64);
         }
-        Response::Draining => body.put_u8(T_DRAINING),
+        Response::Draining => out.put_u8(T_DRAINING),
         Response::Error { message } => {
-            body.put_u8(T_ERROR);
-            put_str(&mut body, message);
+            out.put_u8(T_ERROR);
+            put_str(out, message);
         }
-    }
-    frame(body)
+    });
 }
 
 /// Decodes one response frame **body** (length prefix already stripped).
@@ -432,17 +469,21 @@ fn expect_empty(buf: &mut &[u8]) -> Result<()> {
     Ok(())
 }
 
-/// Prefixes `body` with its little-endian u32 length.
-fn frame(body: BytesMut) -> BytesMut {
-    let mut out = BytesMut::with_capacity(4 + body.len());
-    out.put_u32_le(body.len() as u32);
-    out.put_slice(&body);
-    out
+/// Appends one frame to `out`: reserves the length prefix, lets `body`
+/// write behind it, and patches the length in.
+fn frame_into(out: &mut BytesMut, body: impl FnOnce(&mut BytesMut)) {
+    let start = out.len();
+    out.put_u32_le(0);
+    body(out);
+    let len = (out.len() - start - 4) as u32;
+    out[start..start + 4].copy_from_slice(&len.to_le_bytes());
 }
 
-/// Splits one complete frame body out of `buf`, if a whole frame has
-/// arrived. Validates the length prefix against [`MAX_FRAME`].
-pub fn split_frame(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
+/// Borrows one complete frame body out of `buf` and advances `buf` past
+/// it, if a whole frame has arrived; `buf` is left alone otherwise.
+/// Validates the length prefix against [`MAX_FRAME`] before anything is
+/// sized from it.
+pub fn next_frame<'a>(buf: &mut &'a [u8]) -> Result<Option<&'a [u8]>> {
     if buf.len() < 4 {
         return Ok(None);
     }
@@ -454,8 +495,14 @@ pub fn split_frame(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
     if peek.len() < len {
         return Ok(None);
     }
-    *buf = &peek[len..];
-    Ok(Some(peek[..len].to_vec()))
+    let (body, rest) = peek.split_at(len);
+    *buf = rest;
+    Ok(Some(body))
+}
+
+/// [`next_frame`] with the body copied out.
+pub fn split_frame(buf: &mut &[u8]) -> Result<Option<Vec<u8>>> {
+    Ok(next_frame(buf)?.map(<[u8]>::to_vec))
 }
 
 #[cfg(test)]

@@ -1,11 +1,14 @@
 //! The server shell: shard router, in-process client, and the TCP /
 //! Unix-socket transports.
 //!
-//! A [`Server`] owns N shard workers. The router is the only piece the
-//! transports touch: it sends `Open` requests round-robin across
-//! shards, routes session requests by the shard byte packed into the
-//! [`SessionId`], and answers `Stats` entirely from each shard's
-//! [`Published`] snapshot — a stats poll never enters a worker's queue.
+//! A [`Server`] owns N shards and spawns no thread per shard. The router
+//! is the only piece the transports touch: it sends `Open` requests
+//! round-robin across shards, routes session requests by the shard byte
+//! packed into the [`SessionId`], and runs each one to completion under
+//! that shard's lock on the calling thread — the connection thread that
+//! read a request also computes and writes its reply. `Stats` is
+//! answered entirely from each shard's [`Published`] snapshot — a stats
+//! poll never takes a shard's lock.
 //!
 //! The [`Client`] is in-process but honest: every call round-trips
 //! through the same encode → decode → dispatch → encode → decode byte
@@ -21,29 +24,28 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, TrySendError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use bytes::BytesMut;
 use pythia_core::error::{Error, Result};
 use pythia_core::predict::PredictorConfig;
 use pythia_core::resilience::{BreakerConfig, FaultPlan, WireFault, WireFaultInjector};
 
 use crate::proto::{
-    decode_request, decode_response, encode_request, encode_response, split_frame, Request,
-    Response,
+    decode_request, decode_response, encode_request, encode_request_into, encode_response,
+    encode_response_into, next_frame, Request, Response,
 };
 use crate::session::SessionId;
-use crate::shard::{
-    parse_journal_file, spawn_shard, ShardConfig, ShardHandle, ShardMsg, ShardStats,
-};
+use crate::shard::{parse_journal_file, ShardHandle, ShardStats};
 use crate::tenant::Tenants;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Worker shards (each one thread owning its session slab).
+    /// Shards: session slabs, each behind its own lock. No thread is
+    /// spawned per shard; a request runs on the thread that brought it.
     pub workers: usize,
     /// Session-slab admission limit per shard.
     pub max_sessions_per_shard: usize,
@@ -51,9 +53,9 @@ pub struct ServeConfig {
     /// disables it). Overload protection: one greedy tenant cannot fill
     /// every slab.
     pub max_sessions_per_tenant: usize,
-    /// Bound on each shard's request queue; when full, requests are
-    /// answered with [`Response::Busy`] instead of queueing without
-    /// limit.
+    /// Bound on the callers waiting for one shard's lock while another
+    /// runs; the next is answered [`Response::Busy`] instead of joining a
+    /// line without limit.
     pub queue_depth: usize,
     /// Retry-after hint carried by [`Response::Busy`], in milliseconds.
     pub retry_after_ms: u32,
@@ -132,13 +134,12 @@ impl Lifecycle {
     }
 }
 
-/// Routes requests to shard workers. Shared by every transport.
+/// Routes requests to shards. Shared by every transport.
 pub struct Router {
     shards: Vec<ShardHandle>,
     tenants: Arc<Tenants>,
     next_shard: AtomicUsize,
     lifecycle: Arc<Lifecycle>,
-    retry_after_ms: u32,
     /// Old-id → new-id map of resurrected sessions: makes `Resume`
     /// idempotent (a retried resume returns the already-live session
     /// instead of failing on the consumed journal file) and serializes
@@ -147,11 +148,11 @@ pub struct Router {
 }
 
 impl Router {
-    /// Dispatches one request and waits for its response.
+    /// Serves one request on the calling thread and returns its response.
     pub fn dispatch(&self, req: Request) -> Response {
         match req {
-            // Stats never enters a worker queue: every shard's latest
-            // snapshot is read lock-free from its epoch-published slot.
+            // Stats takes no shard's lock: every shard's latest snapshot
+            // is read lock-free from its epoch-published slot.
             Request::Stats => Response::Stats {
                 shards: self.shards.iter().map(|s| s.snapshot()).collect(),
             },
@@ -160,21 +161,22 @@ impl Router {
                     return Response::Draining;
                 }
                 let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                self.call_shard(shard, req)
+                self.shards[shard].call(req)
             }
             Request::Resume { session } => {
                 if !self.lifecycle.running() {
                     return Response::Draining;
                 }
-                // The lock is held across the shard round-trip: resumes
-                // are rare (restart recovery) and racing resumes of one
-                // id would otherwise both replay the same journal.
+                // The lock is held across the shard call: resumes are rare
+                // (restart recovery) and racing resumes of one id would
+                // otherwise both replay the same journal. This is the one
+                // place two locks nest, always `resumed` then the shard.
                 let mut resumed = self.resumed.lock();
                 if let Some(&id) = resumed.get(&session.0) {
                     return Response::Session { id };
                 }
                 let shard = self.next_shard.fetch_add(1, Ordering::Relaxed) % self.shards.len();
-                let resp = self.call_shard(shard, Request::Resume { session });
+                let resp = self.shards[shard].call(Request::Resume { session });
                 if let Response::Session { id } = resp {
                     resumed.insert(session.0, id);
                 }
@@ -190,7 +192,7 @@ impl Router {
                         message: format!("session routes to nonexistent shard {shard}"),
                     };
                 }
-                self.call_shard(shard, req)
+                self.shards[shard].call(req)
             }
         }
     }
@@ -205,33 +207,6 @@ impl Router {
         self.shards
             .iter()
             .fold(ShardStats::default(), |acc, s| acc.merge(&s.snapshot()))
-    }
-
-    fn call_shard(&self, shard: usize, req: Request) -> Response {
-        let (tx, rx) = mpsc::channel();
-        match self.shards[shard].tx.try_send(ShardMsg::Call(req, tx)) {
-            Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                // Load shedding: the queue bound is the backpressure
-                // boundary. The caller gets a retry hint instead of a
-                // seat in an unbounded line.
-                self.shards[shard].busy.fetch_add(1, Ordering::Relaxed);
-                return Response::Busy {
-                    retry_after_ms: self.retry_after_ms,
-                };
-            }
-            Err(TrySendError::Disconnected(_)) => {
-                return Response::Error {
-                    message: format!("shard {shard} is down"),
-                }
-            }
-        }
-        match rx.recv() {
-            Ok(resp) => resp,
-            Err(_) => Response::Error {
-                message: format!("shard {shard} dropped the request"),
-            },
-        }
     }
 }
 
@@ -259,7 +234,7 @@ pub struct Server {
 }
 
 impl Server {
-    /// Starts `config.workers` shard workers over the given tenants.
+    /// Starts a server of `config.workers` shards over the given tenants.
     pub fn start(tenants: Tenants, config: ServeConfig) -> Result<Server> {
         if config.workers == 0 || config.workers > SessionId::MAX_SHARDS {
             return Err(Error::InvalidConfig(format!(
@@ -283,29 +258,19 @@ impl Server {
         let tenant_live: Arc<Vec<AtomicU64>> =
             Arc::new((0..tenants.len()).map(|_| AtomicU64::new(0)).collect());
         let lifecycle = Arc::new(Lifecycle::new());
-        let mut shards = Vec::with_capacity(config.workers);
-        for shard_index in 0..config.workers {
-            let shard_config = ShardConfig {
-                shard_index,
-                max_sessions: config.max_sessions_per_shard.max(1),
-                queue_depth: config.queue_depth,
-                predictor: config.predictor.clone(),
-                breaker: config.breaker.clone(),
-                journal_dir: config.journal_dir.clone(),
-                fsync_journals: config.fsync_journals,
-                session_ttl: config.session_ttl,
-                max_sessions_per_tenant: config.max_sessions_per_tenant,
-                tenant_live: Arc::clone(&tenant_live),
-                faults: Some(faults.clone()),
-            };
-            shards.push(spawn_shard(shard_config, Arc::clone(&tenants)).map_err(Error::Io)?);
-        }
+        // One configuration for every shard, its fault plan resolved.
+        let config = Arc::new(ServeConfig {
+            faults: Some(faults.clone()),
+            ..config
+        });
+        let shards = (0..config.workers)
+            .map(|index| ShardHandle::new(index, &config, &tenants, &tenant_live))
+            .collect();
         let router = Arc::new(Router {
             shards,
             tenants,
             next_shard: AtomicUsize::new(0),
             lifecycle: Arc::clone(&lifecycle),
-            retry_after_ms: config.retry_after_ms,
             resumed: parking_lot::Mutex::new(HashMap::new()),
         });
         let sweeper = match config.session_ttl {
@@ -432,21 +397,12 @@ impl Server {
 
     /// Begins a graceful drain: new opens and resumes are answered
     /// [`Response::Draining`], in-flight sessions keep serving, and every
-    /// live session journal is flushed to disk. Blocks until all shards
-    /// acknowledge the flush. Idempotent; `shutdown` calls it first.
+    /// live session journal is flushed to disk. Returns once every shard
+    /// has flushed. Idempotent; `shutdown` calls it first.
     pub fn drain(&self) {
         self.lifecycle.advance_to(LIFE_DRAINING);
-        let mut acks = Vec::with_capacity(self.router.shards.len());
         for shard in &self.router.shards {
-            let (tx, rx) = mpsc::channel();
-            // A blocking send is correct here: drain must reach the
-            // worker even through a full queue.
-            if shard.tx.send(ShardMsg::Drain(tx)).is_ok() {
-                acks.push(rx);
-            }
-        }
-        for rx in acks {
-            let _ = rx.recv();
+            shard.flush_journals();
         }
     }
 
@@ -461,16 +417,6 @@ impl Server {
         }
         if let Some(sweeper) = self.sweeper.take() {
             let _ = sweeper.join();
-        }
-        for shard in &self.router.shards {
-            let _ = shard.tx.send(ShardMsg::Shutdown);
-        }
-        // `join` is behind an Option precisely so shutdown can take it
-        // through the shared router.
-        for shard in &self.router.shards {
-            if let Some(join) = shard.join.lock().take() {
-                let _ = join.join();
-            }
         }
         for path in self.unix_paths.drain(..) {
             let _ = std::fs::remove_file(path);
@@ -568,9 +514,9 @@ impl Client {
     /// Issues one request, round-tripping it through the framed wire
     /// encoding both ways.
     pub fn call(&self, req: &Request) -> Result<Response> {
-        let decoded = decode_request(&unframe(&encode_request(req))?)?;
+        let decoded = decode_request(unframe(&encode_request(req))?)?;
         let resp = self.router.dispatch(decoded);
-        decode_response(&unframe(&encode_response(&resp))?)
+        decode_response(unframe(&encode_response(&resp))?)
     }
 
     /// Like [`Client::call`], but honors [`Response::Busy`] with capped
@@ -584,7 +530,9 @@ impl Client {
 /// streams — also the reference implementation for external clients.
 pub struct SocketClient<S: Read + Write> {
     stream: S,
-    buf: Vec<u8>,
+    /// The request frame being written; reused across calls.
+    out: BytesMut,
+    inbox: FrameBuf,
 }
 
 impl SocketClient<TcpStream> {
@@ -592,70 +540,92 @@ impl SocketClient<TcpStream> {
     pub fn connect_tcp(addr: SocketAddr) -> Result<Self> {
         let stream = TcpStream::connect(addr).map_err(Error::Io)?;
         stream.set_nodelay(true).map_err(Error::Io)?;
-        Ok(SocketClient {
-            stream,
-            buf: Vec::new(),
-        })
+        Ok(SocketClient::over(stream))
     }
 }
 
 impl SocketClient<UnixStream> {
     /// Connects over a Unix-domain socket.
     pub fn connect_unix(path: &Path) -> Result<Self> {
-        Ok(SocketClient {
-            stream: UnixStream::connect(path).map_err(Error::Io)?,
-            buf: Vec::new(),
-        })
+        Ok(SocketClient::over(
+            UnixStream::connect(path).map_err(Error::Io)?,
+        ))
     }
 }
 
 impl<S: Read + Write> SocketClient<S> {
+    fn over(stream: S) -> Self {
+        SocketClient {
+            stream,
+            out: BytesMut::new(),
+            inbox: FrameBuf::default(),
+        }
+    }
+
     /// Issues one request and blocks for its response frame.
     pub fn call(&mut self, req: &Request) -> Result<Response> {
-        // `encode_request` already emits the length-prefixed frame.
-        self.stream
-            .write_all(&encode_request(req))
-            .map_err(Error::Io)?;
-        let mut chunk = [0u8; 4096];
+        self.out.clear();
+        encode_request_into(req, &mut self.out);
+        self.stream.write_all(&self.out).map_err(Error::Io)?;
         loop {
-            {
-                let mut view = &self.buf[..];
-                if let Some(body) = split_frame(&mut view)? {
-                    let consumed = self.buf.len() - view.len();
-                    self.buf.drain(..consumed);
-                    return decode_response(&body);
-                }
+            if let Some(body) = self.inbox.next_frame()? {
+                return decode_response(body);
             }
-            let n = self.stream.read(&mut chunk).map_err(Error::Io)?;
-            if n == 0 {
+            if self.inbox.fill(&mut self.stream).map_err(Error::Io)? == 0 {
                 return Err(Error::Corrupt("server closed mid-response".into()));
             }
-            self.buf.extend_from_slice(&chunk[..n]);
         }
     }
 
     /// Like [`SocketClient::call`], but honors [`Response::Busy`] with
     /// capped exponential backoff before giving up.
     pub fn call_with_retry(&mut self, req: &Request, policy: &RetryPolicy) -> Result<Response> {
-        // Borrow dance: the closure needs `self` mutably per attempt.
-        let mut retry = 0;
-        loop {
-            let resp = self.call(req)?;
-            let Response::Busy { retry_after_ms } = resp else {
-                return Ok(resp);
-            };
-            if retry + 1 >= policy.attempts.max(1) {
-                return Ok(resp);
+        call_with_backoff(policy, || self.call(req))
+    }
+}
+
+/// Bytes read off a stream and not yet parsed, `buf[start..end]`: frames
+/// are borrowed out of it in place and a cursor moves past them, so a
+/// frame is neither copied out nor the rest shifted down behind it.
+#[derive(Default)]
+struct FrameBuf {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl FrameBuf {
+    /// The next whole frame's body, if one has arrived.
+    fn next_frame(&mut self) -> Result<Option<&[u8]>> {
+        let mut unread = &self.buf[self.start..self.end];
+        let body = next_frame(&mut unread)?;
+        self.start = self.end - unread.len();
+        Ok(body)
+    }
+
+    /// Reads once from `stream` behind the unparsed bytes; 0 means the
+    /// peer closed.
+    fn fill(&mut self, stream: &mut impl Read) -> std::io::Result<usize> {
+        if self.start == self.end || self.end == self.buf.len() {
+            // Make room: what is unparsed — nothing, between requests; a
+            // partial frame otherwise — goes to the front, and a frame
+            // larger than the buffer (`MAX_FRAME` at most) grows it.
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
+            self.start = 0;
+            if self.end == self.buf.len() {
+                self.buf.resize((2 * self.end).max(4096), 0);
             }
-            std::thread::sleep(policy.delay(retry, retry_after_ms));
-            retry += 1;
         }
+        let n = stream.read(&mut self.buf[self.end..])?;
+        self.end += n;
+        Ok(n)
     }
 }
 
 /// Strips the length prefix off a single complete frame.
-fn unframe(mut bytes: &[u8]) -> Result<Vec<u8>> {
-    split_frame(&mut bytes)?.ok_or_else(|| Error::Corrupt("incomplete frame".into()))
+fn unframe(mut bytes: &[u8]) -> Result<&[u8]> {
+    next_frame(&mut bytes)?.ok_or_else(|| Error::Corrupt("incomplete frame".into()))
 }
 
 enum AcceptSource {
@@ -670,9 +640,8 @@ struct ConnOptions {
     faults: FaultPlan,
 }
 
-/// The periodic idle-session eviction tick. `try_send` on purpose: a
-/// shard too busy to take a sweep message is a shard whose sessions are
-/// not idle-accumulating anyway; it gets swept next tick.
+/// The periodic idle-session eviction tick. It never waits for a shard:
+/// one that is busy is skipped and swept next tick.
 fn sweep_loop(lifecycle: Arc<Lifecycle>, router: Arc<Router>, interval: Duration) {
     let tick = interval.min(Duration::from_millis(50));
     let mut since_sweep = Duration::ZERO;
@@ -681,8 +650,9 @@ fn sweep_loop(lifecycle: Arc<Lifecycle>, router: Arc<Router>, interval: Duration
         since_sweep += tick;
         if since_sweep >= interval {
             since_sweep = Duration::ZERO;
+            let now = std::time::Instant::now();
             for shard in &router.shards {
-                let _ = shard.tx.try_send(ShardMsg::Sweep);
+                shard.sweep(now);
             }
         }
     }
@@ -876,39 +846,33 @@ fn connection_loop(
     // *complete* frame resets the clock — dribbling one byte per tick
     // (the classic slow-loris shape) does not count as progress.
     let mut last_frame = std::time::Instant::now();
-    let mut buf: Vec<u8> = Vec::new();
-    let mut chunk = [0u8; 16 * 1024];
+    let mut inbox = FrameBuf::default();
+    let mut out = BytesMut::new();
     while !lifecycle.stopped() {
         loop {
-            let body = {
-                let mut view = &buf[..];
-                match split_frame(&mut view) {
-                    Ok(Some(body)) => {
-                        let consumed = buf.len() - view.len();
-                        buf.drain(..consumed);
-                        Some(body)
-                    }
-                    Ok(None) => None,
-                    // Oversized or mangled length prefix: the stream can
-                    // never resynchronize, so drop the connection.
-                    Err(_) => return,
-                }
+            let body = match inbox.next_frame() {
+                Ok(Some(body)) => body,
+                Ok(None) => break,
+                // Oversized or mangled length prefix: the stream can
+                // never resynchronize, so drop the connection.
+                Err(_) => return,
             };
-            let Some(body) = body else { break };
             last_frame = std::time::Instant::now();
-            let resp = match decode_request(&body) {
+            let resp = match decode_request(body) {
                 Ok(req) => router.dispatch(req),
                 Err(e) => Response::Error {
                     message: format!("bad request: {e}"),
                 },
             };
-            if stream.write_all(&encode_response(&resp)).is_err() {
+            out.clear();
+            encode_response_into(&resp, &mut out);
+            if stream.write_all(&out).is_err() {
                 return;
             }
         }
-        match stream.read(&mut chunk) {
+        match inbox.fill(&mut stream) {
             Ok(0) => return, // peer closed
-            Ok(n) => buf.extend_from_slice(&chunk[..n]),
+            Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {}
             Err(e) if e.kind() == ErrorKind::Interrupted => {}
             Err(_) => return,
@@ -922,87 +886,218 @@ fn connection_loop(
 #[cfg(test)]
 mod overload_tests {
     use super::*;
-    use crate::shard::ShardHandle;
     use crate::tenant::Tenants;
-    use pythia_core::event::{EventId, EventRegistry};
-    use pythia_core::record::{RecordConfig, Recorder};
-    use pythia_core::sync::Published;
+    use crate::tests::{assert_bit_identical, open, predict, trace_of};
+    use pythia_core::event::EventId;
+    use pythia_core::predict::Predictor;
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
 
-    /// A router over one "shard" whose queue nobody drains: the test owns
-    /// the receiver, so the bounded channel's capacity is the whole story.
-    fn jammed_router(capacity: usize) -> (Arc<Router>, mpsc::Receiver<ShardMsg>) {
-        let (tx, rx) = mpsc::sync_channel(capacity);
-        let mut rec = Recorder::new(RecordConfig {
-            timestamps: false,
-            validate: false,
-        });
-        for _ in 0..4 {
-            rec.record_at(EventId(1), 0);
+    const QUEUE_DEPTH: usize = 2;
+
+    fn server(config: ServeConfig) -> Server {
+        let tenants = Tenants::from_traces([("t".to_string(), trace_of(&[1, 2, 3], 16))]).unwrap();
+        Server::start(
+            tenants,
+            ServeConfig {
+                queue_depth: QUEUE_DEPTH,
+                retry_after_ms: 7,
+                ..config
+            },
+        )
+        .unwrap()
+    }
+
+    fn observe(session: SessionId, events: usize) -> Request {
+        Request::Observe {
+            session,
+            events: vec![EventId(1); events],
         }
-        let trace = rec.finish(&EventRegistry::new()).unwrap();
-        let tenants = Tenants::from_traces([("t".to_string(), trace)]).unwrap();
-        let router = Router {
-            shards: vec![ShardHandle {
-                tx,
-                stats: Arc::new(Published::new(ShardStats::default())),
-                busy: AtomicU64::new(0),
-                join: parking_lot::Mutex::new(None),
-            }],
-            tenants: Arc::new(tenants),
-            next_shard: AtomicUsize::new(0),
-            lifecycle: Arc::new(Lifecycle::new()),
-            retry_after_ms: 7,
-            resumed: parking_lot::Mutex::new(HashMap::new()),
-        };
-        (Arc::new(router), rx)
+    }
+
+    /// Holds a one-shard server's shard from the calling thread, parks
+    /// exactly `QUEUE_DEPTH` one-event observes behind it and runs
+    /// `while_full`; then releases the shard and checks that every parked
+    /// caller was served and nothing else was applied.
+    fn with_full_shard(while_full: impl FnOnce(&Arc<Router>, SessionId)) {
+        let server = server(ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        });
+        let router = server.router();
+        let session = open(&server.client(), "t");
+        let shard = &router.shards[0];
+        let held = shard.hold();
+        let start = Barrier::new(QUEUE_DEPTH + 1);
+        std::thread::scope(|s| {
+            let parked: Vec<_> = (0..QUEUE_DEPTH)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        router.dispatch(observe(session, 1))
+                    })
+                })
+                .collect();
+            start.wait();
+            // The waiter count is the one observable that says a caller
+            // is parked at the shard's lock.
+            while shard.waiters() < QUEUE_DEPTH {
+                std::thread::yield_now();
+            }
+            while_full(&router, session);
+            drop(held);
+            for caller in parked {
+                assert!(matches!(caller.join().unwrap(), Response::Advice { .. }));
+            }
+        });
+        // Busy means the request was not applied.
+        assert_eq!(router.stats().events, QUEUE_DEPTH as u64);
     }
 
     #[test]
     fn full_queue_answers_busy_with_retry_hint() {
-        let (router, _rx) = jammed_router(1);
-        // Fill the single queue slot with a message needing no reply.
-        router.shards[0].tx.try_send(ShardMsg::Sweep).unwrap();
-        // The next request cannot queue: Busy, counted, with the hint.
-        match router.dispatch(Request::Close {
-            session: SessionId(0),
-        }) {
-            Response::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 7),
-            other => panic!("full queue returned {other:?}"),
-        }
-        assert_eq!(router.stats().busy_rejects, 1);
-        // Stats still answers: it never enters the worker queue.
-        assert!(matches!(
-            router.dispatch(Request::Stats),
-            Response::Stats { .. }
-        ));
+        with_full_shard(|router, session| {
+            // One runs, QUEUE_DEPTH wait: the next is refused, counted,
+            // and told when to come back.
+            match router.dispatch(observe(session, 5)) {
+                Response::Busy { retry_after_ms } => assert_eq!(retry_after_ms, 7),
+                other => panic!("full shard returned {other:?}"),
+            }
+            assert_eq!(router.stats().busy_rejects, 1);
+            // Stats still answers: it takes no shard's lock.
+            assert!(matches!(
+                router.dispatch(Request::Stats),
+                Response::Stats { .. }
+            ));
+        });
     }
 
     #[test]
     fn busy_exhausts_retry_attempts_then_surfaces() {
-        let (router, _rx) = jammed_router(1);
-        router.shards[0].tx.try_send(ShardMsg::Sweep).unwrap();
-        let client = Client { router };
-        let policy = RetryPolicy {
-            attempts: 3,
-            base: Duration::from_micros(100),
-            cap: Duration::from_micros(200),
-            seed: 1,
+        with_full_shard(|router, session| {
+            let client = Client {
+                router: Arc::clone(router),
+            };
+            let policy = RetryPolicy {
+                attempts: 3,
+                base: Duration::from_micros(100),
+                cap: Duration::from_micros(200),
+                seed: 1,
+            };
+            // Every attempt finds the line full; after `attempts` tries
+            // the Busy is surfaced instead of looping forever.
+            match client
+                .call_with_retry(&observe(session, 5), &policy)
+                .unwrap()
+            {
+                Response::Busy { .. } => {}
+                other => panic!("exhausted retries returned {other:?}"),
+            }
+            assert_eq!(router.stats().busy_rejects, 3);
+        });
+    }
+
+    /// A panic inside a shard is that shard's death and nobody else's:
+    /// the caller that hit it and every later one get an error, the other
+    /// shard serves bit-identically, `Stats` still answers.
+    #[test]
+    fn panicking_shard_goes_down_alone() {
+        let server = server(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let router = server.router();
+        let client = server.client();
+        let (doomed, healthy) = (open(&client, "t"), open(&client, "t"));
+        assert_eq!((doomed.shard(), healthy.shard()), (0, 1));
+
+        let message = |resp| match resp {
+            Response::Error { message } => message,
+            other => panic!("expected an error, got {other:?}"),
         };
-        // Every attempt hits the jammed queue; after `attempts` tries the
-        // Busy is surfaced instead of looping forever.
-        match client
-            .call_with_retry(
-                &Request::Close {
-                    session: SessionId(0),
-                },
-                &policy,
-            )
-            .unwrap()
-        {
-            Response::Busy { .. } => {}
-            other => panic!("exhausted retries returned {other:?}"),
+        let hit = router.shards[0].run(|_| panic!("injected shard panic"));
+        assert_eq!(message(hit.unwrap_err()), "shard 0 dropped the request");
+        for req in [observe(doomed, 1), Request::Close { session: doomed }] {
+            assert_eq!(message(router.dispatch(req)), "shard 0 is down");
         }
-        assert_eq!(client.router.stats().busy_rejects, 3);
+
+        let reference = trace_of(&[1, 2, 3], 16);
+        let mut local = Predictor::from_thread_trace(
+            Arc::clone(reference.thread(0).unwrap()),
+            PredictorConfig::default(),
+        );
+        for event in [1, 2, 3, 1] {
+            let events = vec![EventId(event)];
+            local.observe_batch(&events);
+            client
+                .call(&Request::Observe {
+                    session: healthy,
+                    events,
+                })
+                .unwrap();
+            assert_bit_identical(&predict(&client, healthy, 1).0, &local.predict(1));
+        }
+        match router.dispatch(Request::Stats) {
+            Response::Stats { shards } => assert_eq!(shards[1].events, 4),
+            other => panic!("stats returned {other:?}"),
+        }
+    }
+
+    /// The sweeper never waits behind a busy shard: it skips it and
+    /// evicts on a later tick.
+    #[test]
+    fn sweep_skips_a_busy_shard() {
+        let server = server(ServeConfig {
+            workers: 1,
+            // Everything is idle past a zero TTL; the server's own sweeper
+            // stays out of the way for an hour.
+            session_ttl: Some(Duration::ZERO),
+            sweep_interval: Duration::from_secs(3600),
+            ..ServeConfig::default()
+        });
+        let router = server.router();
+        open(&server.client(), "t");
+        let held = router.shards[0].hold();
+        router.shards[0].sweep(std::time::Instant::now());
+        drop(held);
+        assert_eq!(router.stats().evicted_sessions, 0);
+        router.shards[0].sweep(std::time::Instant::now());
+        assert_eq!(router.stats().evicted_sessions, 1);
+    }
+
+    /// `drain` returns only after it has had every shard's lock, so only
+    /// after every live journal was synced: it waits out a request that
+    /// holds one.
+    #[test]
+    fn drain_waits_for_a_busy_shard() {
+        let server = server(ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        });
+        let router = server.router();
+        let (entered, release) = (Barrier::new(2), Barrier::new(2));
+        let drained = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _ = router.shards[1].run(|_| {
+                    entered.wait();
+                    release.wait();
+                });
+            });
+            entered.wait();
+            s.spawn(|| {
+                server.drain();
+                drained.store(true, Ordering::SeqCst);
+            });
+            // Drain has begun...
+            while server.lifecycle.running() {
+                std::thread::yield_now();
+            }
+            // ...and cannot have finished while shard 1 is occupied.
+            assert!(!drained.load(Ordering::SeqCst));
+            release.wait();
+        });
+        assert!(drained.load(Ordering::SeqCst));
     }
 
     #[test]

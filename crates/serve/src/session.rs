@@ -4,9 +4,9 @@
 //! A session is a small progress-sequence cursor — a
 //! [`pythia_core::predict::Predictor`] over the tenant's Arc-shared
 //! [`pythia_core::trace::ThreadTrace`] plus a couple of counters. Each
-//! worker shard owns its slab outright (one owner, no lock — the PR 6
-//! concurrency model), so a session id must encode *which* shard owns
-//! the slot: requests route by the id alone.
+//! shard keeps its own slab behind its own lock and there is no global
+//! table, so a session id must encode *which* shard owns the slot:
+//! requests route by the id alone.
 //!
 //! Handles are generation-tagged: freeing a slot bumps its generation,
 //! so a stale id (use-after-close, or a guessed id) is rejected instead

@@ -1,16 +1,19 @@
-//! Worker shard: single-owner session slab, per-tenant admission
+//! One shard: a session slab behind a lock, per-tenant admission
 //! control, lock-free stats publication.
 //!
-//! Each shard is one OS thread that owns its [`SessionSlab`] outright —
-//! requests reach it over an mpsc channel, so session state needs no
-//! lock at all (the PR 6 "one writer, shared-nothing hot path" model).
-//! What *is* shared crosses the thread boundary through the two
-//! epoch-friendly shapes the core already provides:
+//! A shard is a value, not a thread. Its [`SessionSlab`] and breaker
+//! gates sit behind the one mutex in [`ShardHandle`], and a request runs
+//! to completion on whichever thread brought it — a socket connection
+//! thread, the in-process client, recovery — holding that lock for
+//! exactly one request and never a second shard's with it. A bounded
+//! number of callers may wait for the lock; the next is refused `Busy`
+//! without touching the shard. What is shared *between* shards and
+//! with readers uses the two epoch-friendly shapes the core provides:
 //!
 //! - tenant grammars: `Arc<ThreadTrace>` with a prewarmed
 //!   `Arc<GrammarIndex>`, immutable and shared by every shard;
-//! - shard statistics: an [`Published<ShardStats>`] snapshot the router
-//!   reads without ever blocking the worker.
+//! - shard statistics: an [`Published<ShardStats>`] snapshot that
+//!   `Stats` requests read without taking any shard's lock.
 //!
 //! Admission control is per-(shard, tenant): every tenant has its own
 //! [`CircuitBreaker`] scored by observe outcomes (a `Matched` event
@@ -23,24 +26,24 @@
 //! objects and their predictions remain exactly what a single-process
 //! [`Predictor`] would produce.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, Sender, SyncSender};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use pythia_core::persist::{read_event_journal, EventJournal};
-use pythia_core::predict::{ObserveOutcome, Prediction, Predictor, PredictorConfig};
-use pythia_core::resilience::{BreakerConfig, CircuitBreaker, FaultPlan};
+use pythia_core::predict::{ObserveOutcome, Prediction, Predictor};
+use pythia_core::resilience::CircuitBreaker;
 use pythia_core::sync::Published;
 
 use crate::proto::{Admission, Request, Response};
+use crate::server::ServeConfig;
 use crate::session::{Session, SessionId, SessionJournal, SessionSlab};
 use crate::tenant::Tenants;
 
 /// Point-in-time counters for one shard, published through
-/// [`Published`] so `Stats` requests never touch the worker thread.
+/// [`Published`] so `Stats` requests never take the shard's lock.
 ///
 /// All fields are monotonic counters except `sessions_open`, which is
 /// the live session count at publication time.
@@ -68,9 +71,10 @@ pub struct ShardStats {
     pub resumed_sessions: u64,
     /// Sessions evicted by the idle-TTL sweeper.
     pub evicted_sessions: u64,
-    /// Requests refused with [`Response::Busy`] because this shard's
-    /// queue was full. Counted router-side (the whole point is that the
-    /// worker never saw the request) and overlaid into snapshots.
+    /// Requests refused with [`Response::Busy`] because too many callers
+    /// were already waiting for this shard. Counted outside the lock (the
+    /// whole point is that the shard never saw the request) and overlaid
+    /// into snapshots.
     pub busy_rejects: u64,
     /// Session-journal IO failures (each one kills that session's
     /// journal; the session keeps serving).
@@ -144,118 +148,146 @@ struct TenantGate {
     clock: u64,
 }
 
-/// Shard worker configuration (a slice of the server config).
-#[derive(Debug, Clone)]
-pub(crate) struct ShardConfig {
-    pub shard_index: usize,
-    pub max_sessions: usize,
-    /// Bound on the shard's request queue; a full queue answers Busy.
-    pub queue_depth: usize,
-    pub predictor: PredictorConfig,
-    pub breaker: BreakerConfig,
-    /// Directory durable-session journals live in (`None`: durable opens
-    /// are refused).
-    pub journal_dir: Option<PathBuf>,
-    /// fsync session journals on every append. Off by default for the
-    /// same reason the recorder's journal is: flushed frames in the OS
-    /// page cache survive process death, which is the failure the serve
-    /// layer recovers from.
-    pub fsync_journals: bool,
-    /// Evict sessions idle this long (`None`: never).
-    pub session_ttl: Option<Duration>,
-    /// Live-session cap per tenant, enforced across shards through
-    /// `tenant_live`. `usize::MAX` disables the cap.
-    pub max_sessions_per_tenant: usize,
-    /// Live session count per tenant, shared by every shard. Checked at
-    /// open/resume and decremented on close/evict; the check-then-add is
-    /// not atomic across shards, so a burst can overshoot the cap by at
-    /// most one session per shard — an accepted, bounded slack.
-    pub tenant_live: Arc<Vec<AtomicU64>>,
-    /// IO fault injection for session journals; `None` consults
-    /// `PYTHIA_CHAOS`.
-    pub faults: Option<FaultPlan>,
-}
-
-/// A request paired with the channel its response goes back on.
-pub(crate) enum ShardMsg {
-    Call(Request, Sender<Response>),
-    /// Evict idle sessions (sent by the sweeper thread; no reply).
-    Sweep,
-    /// Flush every live session journal to disk, then ack: the graceful
-    /// path out — journaled state survives the shutdown that follows.
-    Drain(Sender<()>),
-    Shutdown,
-}
-
-/// Router-side handle to a running shard worker. The join handle sits
-/// behind a mutex because shutdown reaches it through the shared
-/// router (`Arc<Router>`), never mutably.
+/// A shard as the router holds it: the state behind its lock, and what
+/// must be readable without it.
 pub(crate) struct ShardHandle {
-    /// Bounded queue: the router uses `try_send` and converts a full
-    /// queue into [`Response::Busy`] instead of blocking the caller.
-    pub tx: SyncSender<ShardMsg>,
-    pub stats: Arc<Published<ShardStats>>,
-    /// Router-side count of Busy rejections (see
-    /// [`ShardStats::busy_rejects`]).
-    pub busy: AtomicU64,
-    pub join: parking_lot::Mutex<Option<JoinHandle<()>>>,
+    index: usize,
+    /// The server's configuration, shared by every shard.
+    config: Arc<ServeConfig>,
+    /// `None` once a panic inside the shard took it down: what the
+    /// panic interrupted is dropped, never served from again.
+    worker: parking_lot::Mutex<Option<ShardWorker>>,
+    /// Callers between admission and getting the lock. A bound, not a
+    /// publication: nothing is read on the strength of its value.
+    waiters: AtomicUsize,
+    stats: Arc<Published<ShardStats>>,
+    /// Busy refusals (see [`ShardStats::busy_rejects`]).
+    busy: AtomicU64,
 }
 
 impl ShardHandle {
-    /// The shard's latest snapshot with the router-side busy counter
-    /// overlaid.
+    /// `tenant_live` is the live-session count per tenant that every shard
+    /// shares: raised by one atomic check-and-add at open/resume, lowered
+    /// on close/evict.
+    pub fn new(
+        index: usize,
+        config: &Arc<ServeConfig>,
+        tenants: &Arc<Tenants>,
+        tenant_live: &Arc<Vec<AtomicU64>>,
+    ) -> ShardHandle {
+        let stats = Arc::new(Published::new(ShardStats::default()));
+        let gates = (0..tenants.len())
+            .map(|_| TenantGate {
+                breaker: CircuitBreaker::new(config.breaker.clone()),
+                clock: 0,
+            })
+            .collect();
+        ShardHandle {
+            index,
+            config: Arc::clone(config),
+            waiters: AtomicUsize::new(0),
+            stats: Arc::clone(&stats),
+            busy: AtomicU64::new(0),
+            worker: parking_lot::Mutex::new(Some(ShardWorker {
+                index,
+                config: Arc::clone(config),
+                tenant_live: Arc::clone(tenant_live),
+                tenants: Arc::clone(tenants),
+                slab: SessionSlab::default(),
+                gates,
+                stats: ShardStats::default(),
+                published: stats,
+                dirty: false,
+            })),
+        }
+    }
+
+    /// The shard's latest snapshot with the busy counter overlaid.
     pub fn snapshot(&self) -> ShardStats {
         let mut s = self.stats.get();
         s.busy_rejects = self.busy.load(Ordering::Relaxed);
         s
     }
+
+    /// Serves one request on the calling thread, start to finish.
+    pub fn call(&self, req: Request) -> Response {
+        self.run(|shard| {
+            let resp = shard.handle(req);
+            // Publish *before* replying: once a caller has seen the
+            // response, a router-level Stats read reflects it.
+            shard.maybe_publish();
+            resp
+        })
+        .unwrap_or_else(|refusal| refusal)
+    }
+
+    /// Admission, then `f` on the shard's state under its lock: one
+    /// caller runs, `queue_depth` may wait, and the next is refused
+    /// `Busy` — load shedding, the caller gets a retry hint instead of a
+    /// seat in an unbounded line.
+    pub fn run<R>(&self, f: impl FnOnce(&mut ShardWorker) -> R) -> Result<R, Response> {
+        if self.waiters.fetch_add(1, Ordering::Relaxed) >= self.config.queue_depth.max(1) {
+            self.waiters.fetch_sub(1, Ordering::Relaxed);
+            self.busy.fetch_add(1, Ordering::Relaxed);
+            return Err(Response::Busy {
+                retry_after_ms: self.config.retry_after_ms,
+            });
+        }
+        let mut worker = self.worker.lock();
+        self.waiters.fetch_sub(1, Ordering::Relaxed);
+        self.guarded(&mut worker, f)
+    }
+
+    /// Evicts idle sessions unless the shard is busy: a shard serving a
+    /// request is not accumulating idle sessions, and is swept next tick.
+    pub fn sweep(&self, now: Instant) {
+        if let Some(mut worker) = self.worker.try_lock() {
+            let _ = self.guarded(&mut worker, |shard| {
+                shard.sweep(now);
+                shard.maybe_publish();
+            });
+        }
+    }
+
+    /// Syncs every live session journal, waiting for the lock however
+    /// many callers do: the graceful path out must reach every shard.
+    pub fn flush_journals(&self) {
+        let _ = self.guarded(&mut self.worker.lock(), ShardWorker::flush_journals);
+    }
+
+    /// Runs `f` on the locked shard, unless it is down. A panic in `f`
+    /// stops here, not in the calling connection thread, and takes the
+    /// shard down with it so that no half-updated session is reachable.
+    fn guarded<R>(
+        &self,
+        worker: &mut Option<ShardWorker>,
+        f: impl FnOnce(&mut ShardWorker) -> R,
+    ) -> Result<R, Response> {
+        let message = match worker {
+            None => format!("shard {} is down", self.index),
+            Some(shard) => match catch_unwind(AssertUnwindSafe(|| f(shard))) {
+                Ok(done) => return Ok(done),
+                Err(_) => {
+                    *worker = None;
+                    format!("shard {} dropped the request", self.index)
+                }
+            },
+        };
+        Err(Response::Error { message })
+    }
 }
 
-/// The worker-thread state behind one shard.
-struct ShardWorker {
-    config: ShardConfig,
+/// The state behind one shard's lock.
+pub(crate) struct ShardWorker {
+    index: usize,
+    config: Arc<ServeConfig>,
+    tenant_live: Arc<Vec<AtomicU64>>,
     tenants: Arc<Tenants>,
     slab: SessionSlab,
     gates: Vec<TenantGate>,
     stats: ShardStats,
     published: Arc<Published<ShardStats>>,
     dirty: bool,
-}
-
-pub(crate) fn spawn_shard(
-    config: ShardConfig,
-    tenants: Arc<Tenants>,
-) -> std::io::Result<ShardHandle> {
-    let (tx, rx) = std::sync::mpsc::sync_channel(config.queue_depth.max(1));
-    let published = Arc::new(Published::new(ShardStats::default()));
-    let stats = Arc::clone(&published);
-    let index = config.shard_index;
-    let join = std::thread::Builder::new()
-        .name(format!("pythia-shard-{index}"))
-        .spawn(move || {
-            let gates = (0..tenants.len())
-                .map(|_| TenantGate {
-                    breaker: CircuitBreaker::new(config.breaker.clone()),
-                    clock: 0,
-                })
-                .collect();
-            ShardWorker {
-                config,
-                tenants,
-                slab: SessionSlab::default(),
-                gates,
-                stats: ShardStats::default(),
-                published: stats,
-                dirty: false,
-            }
-            .run(rx);
-        })?;
-    Ok(ShardHandle {
-        tx,
-        stats: published,
-        busy: AtomicU64::new(0),
-        join: parking_lot::Mutex::new(Some(join)),
-    })
 }
 
 /// Path of the journal for session `id` under `dir`: the id is the
@@ -276,30 +308,6 @@ pub(crate) fn parse_journal_file(path: &Path) -> Option<SessionId> {
 }
 
 impl ShardWorker {
-    fn run(mut self, rx: Receiver<ShardMsg>) {
-        while let Ok(msg) = rx.recv() {
-            match msg {
-                ShardMsg::Call(req, reply) => {
-                    let resp = self.handle(req);
-                    // Publish *before* replying: once a caller has seen the
-                    // response, a router-level Stats read reflects it.
-                    self.maybe_publish();
-                    // A disconnected caller is not the shard's problem.
-                    let _ = reply.send(resp);
-                }
-                ShardMsg::Sweep => {
-                    self.sweep(Instant::now());
-                    self.maybe_publish();
-                }
-                ShardMsg::Drain(ack) => {
-                    self.flush_journals();
-                    let _ = ack.send(());
-                }
-                ShardMsg::Shutdown => break,
-            }
-        }
-    }
-
     fn maybe_publish(&mut self) {
         if self.dirty {
             self.stats.sessions_open = self.slab.len() as u64;
@@ -345,25 +353,30 @@ impl ShardWorker {
         }
     }
 
+    /// Takes a seat under the tenant's cap, or refuses at it. One atomic
+    /// step: opens racing on other shards cannot overshoot.
     fn tenant_admit(&self, tenant: usize) -> bool {
-        let live = &self.config.tenant_live[tenant];
-        if live.load(Ordering::Relaxed) >= self.config.max_sessions_per_tenant as u64 {
-            return false;
-        }
-        live.fetch_add(1, Ordering::Relaxed);
-        true
+        let cap = self.config.max_sessions_per_tenant as u64;
+        self.tenant_live[tenant]
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |live| {
+                (live < cap).then_some(live + 1)
+            })
+            .is_ok()
     }
 
     fn tenant_release(&self, tenant: usize) {
-        self.config.tenant_live[tenant].fetch_sub(1, Ordering::Relaxed);
+        self.tenant_live[tenant].fetch_sub(1, Ordering::Relaxed);
     }
 
     fn handle(&mut self, req: Request) -> Response {
         self.dirty = true;
+        // The one clock read of a request: it stamps the session for
+        // both halves of an `ObservePredict`.
+        let now = Instant::now();
         match req {
-            Request::Open { tenant, durable } => self.open(&tenant, durable),
-            Request::Resume { session } => self.resume(session),
-            Request::Observe { session, events } => match self.advance(session, &events) {
+            Request::Open { tenant, durable } => self.open(&tenant, durable, now),
+            Request::Resume { session } => self.resume(session, now),
+            Request::Observe { session, events } => match self.advance(session, &events, now) {
                 Ok((outcome, admission)) => Response::Advice {
                     outcome,
                     prediction: None,
@@ -372,7 +385,7 @@ impl ShardWorker {
                 Err(resp) => resp,
             },
             Request::Predict { session, distance } => {
-                match self.predict(session, distance as usize) {
+                match self.predict(session, distance as usize, now) {
                     Ok((prediction, admission)) => Response::Advice {
                         outcome: None,
                         prediction: Some(prediction),
@@ -386,11 +399,11 @@ impl ShardWorker {
                 distance,
                 events,
             } => {
-                let (outcome, observe_admission) = match self.advance(session, &events) {
+                let (outcome, observe_admission) = match self.advance(session, &events, now) {
                     Ok(r) => r,
                     Err(resp) => return resp,
                 };
-                match self.predict(session, distance as usize) {
+                match self.predict(session, distance as usize, now) {
                     Ok((prediction, admission)) => Response::Advice {
                         outcome,
                         prediction: Some(prediction),
@@ -419,7 +432,7 @@ impl ShardWorker {
                 }
             }
             // Answered by the router from published snapshots; reaching a
-            // worker directly (in-process tests) is still well-defined.
+            // shard directly is still well-defined.
             Request::Stats => Response::Stats {
                 shards: vec![self.snapshot()],
             },
@@ -435,13 +448,11 @@ impl ShardWorker {
     /// Common admission for open/resume: slab capacity, then tenant cap.
     /// On success the tenant's live count is already incremented.
     fn admit(&mut self, tenant_index: usize) -> Option<Response> {
-        if self.slab.len() >= self.config.max_sessions {
+        let max_sessions = self.config.max_sessions_per_shard.max(1);
+        if self.slab.len() >= max_sessions {
             self.stats.rejected_opens += 1;
             return Some(Response::Error {
-                message: format!(
-                    "shard {} is full ({} sessions)",
-                    self.config.shard_index, self.config.max_sessions
-                ),
+                message: format!("shard {} is full ({} sessions)", self.index, max_sessions),
             });
         }
         if !self.tenant_admit(tenant_index) {
@@ -462,7 +473,7 @@ impl ShardWorker {
         Predictor::from_thread_trace(Arc::clone(&spec.thread), self.config.predictor.clone())
     }
 
-    fn open(&mut self, tenant: &str, durable: bool) -> Response {
+    fn open(&mut self, tenant: &str, durable: bool, now: Instant) -> Response {
         let Some(tenant_index) = self.tenants.resolve(tenant) else {
             return Response::Error {
                 message: format!("unknown tenant {tenant:?}"),
@@ -484,10 +495,10 @@ impl ShardWorker {
             tenant: tenant_index,
             predictor: self.fresh_predictor(tenant_index),
             events: 0,
-            last_used: Instant::now(),
+            last_used: now,
             journal: SessionJournal::None,
         });
-        let id = SessionId::pack(self.config.shard_index, generation, slot);
+        let id = SessionId::pack(self.index, generation, slot);
         if let Some(dir) = journal_dir {
             let path = journal_file(&dir, id);
             let label = &self.tenants.spec(tenant_index).name;
@@ -519,7 +530,7 @@ impl ShardWorker {
     /// the old file. The tenant's breaker gate is *not* replayed —
     /// admission state is process-local and starts healthy; a stream
     /// that is still diverging re-trips it within one scored batch.
-    fn resume(&mut self, old: SessionId) -> Response {
+    fn resume(&mut self, old: SessionId, now: Instant) -> Response {
         let Some(dir) = self.config.journal_dir.clone() else {
             return Response::Error {
                 message: "server has no journal directory to resume from".into(),
@@ -555,12 +566,12 @@ impl ShardWorker {
                 tenant: tenant_index,
                 predictor,
                 events: contents.events.len() as u64,
-                last_used: Instant::now(),
+                last_used: now,
                 journal: SessionJournal::None,
             },
             min_gen,
         );
-        let id = SessionId::pack(self.config.shard_index, generation, slot);
+        let id = SessionId::pack(self.index, generation, slot);
         debug_assert_ne!(id, old, "resumed session must get a fresh id");
         let new_path = journal_file(&dir, id);
         let journal = EventJournal::create(&new_path, &contents.label, self.config.faults.clone())
@@ -601,11 +612,12 @@ impl ShardWorker {
         &mut self,
         id: SessionId,
         events: &[pythia_core::event::EventId],
+        now: Instant,
     ) -> std::result::Result<(Option<ObserveOutcome>, Admission), Response> {
         let Some(session) = self.slab.get_mut(id.slot(), id.generation()) else {
             return Err(stale_session(id));
         };
-        session.last_used = Instant::now();
+        session.last_used = now;
         let gate = &mut self.gates[session.tenant];
         session.events += events.len() as u64;
         self.stats.events += events.len() as u64;
@@ -675,11 +687,12 @@ impl ShardWorker {
         &mut self,
         id: SessionId,
         distance: usize,
+        now: Instant,
     ) -> std::result::Result<(Prediction, Admission), Response> {
         let Some(session) = self.slab.get_mut(id.slot(), id.generation()) else {
             return Err(stale_session(id));
         };
-        session.last_used = Instant::now();
+        session.last_used = now;
         let gate = &mut self.gates[session.tenant];
         if !gate.breaker.advice_allowed() {
             // No-advice fallback: an empty distribution is exactly what the
@@ -698,5 +711,18 @@ impl ShardWorker {
 fn stale_session(id: SessionId) -> Response {
     Response::Error {
         message: format!("no such session {:#018x} (stale or closed id)", id.0),
+    }
+}
+
+#[cfg(test)]
+impl ShardHandle {
+    /// Occupies the shard from the calling thread, as a request would.
+    pub fn hold(&self) -> parking_lot::MutexGuard<'_, Option<ShardWorker>> {
+        self.worker.lock()
+    }
+
+    /// Callers parked, or about to park, at the shard's lock.
+    pub fn waiters(&self) -> usize {
+        self.waiters.load(Ordering::Relaxed)
     }
 }
