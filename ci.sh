@@ -76,6 +76,11 @@ rm -rf "$SERVE"
 # at most 6 allocations and 2.5 voluntary context switches over a socket,
 # 0.1 switches in process (crates/serve/tests/request_cost.rs): counts,
 # which a slow box cannot blur; no timing is asserted anywhere here.
+# The hub has the same kind of gate (crates/minimpi/tests/op_cost.rs, built
+# because the bench crate turns minimpi's `socket` feature on): a halo
+# iteration over Hub + SocketComm costs at most 13 voluntary switches and
+# 57 allocations, on World::run 2.5 and 22, and a frame prefix that lies
+# about its length makes the hub allocate nothing.
 
 # Chaos pass: the workspace run above was the fault-injection suite on a
 # clean environment; here the whole suite runs again with faults injected

@@ -3,8 +3,10 @@
 //! All collectives are built on one primitive: a generation-counted
 //! *exchange* where every member of a communicator deposits a list of byte
 //! buffers and receives a snapshot of everyone's deposits once all have
-//! arrived. A second (departure) phase keeps generations from overlapping,
-//! so the board can be reused for the next collective immediately.
+//! arrived. The rendezvous has one phase: the last arriver publishes the
+//! snapshot and opens the next generation in the same step, so a member
+//! parks at most once per collective and the board can be reused at once
+//! (why one stored snapshot is enough is argued at [`Board::exchange`]).
 
 use std::sync::Arc;
 
@@ -30,9 +32,9 @@ pub struct Board {
 struct State {
     generation: u64,
     arrived: usize,
-    departed: usize,
     slots: Vec<Vec<Bytes>>,
-    snapshot: Option<Arc<Vec<Vec<Bytes>>>>,
+    /// Deposits of the last completed generation.
+    snapshot: Arc<Vec<Vec<Bytes>>>,
 }
 
 impl Board {
@@ -57,9 +59,8 @@ impl Board {
             state: Mutex::new(State {
                 generation: 0,
                 arrived: 0,
-                departed: 0,
                 slots: vec![Vec::new(); size],
-                snapshot: None,
+                snapshot: Arc::default(),
             }),
             cv: Condvar::new(),
             failure,
@@ -104,6 +105,15 @@ impl Board {
     ///
     /// All participants must call `exchange` the same number of times in
     /// the same order — the standard MPI requirement for collectives.
+    ///
+    /// The last arriver of generation g stores g's snapshot and bumps the
+    /// generation; the others wait for the bump and take what is stored.
+    /// One stored snapshot is enough: generation g + 1 completes only when
+    /// every participant has deposited into it, and a waiter of g does so
+    /// only after it left here with g's snapshot — so nothing overwrites
+    /// the store, or bumps the generation twice, while anyone waits on g.
+    /// A fast rank may deposit into g + 1 meanwhile: the bump emptied g's
+    /// slots.
     pub fn exchange(&self, rank: usize, mine: Vec<Bytes>) -> Arc<Vec<Vec<Bytes>>> {
         assert!(rank < self.size, "rank {rank} out of range");
         self.failure.abort_if_poisoned();
@@ -111,30 +121,20 @@ impl Board {
         let my_gen = st.generation;
         st.slots[rank] = mine;
         st.arrived += 1;
-        if st.arrived == self.size {
-            let vals: Vec<Vec<Bytes>> = st.slots.iter_mut().map(std::mem::take).collect();
-            st.snapshot = Some(Arc::new(vals));
-            self.cv.notify_all();
-        } else {
-            while !(st.generation == my_gen && st.snapshot.is_some()) {
-                self.wait_step(rank, &mut st);
-            }
-        }
-        let snap = st.snapshot.clone().expect("snapshot published");
-        // Departure phase: the last participant to leave resets the board
-        // for the next generation.
-        st.departed += 1;
-        if st.departed == self.size {
-            st.snapshot = None;
-            st.arrived = 0;
-            st.departed = 0;
-            st.generation += 1;
-            self.cv.notify_all();
-        } else {
+        if st.arrived < self.size {
             while st.generation == my_gen {
                 self.wait_step(rank, &mut st);
             }
+            return Arc::clone(&st.snapshot);
         }
+        let vals: Vec<Vec<Bytes>> = st.slots.iter_mut().map(std::mem::take).collect();
+        let snap = Arc::new(vals);
+        st.snapshot = Arc::clone(&snap);
+        st.arrived = 0;
+        st.generation += 1;
+        // Unlock, then wake: a waiter woken into the held lock parks again.
+        drop(st);
+        self.cv.notify_all();
         snap
     }
 
@@ -169,25 +169,64 @@ mod tests {
         });
     }
 
+    /// Skewed ranks on the one-phase board: rank 0 goes straight back in
+    /// and deposits into generation g + 1 while rank 3, which yields a
+    /// seeded 0-3 times after every wake-up, may not yet have read g's
+    /// snapshot — what the departure phase this board once had was for.
     #[test]
     fn generations_do_not_mix() {
-        let board = Arc::new(Board::new(3));
-        const ROUNDS: usize = 50;
+        use rand::{rngs::SmallRng, Rng, SeedableRng};
+        const RANKS: usize = 4;
+        const ROUNDS: u32 = 10_000;
+        let board = Board::new(RANKS);
         std::thread::scope(|s| {
-            for rank in 0..3 {
-                let board = Arc::clone(&board);
+            for rank in 0..RANKS {
+                let board = &board;
                 s.spawn(move || {
+                    let mut skew = SmallRng::seed_from_u64(18);
                     for round in 0..ROUNDS {
-                        let mine = vec![Bytes::from(vec![rank as u8, round as u8])];
-                        let snap = board.exchange(rank, mine);
+                        let mut mine = vec![rank as u8];
+                        mine.extend_from_slice(&round.to_le_bytes());
+                        let snap = board.exchange(rank, vec![Bytes::from(mine)]);
+                        assert_eq!(snap.len(), RANKS);
                         for (i, slot) in snap.iter().enumerate() {
                             assert_eq!(slot[0][0] as usize, i);
-                            assert_eq!(slot[0][1] as usize, round, "generation mixed");
+                            assert_eq!(slot[0][1..], round.to_le_bytes(), "generation mixed");
+                        }
+                        if rank == RANKS - 1 {
+                            for _ in 0..skew.gen_range(0..4) {
+                                std::thread::yield_now();
+                            }
                         }
                     }
                 });
             }
         });
+    }
+
+    /// A waiter parked in a generation that will never complete leaves
+    /// with `PoisonedWorld` once the world poisons and `wake_all` runs.
+    #[test]
+    fn poison_releases_a_parked_waiter() {
+        use crate::failure::PoisonedWorld;
+        let failure = Arc::new(FailureState::new(2));
+        let board = Board::with_failure(2, Arc::clone(&failure));
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| board.exchange(0, payload(0)));
+            // The waiter holds the lock from its deposit until the condvar
+            // has queued it: once the deposit shows, it is parked.
+            while board.state.lock().arrived == 0 {
+                std::thread::yield_now();
+            }
+            failure.poison(1);
+            board.wake_all();
+            let payload = waiter.join().expect_err("the generation cannot complete");
+            let poisoned = payload.downcast_ref::<PoisonedWorld>();
+            assert_eq!(poisoned.map(|p| p.rank), Some(1));
+        });
+        // Its deposit stays behind; the generation never moved.
+        let st = board.state.lock();
+        assert_eq!((st.generation, st.arrived), (0, 1));
     }
 
     #[test]

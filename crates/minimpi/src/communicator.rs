@@ -60,6 +60,21 @@ pub trait Communicator: Sized {
     /// arrives at this rank, and removes it.
     fn take(&self, src: Option<usize>, tag: Option<Tag>) -> Message;
 
+    /// [`Communicator::deposit`] to `dest`, then [`Communicator::take`]
+    /// matching `(src, tag)` — the two halves of a `sendrecv` as one
+    /// primitive, so that a backend with a wire between the rank and its
+    /// mailbox can make them one round trip.
+    fn deposit_take(
+        &self,
+        dest: usize,
+        msgs: Vec<Message>,
+        src: Option<usize>,
+        tag: Option<Tag>,
+    ) -> Message {
+        self.deposit(dest, msgs);
+        self.take(src, tag)
+    }
+
     /// Nonblocking [`Communicator::take`].
     fn try_take(&self, src: Option<usize>, tag: Option<Tag>) -> Option<Message>;
 
@@ -109,26 +124,12 @@ pub trait Communicator: Sized {
 
     /// Blocking standard send (eager: buffers and returns immediately).
     fn send<T: MpiType>(&self, buf: &[T], dest: usize, tag: Tag) {
-        self.deposit(
-            dest,
-            vec![Message {
-                src: self.rank(),
-                tag,
-                comm_id: self.id(),
-                data: to_bytes(buf),
-            }],
-        );
+        self.deposit(dest, vec![message(self, tag, to_bytes(buf))]);
     }
 
     /// Blocking receive matching `(src, tag)` (`None` = wildcard).
     fn recv<T: MpiType>(&self, src: Option<usize>, tag: Option<Tag>) -> (Vec<T>, Status) {
-        let msg = self.take(src, tag);
-        let status = Status {
-            source: msg.src,
-            tag: msg.tag,
-            len: msg.data.len(),
-        };
-        (from_bytes(&msg.data), status)
+        unpack(self.take(src, tag))
     }
 
     /// Nonblocking receive if a matching message is already queued.
@@ -137,25 +138,14 @@ pub trait Communicator: Sized {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Option<(Vec<T>, Status)> {
-        let msg = self.try_take(src, tag)?;
-        let status = Status {
-            source: msg.src,
-            tag: msg.tag,
-            len: msg.data.len(),
-        };
-        Some((from_bytes(&msg.data), status))
+        self.try_take(src, tag).map(unpack)
     }
 
     /// Sends several messages to `dest` as one modeled wire transfer.
     fn send_batch<T: MpiType>(&self, bufs: &[Vec<T>], dest: usize, tag: Tag) {
         let msgs: Vec<Message> = bufs
             .iter()
-            .map(|b| Message {
-                src: self.rank(),
-                tag,
-                comm_id: self.id(),
-                data: to_bytes(b),
-            })
+            .map(|b| message(self, tag, to_bytes(b)))
             .collect();
         self.deposit(dest, msgs);
     }
@@ -164,12 +154,7 @@ pub trait Communicator: Sized {
     fn send_batch_raw(&self, bufs: Vec<Bytes>, dest: usize, tag: Tag) {
         let msgs: Vec<Message> = bufs
             .into_iter()
-            .map(|data| Message {
-                src: self.rank(),
-                tag,
-                comm_id: self.id(),
-                data,
-            })
+            .map(|data| message(self, tag, data))
             .collect();
         self.deposit(dest, msgs);
     }
@@ -285,8 +270,8 @@ pub trait Communicator: Sized {
         src: Option<usize>,
         tag: Tag,
     ) -> (Vec<T>, Status) {
-        self.send(buf, dest, tag);
-        self.recv(src, Some(tag))
+        let msg = message(self, tag, to_bytes(buf));
+        unpack(self.deposit_take(dest, vec![msg], src, Some(tag)))
     }
 
     /// Inclusive prefix reduction (`MPI_Scan`).
@@ -354,6 +339,26 @@ pub trait Communicator: Sized {
         debug_assert_eq!(sub.world_rank(sub.rank()), me, "split members disagree");
         sub
     }
+}
+
+/// `data` as a message from `comm`'s own rank on `comm`.
+fn message<C: Communicator>(comm: &C, tag: Tag, data: Bytes) -> Message {
+    Message {
+        src: comm.rank(),
+        tag,
+        comm_id: comm.id(),
+        data,
+    }
+}
+
+/// A received message as the typed payload and its `MPI_Status`.
+fn unpack<T: MpiType>(msg: Message) -> (Vec<T>, Status) {
+    let status = Status {
+        source: msg.src,
+        tag: msg.tag,
+        len: msg.data.len(),
+    };
+    (from_bytes(&msg.data), status)
 }
 
 /// Element-wise reduction over every rank's first slot.

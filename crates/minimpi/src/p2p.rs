@@ -110,8 +110,8 @@ impl Mailbox {
             st.transfers += 1;
             st.messages += 1;
         }
-        let mut q = self.inner.lock();
-        q.push_back(msg);
+        self.inner.lock().push_back(msg);
+        // Unlocked first: a receiver woken into the held lock parks again.
         self.cv.notify_all();
     }
 
@@ -126,8 +126,8 @@ impl Mailbox {
             st.transfers += 1;
             st.messages += msgs.len() as u64;
         }
-        let mut q = self.inner.lock();
-        q.extend(msgs);
+        self.inner.lock().extend(msgs);
+        // Unlocked first: a receiver woken into the held lock parks again.
         self.cv.notify_all();
     }
 

@@ -11,6 +11,12 @@
 //! reaches its world: a thread holds the handle, a process holds a socket
 //! to the thread that does.
 //!
+//! A blocking operation (`recv`, `sendrecv`, a collective) is one frame up
+//! and one down, `send` one frame up, and a frame one syscall at each end:
+//! a `Conn` encodes it in place behind its length prefix and writes it in
+//! one call, and reads through a buffer, so that prefix and body — and any
+//! frames the peer wrote behind them — arrive in one.
+//!
 //! Failure detection is by connection EOF: a `kill -9`'d or disconnected
 //! rank drops its socket (a rank that sends a malformed frame is treated
 //! the same way), the hub marks the rank failed and — unless the
@@ -22,7 +28,7 @@
 //! replacement's replayed run catches up with the rendezvous.
 
 use std::collections::{HashMap, HashSet};
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -50,6 +56,7 @@ const OP_STATUS: u8 = 9;
 const OP_BYE: u8 = 10;
 const OP_FAILSELF: u8 = 11;
 const OP_BEAT: u8 = 12;
+const OP_SENDRECV: u8 = 13;
 
 // Hub → client opcodes.
 const RE_WELCOME: u8 = 0x81;
@@ -71,27 +78,73 @@ const NO_TAG: i64 = i64::MIN;
 // Framing
 // ----------------------------------------------------------------------
 
-fn write_frame(stream: &mut UnixStream, body: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(body.len()).expect("frame too large");
-    stream.write_all(&len.to_le_bytes())?;
-    stream.write_all(body)?;
-    stream.flush()
+/// Largest frame body either end writes or accepts: a guard against a
+/// corrupt length prefix, not a size real payloads come near.
+const MAX_FRAME: usize = 64 << 20;
+
+/// Refuses a `len`-byte body starting with `op` where it is encoded: the
+/// peer would only refuse it, and fail the rank for it, once all of it
+/// had crossed the socket.
+fn check_cap(len: usize, op: u8) -> io::Result<()> {
+    if len <= MAX_FRAME {
+        return Ok(());
+    }
+    Err(io::Error::new(
+        io::ErrorKind::InvalidInput,
+        format!("frame of {len} bytes exceeds the {MAX_FRAME}-byte cap (opcode {op:#04x})"),
+    ))
 }
 
-fn read_frame(stream: &mut UnixStream) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    stream.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len) as usize;
-    // 64 MiB guards against a corrupt length prefix, not real payloads.
-    if len > 64 << 20 {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("hostile frame length {len}"),
-        ));
+/// One end of a connection and the buffers its frames reuse. A frame is a
+/// little-endian `u32` length and that many body bytes, the first of them
+/// the opcode. `S` is the bare stream: one call on it is one syscall.
+#[derive(Debug)]
+struct Conn<S> {
+    /// Read side; writes go to the stream inside.
+    reader: BufReader<S>,
+    /// The frame being sent, prefix included.
+    out: Vec<u8>,
+    /// Body of the frame last received.
+    body: Vec<u8>,
+}
+
+impl<S: Read + Write> Conn<S> {
+    fn new(stream: S) -> Self {
+        Conn {
+            reader: BufReader::new(stream),
+            out: Vec::new(),
+            body: Vec::new(),
+        }
     }
-    let mut body = vec![0u8; len];
-    stream.read_exact(&mut body)?;
-    Ok(body)
+
+    /// Sends the frame whose body `encode` appends, in one `write`.
+    fn send_frame(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> io::Result<()> {
+        self.out.clear();
+        self.out.extend_from_slice(&[0; 4]);
+        encode(&mut self.out);
+        let len = self.out.len() - 4;
+        check_cap(len, self.out.get(4).copied().unwrap_or(0))?;
+        self.out[..4].copy_from_slice(&(len as u32).to_le_bytes());
+        self.reader.get_mut().write_all(&self.out)
+    }
+
+    /// Receives one frame; its body stays valid until the next call.
+    fn recv_frame(&mut self) -> io::Result<&[u8]> {
+        let mut prefix = [0u8; 4];
+        self.reader.read_exact(&mut prefix)?;
+        let len = u32::from_le_bytes(prefix) as usize;
+        if len > MAX_FRAME {
+            return Err(malformed(format!("hostile frame length {len}")));
+        }
+        // The buffer grows with the bytes that arrive, not with what the
+        // prefix claims: a lying prefix reserves nothing.
+        self.body.clear();
+        let mut body = self.reader.by_ref().take(len as u64);
+        if body.read_to_end(&mut self.body)? < len {
+            return Err(io::ErrorKind::UnexpectedEof.into());
+        }
+        Ok(&self.body)
+    }
 }
 
 /// Cursor over a received frame body.
@@ -141,6 +194,26 @@ impl<'a> Reader<'a> {
         Ok(Bytes::copy_from_slice(self.chunk(len)?))
     }
 
+    /// The inverse of [`put_msg`], on communicator `comm_id`.
+    fn msg(&mut self, comm_id: u64) -> io::Result<Message> {
+        Ok(Message {
+            src: self.u32()? as usize,
+            tag: self.i32()?,
+            comm_id,
+            data: self.bytes()?,
+        })
+    }
+
+    /// The inverse of [`put_filter`].
+    fn filter(&mut self) -> io::Result<Filter> {
+        let src = self.u64()?;
+        let tag = match self.i64()? {
+            NO_TAG => None,
+            t => Some(Tag::try_from(t).map_err(|_| malformed(format!("tag {t} out of range")))?),
+        };
+        Ok(((src != NO_SRC).then_some(src as usize), tag))
+    }
+
     /// Reads an element count and validates it against the bytes left in
     /// the frame (each element occupies at least `min_elem` of them), so
     /// the caller may allocate for it: a count the frame cannot back is
@@ -158,25 +231,32 @@ fn malformed(what: String) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, what)
 }
 
-fn encode_src(src: Option<usize>) -> u64 {
-    src.map_or(NO_SRC, |s| s as u64)
+/// A message as SEND, SENDRECV and the `MSG` reply carry it: sender, tag,
+/// length-prefixed payload.
+fn put_msg(out: &mut Vec<u8>, msg: &Message) {
+    out.put_u32_le(msg.src as u32);
+    out.put_i32_le(msg.tag);
+    put_bytes(out, &msg.data);
 }
 
-fn decode_src(v: u64) -> Option<usize> {
-    (v != NO_SRC).then_some(v as usize)
+/// The inverse of [`Reader::bytes`].
+fn put_bytes(out: &mut Vec<u8>, data: &[u8]) {
+    out.put_u32_le(data.len() as u32);
+    out.put_slice(data);
 }
 
-fn encode_tag(tag: Option<Tag>) -> i64 {
-    tag.map_or(NO_TAG, i64::from)
+/// The body of the HELLO frame a connection opens with.
+fn put_hello(out: &mut Vec<u8>, rank: usize, size: usize, incarnation: u64) {
+    out.put_u8(OP_HELLO);
+    out.put_u32_le(rank as u32);
+    out.put_u32_le(size as u32);
+    out.put_u64_le(incarnation);
 }
 
-fn decode_tag(v: i64) -> io::Result<Option<Tag>> {
-    if v == NO_TAG {
-        return Ok(None);
-    }
-    Tag::try_from(v)
-        .map(Some)
-        .map_err(|_| malformed(format!("tag {v} out of range")))
+/// A [`Filter`] on the wire: wildcards as the two sentinels.
+fn put_filter(out: &mut Vec<u8>, (src, tag): Filter) {
+    out.put_u64_le(src.map_or(NO_SRC, |s| s as u64));
+    out.put_i64_le(tag.map_or(NO_TAG, i64::from));
 }
 
 // ----------------------------------------------------------------------
@@ -188,6 +268,9 @@ fn decode_tag(v: i64) -> io::Result<Option<Tag>> {
 pub type HubStats = ElasticWorldStats;
 
 type CommKey = (u64, u64, i64);
+
+/// What a matching request matches: `(src, tag)`, `None` a wildcard.
+type Filter = (Option<usize>, Option<Tag>);
 
 /// What the hub adds to the world it hosts: which ranks completed, and
 /// how many replacements it admitted.
@@ -276,15 +359,17 @@ impl Hub {
     }
 }
 
-/// A client → hub request; the wire format is [`Request::encode`] and
-/// [`decode_request`], nothing else reads or writes it.
+/// A client → hub request; the wire format is [`Request::encode_into`]
+/// and [`decode_request`], nothing else reads or writes it.
 #[derive(Debug)]
 enum Request {
-    /// `(comm, dest, messages)`: deposit into local rank `dest`'s mailbox.
-    Send(u64, usize, Vec<Message>),
-    /// `(op, comm, src, tag)`, `op` one of `OP_RECV`, `OP_TRYRECV`,
+    /// `(comm, dest, messages, then)`: deposit into local rank `dest`'s
+    /// mailbox — SEND, one-way; with `then`, go on to take a message
+    /// matching it from the sender's own and reply with that — SENDRECV.
+    Send(u64, usize, Vec<Message>, Option<Filter>),
+    /// `(op, comm, filter)`, `op` one of `OP_RECV`, `OP_TRYRECV`,
     /// `OP_PROBE`, on the sender's own mailbox.
-    Match(u8, u64, Option<usize>, Option<Tag>),
+    Match(u8, u64, Filter),
     /// `(comm, local rank, slots)`: one collective round.
     Exchange(u64, usize, Vec<Bytes>),
     /// `(key, members as world ranks)`: register a split communicator.
@@ -297,28 +382,26 @@ enum Request {
 }
 
 impl Request {
-    /// The frame a client sends for this request; [`decode_request`] is
-    /// its inverse.
-    fn encode(&self) -> Vec<u8> {
-        let mut f = Vec::new();
+    /// Appends the frame body a client sends for this request;
+    /// [`decode_request`] is its inverse.
+    fn encode_into(&self, f: &mut Vec<u8>) {
         match self {
-            Request::Send(comm_id, dest, msgs) => {
-                f.put_u8(OP_SEND);
+            Request::Send(comm_id, dest, msgs, then) => {
+                f.put_u8(if then.is_some() { OP_SENDRECV } else { OP_SEND });
                 f.put_u64_le(*comm_id);
                 f.put_u32_le(*dest as u32);
+                if let Some(filter) = then {
+                    put_filter(f, *filter);
+                }
                 f.put_u32_le(msgs.len() as u32);
                 for msg in msgs {
-                    f.put_u32_le(msg.src as u32);
-                    f.put_i32_le(msg.tag);
-                    f.put_u32_le(msg.data.len() as u32);
-                    f.put_slice(&msg.data);
+                    put_msg(f, msg);
                 }
             }
-            Request::Match(op, comm_id, src, tag) => {
+            Request::Match(op, comm_id, filter) => {
                 f.put_u8(*op);
                 f.put_u64_le(*comm_id);
-                f.put_u64_le(encode_src(*src));
-                f.put_i64_le(encode_tag(*tag));
+                put_filter(f, *filter);
             }
             Request::Exchange(comm_id, local, mine) => {
                 f.put_u8(OP_EXCHANGE);
@@ -326,8 +409,7 @@ impl Request {
                 f.put_u32_le(*local as u32);
                 f.put_u32_le(mine.len() as u32);
                 for slot in mine {
-                    f.put_u32_le(slot.len() as u32);
-                    f.put_slice(slot);
+                    put_bytes(f, slot);
                 }
             }
             Request::Split(key, members) => {
@@ -346,7 +428,6 @@ impl Request {
             Request::FailSelf => f.put_slice(&[OP_FAILSELF, 2]),
             Request::Beat => f.put_u8(OP_BEAT),
         }
-        f
     }
 }
 
@@ -358,25 +439,22 @@ fn decode_request(frame: &[u8]) -> io::Result<Request> {
     let mut r = Reader::new(frame);
     let op = r.chunk(1)?[0];
     let req = match op {
-        OP_SEND => {
+        OP_SEND | OP_SENDRECV => {
             let comm_id = r.u64()?;
             let dest = r.u32()? as usize;
+            let then = match op {
+                OP_SENDRECV => Some(r.filter()?),
+                _ => None,
+            };
             // src + tag + payload length.
             let n = r.count(12)?;
             let mut msgs = Vec::with_capacity(n);
             for _ in 0..n {
-                msgs.push(Message {
-                    src: r.u32()? as usize,
-                    tag: r.i32()?,
-                    comm_id,
-                    data: r.bytes()?,
-                });
+                msgs.push(r.msg(comm_id)?);
             }
-            Request::Send(comm_id, dest, msgs)
+            Request::Send(comm_id, dest, msgs, then)
         }
-        OP_RECV | OP_TRYRECV | OP_PROBE => {
-            Request::Match(op, r.u64()?, decode_src(r.u64()?), decode_tag(r.i64()?)?)
-        }
+        OP_RECV | OP_TRYRECV | OP_PROBE => Request::Match(op, r.u64()?, r.filter()?),
         OP_EXCHANGE => {
             let comm_id = r.u64()?;
             let local = r.u32()? as usize;
@@ -419,7 +497,8 @@ fn decode_request(frame: &[u8]) -> io::Result<Request> {
 /// rank: EOF, an I/O failure, FAILSELF and a malformed frame all mean
 /// the rank is gone, and take the same `fail_rank` path so the hub never
 /// waits for a BYE that will not come.
-fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
+fn serve_connection(conn: UnixStream, state: &HubState) -> io::Result<()> {
+    let mut conn = Conn::new(conn);
     let world = admit(&mut conn, state)?;
     let rank = world.rank();
     let ended = serve_rank(&mut conn, state, world);
@@ -435,9 +514,8 @@ fn serve_connection(mut conn: UnixStream, state: &HubState) -> io::Result<()> {
 /// HELLO handshake: validates the claimed rank against the world and
 /// admits it (as a replacement if it failed before), returning the world
 /// communicator handle this connection drives.
-fn admit(conn: &mut UnixStream, state: &HubState) -> io::Result<Comm> {
-    let hello = read_frame(conn)?;
-    let mut r = Reader::new(&hello);
+fn admit(conn: &mut Conn<UnixStream>, state: &HubState) -> io::Result<Comm> {
+    let mut r = Reader::new(conn.recv_frame()?);
     if r.chunk(1)?[0] != OP_HELLO {
         return Err(malformed("expected HELLO".into()));
     }
@@ -454,31 +532,41 @@ fn admit(conn: &mut UnixStream, state: &HubState) -> io::Result<Comm> {
         state.replaced.fetch_add(1, Ordering::SeqCst);
     }
     world.heartbeat();
-    write_frame(conn, &[RE_WELCOME])?;
+    conn.send_frame(|out| out.put_u8(RE_WELCOME))?;
     Ok(world)
 }
 
-/// Runs a blocking primitive on the rank's behalf; the abort out of a
-/// poisoned world becomes the `POISONED` reply.
-fn reply_or_poisoned(primitive: impl FnOnce() -> Vec<u8>) -> Vec<u8> {
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(primitive)).unwrap_or_else(|payload| {
-        let rank = payload
-            .downcast_ref::<PoisonedWorld>()
-            .map_or(u32::MAX, |p| p.rank as u32);
-        let mut out = vec![RE_POISONED];
-        out.put_u32_le(rank);
-        out
-    })
+/// Runs a blocking primitive on the rank's behalf and replies with what
+/// `encode` makes of its result; the abort out of a poisoned world becomes
+/// the `POISONED` reply. Only the primitive runs under `catch_unwind`: a
+/// result too large to frame is this connection's error, nobody's poison.
+fn reply_or_poisoned<T>(
+    conn: &mut Conn<UnixStream>,
+    primitive: impl FnOnce() -> T,
+    encode: impl FnOnce(&mut Vec<u8>, &T),
+) -> io::Result<()> {
+    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(primitive)) {
+        Ok(result) => conn.send_frame(|out| encode(out, &result)),
+        Err(payload) => {
+            let rank = payload
+                .downcast_ref::<PoisonedWorld>()
+                .map_or(u32::MAX, |p| p.rank as u32);
+            conn.send_frame(|out| {
+                out.put_u8(RE_POISONED);
+                out.put_u32_le(rank);
+            })
+        }
+    }
 }
 
 /// Request loop of an admitted rank; `Ok` after BYE or FAILSELF. The
 /// connection drives `world` and the sub-communicators it registered
 /// itself: a frame naming any other communicator, another member's rank
 /// as its own, or a forged sender is malformed.
-fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Result<()> {
+fn serve_rank(conn: &mut Conn<UnixStream>, state: &HubState, world: Comm) -> io::Result<()> {
     let mut subs: HashMap<u64, Comm> = HashMap::new();
     loop {
-        let frame = read_frame(conn)?;
+        let request = decode_request(conn.recv_frame()?)?;
         world.heartbeat();
         let own = |id: u64| match id {
             0 => Ok(&world),
@@ -486,8 +574,8 @@ fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Resul
                 .get(&id)
                 .ok_or_else(|| malformed(format!("communicator {id} is not this rank's"))),
         };
-        match decode_request(&frame)? {
-            Request::Send(comm_id, dest, msgs) => {
+        match request {
+            Request::Send(comm_id, dest, msgs, then) => {
                 let comm = own(comm_id)?;
                 if dest >= comm.size() || msgs.iter().any(|m| m.src != comm.rank()) {
                     return Err(malformed(format!(
@@ -495,19 +583,27 @@ fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Resul
                         comm.rank()
                     )));
                 }
-                comm.deposit(dest, msgs);
+                match then {
+                    None => comm.deposit(dest, msgs),
+                    Some((src, tag)) => reply_or_poisoned(
+                        conn,
+                        || comm.deposit_take(dest, msgs, src, tag),
+                        put_msg_reply,
+                    )?,
+                }
             }
-            Request::Match(op, comm_id, src, tag) => {
+            Request::Match(op, comm_id, (src, tag)) => {
                 let comm = own(comm_id)?;
-                let reply = match op {
-                    OP_RECV => reply_or_poisoned(|| encode_msg(&comm.take(src, tag))),
+                match op {
+                    OP_RECV => reply_or_poisoned(conn, || comm.take(src, tag), put_msg_reply)?,
                     OP_TRYRECV => match comm.try_take(src, tag) {
-                        Some(msg) => encode_msg(&msg),
-                        None => vec![RE_NOMSG],
+                        Some(msg) => conn.send_frame(|out| put_msg_reply(out, &msg))?,
+                        None => conn.send_frame(|out| out.put_u8(RE_NOMSG))?,
                     },
-                    _ => vec![RE_BOOL, comm.probe(src, tag) as u8],
-                };
-                write_frame(conn, &reply)?;
+                    _ => conn.send_frame(|out| {
+                        out.put_slice(&[RE_BOOL, comm.probe(src, tag) as u8]);
+                    })?,
+                }
             }
             Request::Exchange(comm_id, local, mine) => {
                 let comm = own(comm_id)?;
@@ -517,20 +613,20 @@ fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Resul
                         comm.rank()
                     )));
                 }
-                let reply = reply_or_poisoned(|| {
-                    let snap = comm.exchange(mine);
-                    let mut out = vec![RE_SNAP];
-                    out.put_u32_le(snap.len() as u32);
-                    for slots in snap.iter() {
-                        out.put_u32_le(slots.len() as u32);
-                        for slot in slots {
-                            out.put_u32_le(slot.len() as u32);
-                            out.put_slice(slot);
+                reply_or_poisoned(
+                    conn,
+                    || comm.exchange(mine),
+                    |out, snap| {
+                        out.put_u8(RE_SNAP);
+                        out.put_u32_le(snap.len() as u32);
+                        for slots in snap.iter() {
+                            out.put_u32_le(slots.len() as u32);
+                            for slot in slots {
+                                put_bytes(out, slot);
+                            }
                         }
-                    }
-                    out
-                });
-                write_frame(conn, &reply)?;
+                    },
+                )?;
             }
             Request::Split((parent, seq, color), members) => {
                 let parent = own(parent)?;
@@ -548,24 +644,25 @@ fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Resul
                 {
                     return Err(bad());
                 }
-                let mut out = vec![RE_COMMID];
-                out.put_u64_le(sub.id());
-                write_frame(conn, &out)?;
+                conn.send_frame(|out| {
+                    out.put_u8(RE_COMMID);
+                    out.put_u64_le(sub.id());
+                })?;
                 subs.insert(sub.id(), sub);
             }
             Request::Stats => {
                 let stats = world.network_stats();
-                let mut out = vec![RE_STATS];
-                out.put_u64_le(stats.transfers);
-                out.put_u64_le(stats.messages);
-                write_frame(conn, &out)?;
+                conn.send_frame(|out| {
+                    out.put_u8(RE_STATS);
+                    out.put_u64_le(stats.transfers);
+                    out.put_u64_le(stats.messages);
+                })?;
             }
-            Request::Status => {
-                let mut out = vec![RE_STATUS];
+            Request::Status => conn.send_frame(|out| {
+                out.put_u8(RE_STATUS);
                 out.put_i64_le(world.poisoned().map_or(-1, |r| r as i64));
                 out.put_u64_le(world.failures_detected());
-                write_frame(conn, &out)?;
-            }
+            })?,
             Request::Bye => {
                 state.done.lock().insert(world.rank());
                 state.done_cv.notify_all();
@@ -577,13 +674,10 @@ fn serve_rank(conn: &mut UnixStream, state: &HubState, world: Comm) -> io::Resul
     }
 }
 
-fn encode_msg(msg: &Message) -> Vec<u8> {
-    let mut out = vec![RE_MSG];
-    out.put_u32_le(msg.src as u32);
-    out.put_i32_le(msg.tag);
-    out.put_u32_le(msg.data.len() as u32);
-    out.put_slice(&msg.data);
-    out
+/// The `MSG` reply to RECV, TRYRECV and SENDRECV.
+fn put_msg_reply(out: &mut Vec<u8>, msg: &Message) {
+    out.put_u8(RE_MSG);
+    put_msg(out, msg);
 }
 
 // ----------------------------------------------------------------------
@@ -594,7 +688,8 @@ fn encode_msg(msg: &Message) -> Vec<u8> {
 /// same [`Communicator`] surface as the in-process [`Comm`].
 #[derive(Debug)]
 pub struct SocketComm {
-    stream: Arc<Mutex<UnixStream>>,
+    /// The rank's one connection, shared with its sub-communicators.
+    conn: Arc<Mutex<Conn<UnixStream>>>,
     rank: usize,
     comm_id: u64,
     /// Communicator-local rank → world rank.
@@ -614,21 +709,13 @@ impl SocketComm {
         size: usize,
         incarnation: u64,
     ) -> io::Result<SocketComm> {
-        let mut stream = UnixStream::connect(path)?;
-        let mut hello = vec![OP_HELLO];
-        hello.put_u32_le(rank as u32);
-        hello.put_u32_le(size as u32);
-        hello.put_u64_le(incarnation);
-        write_frame(&mut stream, &hello)?;
-        let reply = read_frame(&mut stream)?;
-        if reply.first() != Some(&RE_WELCOME) {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "hub rejected HELLO",
-            ));
+        let mut conn = Conn::new(UnixStream::connect(path)?);
+        conn.send_frame(|out| put_hello(out, rank, size, incarnation))?;
+        if conn.recv_frame()?.first() != Some(&RE_WELCOME) {
+            return Err(malformed("hub rejected HELLO".into()));
         }
         Ok(SocketComm {
-            stream: Arc::new(Mutex::new(stream)),
+            conn: Arc::new(Mutex::new(conn)),
             rank,
             comm_id: 0,
             members: (0..size).collect(),
@@ -640,48 +727,56 @@ impl SocketComm {
 
     /// Says goodbye to the hub (clean completion of this rank).
     pub fn bye(self) -> io::Result<()> {
-        let mut stream = self.stream.lock();
-        write_frame(&mut stream, &Request::Bye.encode())
+        self.conn
+            .lock()
+            .send_frame(|out| Request::Bye.encode_into(out))
     }
 
-    /// Sends `body` and awaits one reply frame, aborting via
+    /// Sends `req` and hands the one reply frame to `read`, aborting via
     /// [`PoisonedWorld`] if the hub reports a poisoned world.
-    fn request(&self, body: &[u8]) -> Vec<u8> {
-        let mut stream = self.stream.lock();
-        write_frame(&mut stream, body).unwrap_or_else(|e| hub_lost(&e));
-        let reply = read_frame(&mut stream).unwrap_or_else(|e| hub_lost(&e));
+    fn request<T>(&self, req: &Request, read: impl FnOnce(&[u8]) -> T) -> T {
+        let mut conn = self.conn.lock();
+        conn.send_frame(|out| req.encode_into(out))
+            .unwrap_or_else(|e| hub_lost(&e));
+        let reply = conn.recv_frame().unwrap_or_else(|e| hub_lost(&e));
         if reply.first() == Some(&RE_POISONED) {
             let rank = Reader::new(&reply[1..]).u32().unwrap_or(u32::MAX);
             std::panic::panic_any(PoisonedWorld {
                 rank: rank as usize,
             });
         }
-        reply
-    }
-
-    /// Sends one of the matching requests (`OP_RECV`, `OP_TRYRECV`,
-    /// `OP_PROBE`) on this communicator and awaits its reply.
-    fn match_request(&self, op: u8, src: Option<usize>, tag: Option<Tag>) -> Vec<u8> {
-        self.request(&Request::Match(op, self.comm_id, src, tag).encode())
+        read(reply)
     }
 
     /// Sends a one-way frame (no reply expected).
-    fn send_oneway(&self, body: &[u8]) {
-        let mut stream = self.stream.lock();
-        write_frame(&mut stream, body).unwrap_or_else(|e| hub_lost(&e));
+    fn send_oneway(&self, req: &Request) {
+        let mut conn = self.conn.lock();
+        conn.send_frame(|out| req.encode_into(out))
+            .unwrap_or_else(|e| hub_lost(&e));
+    }
+
+    /// The message of a `MSG` reply on this communicator, if it is one.
+    fn reply_msg(&self, reply: &[u8]) -> Option<Message> {
+        match reply.split_first()? {
+            (&RE_MSG, msg) => Reader::new(msg).msg(self.comm_id).ok(),
+            _ => None,
+        }
     }
 
     fn status(&self) -> (Option<usize>, u64) {
-        let reply = self.request(&Request::Status.encode());
-        let mut r = Reader::new(&reply[1..]);
-        let poisoned = r.i64().ok().filter(|&v| v >= 0).map(|v| v as usize);
-        let detected = r.u64().unwrap_or(0);
-        (poisoned, detected)
+        self.request(&Request::Status, |reply| {
+            let mut r = Reader::new(&reply[1..]);
+            let poisoned = r.i64().ok().filter(|&v| v >= 0).map(|v| v as usize);
+            let detected = r.u64().unwrap_or(0);
+            (poisoned, detected)
+        })
     }
 }
 
+/// A frame could not be sent or its reply not read: the hub is gone, or
+/// [`check_cap`] refused the caller's own frame.
 fn hub_lost(e: &io::Error) -> ! {
-    panic!("hub connection lost: {e}");
+    panic!("hub request failed: {e}");
 }
 
 impl Communicator for SocketComm {
@@ -706,40 +801,55 @@ impl Communicator for SocketComm {
     }
 
     fn deposit(&self, dest: usize, msgs: Vec<Message>) {
-        self.send_oneway(&Request::Send(self.comm_id, dest, msgs).encode());
+        self.send_oneway(&Request::Send(self.comm_id, dest, msgs, None));
     }
 
     fn take(&self, src: Option<usize>, tag: Option<Tag>) -> Message {
-        let reply = self.match_request(OP_RECV, src, tag);
-        decode_reply_msg(&reply, self.comm_id).expect("blocking recv returned no message")
+        let recv = Request::Match(OP_RECV, self.comm_id, (src, tag));
+        self.request(&recv, |reply| self.reply_msg(reply))
+            .expect("blocking recv returned no message")
+    }
+
+    fn deposit_take(
+        &self,
+        dest: usize,
+        msgs: Vec<Message>,
+        src: Option<usize>,
+        tag: Option<Tag>,
+    ) -> Message {
+        let sendrecv = Request::Send(self.comm_id, dest, msgs, Some((src, tag)));
+        self.request(&sendrecv, |reply| self.reply_msg(reply))
+            .expect("sendrecv returned no message")
     }
 
     fn try_take(&self, src: Option<usize>, tag: Option<Tag>) -> Option<Message> {
-        let reply = self.match_request(OP_TRYRECV, src, tag);
-        decode_reply_msg(&reply, self.comm_id)
+        let try_recv = Request::Match(OP_TRYRECV, self.comm_id, (src, tag));
+        self.request(&try_recv, |reply| self.reply_msg(reply))
     }
 
     fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> bool {
-        let reply = self.match_request(OP_PROBE, src, tag);
-        reply.first() == Some(&RE_BOOL) && reply.get(1) == Some(&1)
+        let probe = Request::Match(OP_PROBE, self.comm_id, (src, tag));
+        self.request(&probe, |reply| reply == [RE_BOOL, 1])
     }
 
     fn exchange(&self, mine: Vec<Bytes>) -> Arc<Vec<Vec<Bytes>>> {
-        let reply = self.request(&Request::Exchange(self.comm_id, self.rank, mine).encode());
-        let mut r = Reader::new(&reply);
-        let op = r.chunk(1).map(|c| c[0]).unwrap_or(0);
-        assert_eq!(op, RE_SNAP, "exchange expects a snapshot reply");
-        let nranks = r.count(4).expect("snapshot rank count");
-        let mut snap = Vec::with_capacity(nranks);
-        for _ in 0..nranks {
-            let nslots = r.count(4).expect("snapshot slot count");
-            let mut slots = Vec::with_capacity(nslots);
-            for _ in 0..nslots {
-                slots.push(r.bytes().expect("snapshot slot"));
+        let exchange = Request::Exchange(self.comm_id, self.rank, mine);
+        self.request(&exchange, |reply| {
+            let mut r = Reader::new(reply);
+            let op = r.chunk(1).map(|c| c[0]).unwrap_or(0);
+            assert_eq!(op, RE_SNAP, "exchange expects a snapshot reply");
+            let nranks = r.count(4).expect("snapshot rank count");
+            let mut snap = Vec::with_capacity(nranks);
+            for _ in 0..nranks {
+                let nslots = r.count(4).expect("snapshot slot count");
+                let mut slots = Vec::with_capacity(nslots);
+                for _ in 0..nslots {
+                    slots.push(r.bytes().expect("snapshot slot"));
+                }
+                snap.push(slots);
             }
-            snap.push(slots);
-        }
-        Arc::new(snap)
+            Arc::new(snap)
+        })
     }
 
     fn next_split_seq(&self) -> u64 {
@@ -750,11 +860,12 @@ impl Communicator for SocketComm {
 
     fn register_split(&self, seq: u64, color: i64, members: Vec<usize>, my_rank: usize) -> Self {
         let split = Request::Split((self.comm_id, seq, color), members.clone());
-        let reply = self.request(&split.encode());
-        assert_eq!(reply.first(), Some(&RE_COMMID), "split expects a comm id");
-        let id = Reader::new(&reply[1..]).u64().expect("comm id");
+        let id = self.request(&split, |reply| {
+            assert_eq!(reply.first(), Some(&RE_COMMID), "split expects a comm id");
+            Reader::new(&reply[1..]).u64().expect("comm id")
+        });
         SocketComm {
-            stream: Arc::clone(&self.stream),
+            conn: Arc::clone(&self.conn),
             rank: my_rank,
             comm_id: id,
             members,
@@ -765,12 +876,13 @@ impl Communicator for SocketComm {
     }
 
     fn network_stats(&self) -> NetworkStats {
-        let reply = self.request(&Request::Stats.encode());
-        let mut r = Reader::new(&reply[1..]);
-        NetworkStats {
-            transfers: r.u64().unwrap_or(0),
-            messages: r.u64().unwrap_or(0),
-        }
+        self.request(&Request::Stats, |reply| {
+            let mut r = Reader::new(&reply[1..]);
+            NetworkStats {
+                transfers: r.u64().unwrap_or(0),
+                messages: r.u64().unwrap_or(0),
+            }
+        })
     }
 
     fn poisoned(&self) -> Option<usize> {
@@ -789,7 +901,7 @@ impl Communicator for SocketComm {
         if last.is_none_or(|t| now.duration_since(t) >= Duration::from_millis(50)) {
             *last = Some(now);
             drop(last);
-            self.send_oneway(&Request::Beat.encode());
+            self.send_oneway(&Request::Beat);
         }
     }
 
@@ -802,28 +914,10 @@ impl Communicator for SocketComm {
                 std::thread::sleep(Duration::from_secs(3600));
             },
             RankFault::Disconnect => {
-                self.send_oneway(&Request::FailSelf.encode());
+                self.send_oneway(&Request::FailSelf);
                 std::panic::panic_any(PoisonedWorld { rank: self.rank });
             }
         }
-    }
-}
-
-fn decode_reply_msg(reply: &[u8], comm_id: u64) -> Option<Message> {
-    let mut r = Reader::new(reply);
-    match r.chunk(1).map(|c| c[0]) {
-        Ok(op) if op == RE_MSG => {
-            let src = r.u32().ok()? as usize;
-            let tag = r.i32().ok()?;
-            let data = r.bytes().ok()?;
-            Some(Message {
-                src,
-                tag,
-                comm_id,
-                data,
-            })
-        }
-        _ => None,
     }
 }
 
@@ -834,6 +928,15 @@ mod tests {
     use std::sync::atomic::AtomicUsize;
 
     static SOCKET_SEQ: AtomicUsize = AtomicUsize::new(0);
+
+    impl Request {
+        /// The frame body of [`Request::encode_into`] in a buffer of its own.
+        fn encode(&self) -> Vec<u8> {
+            let mut f = Vec::new();
+            self.encode_into(&mut f);
+            f
+        }
+    }
 
     fn temp_socket(tag: &str) -> std::path::PathBuf {
         let n = SOCKET_SEQ.fetch_add(1, Ordering::SeqCst);
@@ -931,23 +1034,32 @@ mod tests {
         assert_eq!(stats.failures_detected, 0);
     }
 
+    /// A survivor parked in `recv` (a RECV frame) or in `sendrecv` (a
+    /// SENDRECV frame, its own send already deposited) aborts when its
+    /// peer vanishes.
     #[test]
     fn socket_dead_rank_poisons_survivors() {
-        let (out, stats) = run_socket_world(2, false, "dead", |comm| {
-            if comm.rank() == 1 {
-                // Vanish without BYE: the hub sees EOF and poisons.
-                drop(comm);
-                return true;
-            }
-            let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                comm.recv::<u64>(Some(1), Some(7))
-            }))
-            .is_err();
-            let _ = comm.bye();
-            aborted
-        });
-        assert!(out[0], "survivor must abort, not hang");
-        assert_eq!(stats.failures_detected, 1);
+        for in_sendrecv in [false, true] {
+            let (out, stats) = run_socket_world(2, false, "dead", |comm| {
+                if comm.rank() == 1 {
+                    // Vanish without BYE: the hub sees EOF and poisons.
+                    drop(comm);
+                    return true;
+                }
+                let aborted = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    if in_sendrecv {
+                        comm.sendrecv(&[5u64], 1, Some(1), 7)
+                    } else {
+                        comm.recv::<u64>(Some(1), Some(7))
+                    }
+                }))
+                .is_err();
+                let _ = comm.bye();
+                aborted
+            });
+            assert!(out[0], "survivor must abort, not hang");
+            assert_eq!(stats.failures_detected, 1);
+        }
     }
 
     #[test]
@@ -988,29 +1100,163 @@ mod tests {
         assert_eq!(stats.ranks_replaced, 1);
     }
 
-    /// A frame of each payload-carrying request, as `SocketComm` sends it.
+    /// A frame of each payload-carrying request, as `SocketComm` sends it:
+    /// SEND, EXCHANGE, SPLIT, SENDRECV (the four with an element count),
+    /// RECV.
     fn valid_frame(kind: u8, comm_id: u64, rank: u32, blobs: &[Vec<u8>]) -> Vec<u8> {
         let rank = rank as usize;
         let mut slots = blobs.iter().map(|b| Bytes::copy_from_slice(b));
-        match kind % 4 {
-            0 => {
-                let msg = |(i, data)| Message {
-                    src: rank,
-                    tag: i as Tag,
-                    comm_id,
-                    data,
-                };
-                Request::Send(comm_id, rank, slots.enumerate().map(msg).collect())
-            }
+        let msg = |(i, data)| Message {
+            src: rank,
+            tag: i as Tag,
+            comm_id,
+            data,
+        };
+        match kind % 5 {
+            0 => Request::Send(comm_id, rank, slots.enumerate().map(msg).collect(), None),
             1 => Request::Exchange(comm_id, rank, slots.collect()),
             2 => Request::Split(
                 (comm_id, rank as u64, -1),
                 blobs.iter().map(Vec::len).collect(),
             ),
+            // From `rank` on the first blob's tag, or anything without one.
+            3 => {
+                let then = (blobs.first().map(|_| rank), blobs.first().map(|_| 0));
+                Request::Send(
+                    comm_id,
+                    rank,
+                    slots.enumerate().map(msg).collect(),
+                    Some(then),
+                )
+            }
             // Any source when there are no blobs, `rank` otherwise.
-            _ => Request::Match(OP_RECV, comm_id, slots.next().map(|_| rank), None),
+            _ => Request::Match(OP_RECV, comm_id, (slots.next().map(|_| rank), None)),
         }
         .encode()
+    }
+
+    /// A stream double: `read` hands out what is queued (as a socket
+    /// does, as much as fits), `write` keeps what it is given, and both
+    /// count their calls — each would be a syscall.
+    #[derive(Debug, Default)]
+    struct Wire {
+        inbound: std::collections::VecDeque<u8>,
+        outbound: Vec<u8>,
+        reads: usize,
+        writes: usize,
+    }
+
+    impl Read for Wire {
+        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+            self.reads += 1;
+            self.inbound.read(buf)
+        }
+    }
+
+    impl Write for Wire {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.outbound.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    impl Conn<Wire> {
+        /// Moves what this end wrote into `peer`'s receive queue.
+        fn deliver_to(&mut self, peer: &mut Conn<Wire>) {
+            let sent = std::mem::take(&mut self.reader.get_mut().outbound);
+            peer.reader.get_mut().inbound.extend(sent);
+        }
+
+        fn calls(&self) -> (usize, usize) {
+            let wire = self.reader.get_ref();
+            (wire.reads, wire.writes)
+        }
+    }
+
+    /// A blocking operation is one frame each way and each frame one
+    /// `write` at the end that sends it and one `read` at the other.
+    #[test]
+    fn a_round_trip_is_one_write_and_one_read_at_each_end() {
+        let (mut rank, mut hub) = (Conn::new(Wire::default()), Conn::new(Wire::default()));
+        let data = Bytes::from(vec![7u8; 24]);
+        let msg = Message {
+            src: 0,
+            tag: 7,
+            comm_id: 0,
+            data: data.clone(),
+        };
+        let requests = [
+            Request::Send(0, 1, vec![msg.clone()], Some((Some(1), Some(7)))),
+            Request::Exchange(0, 0, vec![data.clone()]),
+        ];
+        // Twice: the second pass runs in warm buffers.
+        for req in requests.iter().chain(&requests) {
+            let before = (rank.calls(), hub.calls());
+            rank.send_frame(|out| req.encode_into(out))
+                .expect("request");
+            rank.deliver_to(&mut hub);
+            let got = decode_request(hub.recv_frame().expect("request frame")).expect("decodes");
+            assert_eq!(got.encode(), req.encode());
+            hub.send_frame(|out| put_msg_reply(out, &msg))
+                .expect("reply");
+            hub.deliver_to(&mut rank);
+            let reply = rank.recv_frame().expect("reply frame");
+            assert_eq!((reply[0], &reply[13..]), (RE_MSG, &data[..]));
+            let ((r0, w0), (r1, w1)) = before;
+            assert_eq!(rank.calls(), (r0 + 1, w0 + 1), "rank end, {req:?}");
+            assert_eq!(hub.calls(), (r1 + 1, w1 + 1), "hub end, {req:?}");
+        }
+    }
+
+    /// Frames written back to back (a SEND and the RECV behind it) arrive
+    /// in one `read`; the next frame costs the next.
+    #[test]
+    fn back_to_back_frames_are_served_from_one_read() {
+        let (mut rank, mut hub) = (Conn::new(Wire::default()), Conn::new(Wire::default()));
+        let frames = [
+            valid_frame(0, 0, 1, &[vec![1, 2, 3]]),
+            valid_frame(4, 0, 1, &[]),
+        ];
+        for frame in &frames {
+            rank.send_frame(|out| out.put_slice(frame)).expect("send");
+        }
+        rank.deliver_to(&mut hub);
+        for frame in &frames {
+            assert_eq!(hub.recv_frame().expect("frame"), frame);
+        }
+        assert_eq!(hub.calls().0, 1);
+        let eof = hub.recv_frame().expect_err("nothing queued");
+        assert_eq!(
+            (eof.kind(), hub.calls().0),
+            (io::ErrorKind::UnexpectedEof, 2)
+        );
+    }
+
+    /// The sender is told about the cap, with the size, the cap and the
+    /// opcode — the peer would only call it a hostile length.
+    #[test]
+    fn the_frame_cap_is_checked_where_the_frame_is_encoded() {
+        assert!(check_cap(MAX_FRAME, OP_SEND).is_ok());
+        let refused = check_cap(MAX_FRAME + 1, OP_EXCHANGE).expect_err("over the cap");
+        assert_eq!(refused.kind(), io::ErrorKind::InvalidInput);
+        // The hub returns it from `serve_rank`; a client panics with it.
+        let at_the_call = std::panic::AssertUnwindSafe(|| hub_lost(&refused));
+        let panic = std::panic::catch_unwind(at_the_call).expect_err("diverges");
+        let text = panic.downcast_ref::<String>().expect("a formatted panic");
+        for fact in ["67108865 bytes", "67108864-byte cap", "opcode 0x06"] {
+            assert!(text.contains(fact), "{text:?} lacks {fact:?}");
+        }
+        // The reader's side of the same constant.
+        let mut hub = Conn::new(Wire::default());
+        let lying = (MAX_FRAME as u32 + 1).to_le_bytes();
+        hub.reader.get_mut().inbound.extend(lying);
+        let hostile = hub.recv_frame().expect_err("over the cap");
+        assert_eq!(hostile.kind(), io::ErrorKind::InvalidData);
     }
 
     /// A rank that sends a malformed frame is failed like one that died:
@@ -1029,7 +1275,11 @@ mod tests {
         let send_forged_src = valid_frame(0, 0, 0, &[vec![1]]);
         let exchange_foreign_local = valid_frame(1, 0, 0, &[]);
         let split_without_me = valid_frame(2, 0, 0, &[vec![]]);
-        let recv_foreign_comm = valid_frame(3, 9, 0, &[]);
+        let recv_foreign_comm = valid_frame(4, 9, 0, &[]);
+        // SENDRECV is held to everything SEND is.
+        let sendrecv_out_of_comm = valid_frame(3, 0, 7, &[]);
+        let sendrecv_forged_src = valid_frame(3, 0, 0, &[vec![1]]);
+        let sendrecv_foreign_comm = valid_frame(3, 9, 1, &[vec![1]]);
         for garbage in [
             vec![0xEE],
             send_out_of_comm,
@@ -1039,6 +1289,9 @@ mod tests {
             exchange_foreign_local,
             split_without_me,
             recv_foreign_comm,
+            sendrecv_out_of_comm,
+            sendrecv_forged_src,
+            sendrecv_foreign_comm,
         ] {
             let path = temp_socket("garbage");
             let (tx, rx) = std::sync::mpsc::channel();
@@ -1063,14 +1316,12 @@ mod tests {
             // survivor must be in before it is said.
             admitted.recv().expect("survivor connects");
             // Rank 1 by hand, so it can say something no client would.
-            let mut raw = UnixStream::connect(&path).expect("connect");
-            let mut hello = vec![OP_HELLO];
-            hello.put_u32_le(1);
-            hello.put_u32_le(2);
-            hello.put_u64_le(0);
-            write_frame(&mut raw, &hello).expect("hello");
-            assert_eq!(read_frame(&mut raw).expect("welcome"), [RE_WELCOME]);
-            write_frame(&mut raw, &garbage).expect("garbage");
+            let mut raw = Conn::new(UnixStream::connect(&path).expect("connect"));
+            raw.send_frame(|out| put_hello(out, 1, 2, 0))
+                .expect("hello");
+            assert_eq!(raw.recv_frame().expect("welcome"), [RE_WELCOME]);
+            raw.send_frame(|out| out.put_slice(&garbage))
+                .expect("garbage");
             // `raw` stays open: detection must not depend on the EOF.
             let stats = rx
                 .recv_timeout(Duration::from_secs(30))
@@ -1094,7 +1345,7 @@ mod tests {
         /// minimum encoded size per element: must be covered by the frame.
         fn reserved_wire_bytes(req: &Request) -> usize {
             match req {
-                Request::Send(_, _, msgs) => msgs.capacity() * 12,
+                Request::Send(_, _, msgs, _) => msgs.capacity() * 12,
                 Request::Exchange(_, _, mine) => mine.capacity() * 4,
                 Request::Split(_, members) => members.capacity() * 4,
                 _ => 0,
@@ -1117,18 +1368,18 @@ mod tests {
             }
 
             /// A count the frame cannot back is an error before anything
-            /// is allocated for it (17-byte SEND, 21-byte EXCHANGE, 29-byte
-            /// SPLIT headers claiming up to 4 G elements).
+            /// is allocated for it (17-byte SEND, 17-byte EXCHANGE, 29-byte
+            /// SPLIT, 33-byte SENDRECV headers claiming up to 4 G elements).
             #[test]
             fn unbacked_counts_are_rejected(
-                kind in 0u8..3,
+                kind in 0u8..4,
                 claimed in 1u32..u32::MAX - 8,
                 blobs in vec(vec(byte(), 0..8), 0..4),
             ) {
                 let mut frame = valid_frame(kind, 0, 0, &blobs);
                 // Offset of the count field: after op + key (SPLIT), or
-                // op + comm + rank (SEND, EXCHANGE).
-                let at = match kind { 2 => 25, _ => 13 };
+                // op + comm + rank (SEND, EXCHANGE) + filter (SENDRECV).
+                let at = match kind { 2 => 25, 3 => 29, _ => 13 };
                 frame[at..at + 4].copy_from_slice(&(blobs.len() as u32 + claimed).to_le_bytes());
                 prop_assert!(decode_request(&frame).is_err());
             }
@@ -1137,7 +1388,7 @@ mod tests {
             /// strict prefix, and any trailing byte, is an error.
             #[test]
             fn valid_frames_roundtrip_and_truncations_err(
-                kind in 0u8..4,
+                kind in 0u8..5,
                 comm_id in 0u64..u64::MAX,
                 rank in 0u32..u32::MAX,
                 blobs in vec(vec(byte(), 0..24), 0..6),
@@ -1158,7 +1409,7 @@ mod tests {
             /// reservation.
             #[test]
             fn point_mutations_never_panic(
-                kind in 0u8..4,
+                kind in 0u8..5,
                 blobs in vec(vec(byte(), 0..24), 0..6),
                 pos in 0usize..4096,
                 xor in 1u16..256,

@@ -99,6 +99,40 @@ fn heavy_mixed_traffic_terminates() {
     }
 }
 
+/// Ring shifts by `sendrecv` — the source named on even rounds, a
+/// wildcard on odd ones — with a plain `send` ahead of each and a plain
+/// `recv` behind it on the same tag: the `sendrecv` must take the plain
+/// send's message and leave its peer's own to the `recv`.
+fn sendrecv_ring<C: Communicator>(comm: &C) -> Vec<(usize, u64)> {
+    let n = comm.size();
+    let next = (comm.rank() + 1) % n;
+    let prev = (comm.rank() + n - 1) % n;
+    let mut got = Vec::new();
+    for round in 0..100u64 {
+        let tag = (round % 3) as i32;
+        comm.send(&[round * 2], next, tag);
+        let src = (round % 2 == 0).then_some(prev);
+        let (v, status) = comm.sendrecv(&[round * 2 + 1], next, src, tag);
+        got.push((status.source, v[0]));
+        let (v, status) = comm.recv::<u64>(Some(prev), Some(tag));
+        got.push((status.source, v[0]));
+    }
+    got
+}
+
+/// `deposit_take` as the threads backend has it (deposit, then take) and
+/// as the socket backend overrides it (one SENDRECV frame) cannot be told
+/// apart: same results, same mailbox counters, per-sender FIFO order.
+#[test]
+fn sendrecv_keeps_fifo_order_among_plain_sends() {
+    let out = on_both_backends!(4, |comm| sendrecv_ring(comm));
+    for (rank, got) in out.iter().enumerate() {
+        let prev = (rank + 3) % 4;
+        let in_order: Vec<(usize, u64)> = (0..200).map(|v| (prev, v)).collect();
+        assert_eq!(got, &in_order, "rank {rank}");
+    }
+}
+
 fn same_tag_stream<C: Communicator>(comm: &C) -> Vec<u64> {
     if comm.rank() == 0 {
         for i in 0..1000u64 {
