@@ -475,6 +475,14 @@ impl<'g> Unfold<'g> {
             }
         }
     }
+
+    /// Writes the progress-sequence context of the occurrence `next()` is
+    /// *about to* return into `out` (cleared first): its `(rule, position)`
+    /// frames, innermost first. Leaves `out` empty at the end of the trace.
+    pub fn context_frames(&self, out: &mut Vec<(RuleId, usize)>) {
+        out.clear();
+        out.extend(self.stack.iter().rev().map(|&(r, p, _)| (r, p)));
+    }
 }
 
 impl Iterator for Unfold<'_> {

@@ -538,13 +538,8 @@ impl Predictor {
             let Outcome::Event(e) = best.outcome else {
                 return Ok(None);
             };
-            let frames = best.path.context_frames();
-            let Some(mean) = self
-                .thread
-                .timing
-                .mean_ns(e, &frames)
-                .or_else(|| self.thread.timing.mean_ns(e, &[]))
-            else {
+            let (frames, n) = best.path.context_frames();
+            let Some(mean) = self.thread.timing.mean_ns(e, &frames[..n]) else {
                 return Ok(None);
             };
             total += mean;

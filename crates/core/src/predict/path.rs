@@ -9,7 +9,7 @@
 //! upward lazily as more events disambiguate the position (paper §II-B2).
 
 use crate::grammar::{Grammar, RuleId};
-use crate::timing::ContextFrame;
+use crate::timing::{ContextFrame, TimingModel};
 
 /// Repetition state of one frame: how many repetitions of the symbol use
 /// have *completed* at this level.
@@ -92,9 +92,15 @@ impl Path {
             .expect("innermost frame must point at a terminal")
     }
 
-    /// Context frames for the timing model: `(rule, pos)` innermost first.
-    pub fn context_frames(&self) -> Vec<ContextFrame> {
-        self.frames.iter().rev().map(|f| (f.rule, f.pos)).collect()
+    /// Context frames for the timing model — `(rule, pos)` innermost first,
+    /// the [`TimingModel::MAX_DEPTH`] its keys reach at most — and how many
+    /// of them this path has.
+    pub fn context_frames(&self) -> ([ContextFrame; TimingModel::MAX_DEPTH], usize) {
+        let mut out = [(RuleId(0), 0); TimingModel::MAX_DEPTH];
+        for (o, f) in out.iter_mut().zip(self.frames.iter().rev()) {
+            *o = (f.rule, f.pos);
+        }
+        (out, self.frames.len().min(TimingModel::MAX_DEPTH))
     }
 }
 
@@ -125,21 +131,23 @@ mod tests {
 
     #[test]
     fn context_frames_innermost_first() {
-        let p = Path {
-            frames: vec![
-                Frame {
-                    rule: RuleId(0),
-                    pos: 3,
-                    rep: Rep::Known(0),
-                },
-                Frame {
-                    rule: RuleId(2),
-                    pos: 1,
-                    rep: Rep::Known(1),
-                },
-            ],
+        let frame = |rule, pos| Frame {
+            rule: RuleId(rule),
+            pos,
+            rep: Rep::Known(0),
         };
-        assert_eq!(p.context_frames(), vec![(RuleId(2), 1), (RuleId(0), 3)]);
+        let p = Path {
+            frames: vec![frame(0, 3), frame(2, 1)],
+        };
+        let (frames, n) = p.context_frames();
+        assert_eq!(frames[..n], [(RuleId(2), 1), (RuleId(0), 3)]);
+        // A deeper path keeps its innermost frames.
+        let deep = Path {
+            frames: (0..6).map(|r| frame(r, r as usize)).collect(),
+        };
+        let (frames, n) = deep.context_frames();
+        let expected = [5u32, 4, 3, 2].map(|r| (RuleId(r), r as usize));
+        assert_eq!((frames, n), (expected, TimingModel::MAX_DEPTH));
     }
 
     #[test]

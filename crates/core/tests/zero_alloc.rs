@@ -99,6 +99,7 @@ fn hot_paths_are_allocation_free_at_steady_state() {
     observe();
     observe_multi_candidate();
     query();
+    finish();
 }
 
 fn in_memory_record() {
@@ -288,6 +289,42 @@ fn query() {
     let n = queried(&p, 64);
     assert_eq!(n, 1, "unknown-offset predict(64) allocated {n} times");
     assert_eq!(p.predict(64).distribution.len(), 2);
+}
+
+/// `finish_thread` replays the timestamps through the grammar with scratch
+/// sized by the grammar: sixteen times the events in the same loop nest
+/// (the same rules, larger exponents) cost the same allocations.
+fn finish() {
+    let [n_short, n_long] = [2usize, 32].map(|outer| {
+        let mut rec = Recorder::new(RecordConfig {
+            timestamps: true,
+            validate: false,
+        });
+        let mut t = 0u64;
+        for _ in 0..outer {
+            for _ in 0..4 {
+                for _ in 0..3 {
+                    for e in [0u32, 1, 1, 2] {
+                        t += 10;
+                        rec.record_at(EventId(e), t);
+                    }
+                }
+                t += 10;
+                rec.record_at(EventId(3), t);
+            }
+            t += 10;
+            rec.record_at(EventId(4), t);
+        }
+        assert_eq!(rec.event_count(), outer as u64 * 53);
+        allocations_in(|| {
+            std::hint::black_box(rec.finish_thread().unwrap());
+        })
+    });
+    assert!(
+        n_short.abs_diff(n_long) <= 4,
+        "finish allocations follow the stream length: {n_short} -> {n_long}"
+    );
+    assert!(n_long < 200, "finish allocated {n_long} times");
 }
 
 /// `match_grammar` allocates its memo and its work stack, sized by the

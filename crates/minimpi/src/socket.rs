@@ -298,8 +298,14 @@ impl Hub {
             done_cv: Condvar::new(),
             replaced: AtomicU64::new(0),
         };
-        let _ = std::fs::remove_file(path);
-        let listener = UnixListener::bind(path)?;
+        // `bind` names the socket before `listen` makes it connectable, and
+        // callers wait for `path` to appear: bind beside it and rename, so
+        // that whoever sees `path` can connect.
+        let mut staging = path.as_os_str().to_owned();
+        staging.push(".bind");
+        let _ = std::fs::remove_file(&staging);
+        let listener = UnixListener::bind(&staging)?;
+        std::fs::rename(&staging, path)?;
         listener.set_nonblocking(true)?;
         let stop = AtomicBool::new(false);
         let (state, stop, failure) = (&state, &stop, &state.world.failure);
