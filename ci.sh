@@ -12,6 +12,19 @@ RUSTDOCFLAGS="-D rustdoc::broken_intra_doc_links" cargo doc --no-deps --quiet
 cargo build --release
 cargo test -q --workspace
 
+# Only a benchmark change may rewrite pythia_benchmark/Cargo.lock. The
+# --locked below refuses a manifest edit that adds to the lock, but cargo
+# lets one that only drops a dependency through --locked, so resolve once
+# without it and compare.
+LOCK=$(mktemp)
+cp pythia_benchmark/Cargo.lock "$LOCK"
+cargo metadata --offline --format-version 1 --manifest-path pythia_benchmark/Cargo.toml >/dev/null
+if ! cmp -s "$LOCK" pythia_benchmark/Cargo.lock; then
+    mv "$LOCK" pythia_benchmark/Cargo.lock
+    echo "ci: a manifest edit changes pythia_benchmark/Cargo.lock"; exit 1
+fi
+rm -f "$LOCK"
+
 # Benchmark correctness gate: all eight pythia_benchmark workloads at one
 # second each. Exit 0 means every check passed and no operation failed:
 # served == single-process (serve.served_equals_local), hardened == bare
@@ -21,13 +34,13 @@ cargo test -q --workspace
 # No timing is gated here: a run on this box cannot tell a regression from
 # the box's slow mode, so speed is judged by the benchmark's paired
 # parent-vs-change runs against the bounds in BENCHMARK.json.
-cargo run --release --quiet --offline --manifest-path pythia_benchmark/Cargo.toml -- \
+cargo run --release --quiet --offline --locked --manifest-path pythia_benchmark/Cargo.toml -- \
     --all --seconds 1 >/dev/null
 # The benchmark is a package outside the workspace, so the workspace test
 # and clippy runs above never compile its tests — which name core types
 # literally (`Prediction { distribution: vec![..], .. }`). Run them here, so
 # that a change to such a type fails CI and not the next benchmark run.
-cargo test --release --offline --quiet --manifest-path pythia_benchmark/Cargo.toml
+cargo test --release --offline --quiet --locked --manifest-path pythia_benchmark/Cargo.toml
 
 # Race & pattern gates: the seeded-violation fixture carries a same-epoch
 # racy store pair and an Isend-without-Wait window; the race subcommand

@@ -2,7 +2,7 @@
 //! traces without decompression.
 //!
 //! The binary is a thin `main` over [`run`], so integration tests can drive
-//! the exact production code path (argument parsing, format sniffing, exit
+//! the exact production code path (argument parsing, lenient loading, exit
 //! codes) in-process instead of spawning the compiled binary.
 //!
 //! Exit codes: `0` clean (no finding at or above `--deny`), `1` at least
@@ -15,8 +15,9 @@ use std::sync::Arc;
 use pythia_core::analyze::{
     analyze_trace, AnalyzeConfig, ClassTable, EventClass, PatternQuery, Severity,
 };
+use pythia_core::error::Error;
 use pythia_core::record::{RecordConfig, Recorder};
-use pythia_core::trace::{TraceData, MAGIC};
+use pythia_core::trace::TraceData;
 
 /// Exit code for "nothing at or above the deny level".
 pub const EXIT_CLEAN: i32 = 0;
@@ -35,7 +36,7 @@ USAGE:
     pythia-analyze recover [--out <P>] [--json] TRACE
 
 ARGS:
-    TRACE...    trace files (binary or JSON; format sniffed from content)
+    TRACE...    saved trace files
     PATTERN     pattern query, e.g. 'MPI_Isend (!MPI_Wait){8}' or 'isend ~16 wait'
                 (sequence, '|' alternation, '{n,m}' repeats, '!atom' negation,
                  'a ~N b' = b within N events of a, '.' any event; names are
@@ -148,24 +149,6 @@ pub fn parse(argv: &[String]) -> Result<Cli, String> {
         return Err("no trace files given".into());
     }
     Ok(cli)
-}
-
-/// Loads a trace leniently, sniffing binary vs. JSON from the content.
-///
-/// Lenient on purpose: the analyzer's job is to *diagnose* invariant
-/// violations, so the strict loader (which rejects them as
-/// [`pythia_core::error::Error::Corrupt`]) would hide exactly the inputs
-/// this tool exists for. Structurally unparseable files still error.
-pub fn load_sniffed(path: &std::path::Path) -> Result<TraceData, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-    let res = if bytes.starts_with(MAGIC) {
-        TraceData::from_bytes_lenient(&bytes)
-    } else {
-        let text = std::str::from_utf8(&bytes)
-            .map_err(|_| format!("{}: neither PYTHIA binary nor UTF-8 JSON", path.display()))?;
-        TraceData::from_json_lenient(text)
-    };
-    res.map_err(|e| format!("{}: {e}", path.display()))
 }
 
 /// Records a reference application and seeds four violations into it: an
@@ -355,10 +338,17 @@ fn analyze_paths(cli: &Cli, out: &mut String, err: &mut String) -> i32 {
     let mut json_reports = Vec::new();
     let mut denied = false;
     for path in &cli.paths {
-        let trace = match load_sniffed(path) {
+        // Lenient on purpose: the analyzer's job is to *diagnose* invariant
+        // violations, so the strict loader (which rejects them as
+        // `Error::Corrupt`) would hide exactly the inputs this tool exists
+        // for. Structurally unparseable files still error.
+        let loaded = std::fs::read(path)
+            .map_err(Error::from)
+            .and_then(|bytes| TraceData::from_bytes_lenient(&bytes));
+        let trace = match loaded {
             Ok(t) => t,
-            Err(msg) => {
-                let _ = writeln!(err, "error: {msg}");
+            Err(e) => {
+                let _ = writeln!(err, "error: {}: {e}", path.display());
                 return EXIT_USAGE;
             }
         };

@@ -5,7 +5,7 @@
 //! clean recording passes `--deny warnings`.
 //!
 //! Drives `analyze_cli::run` in-process (the binary's `main` is a thin
-//! wrapper around it), so exit codes, sniffing, and output formatting are
+//! wrapper around it), so exit codes, loading, and output formatting are
 //! all the production path.
 
 use pythia_bench::analyze_cli::{run, seed_violations, EXIT_CLEAN, EXIT_FINDINGS};
@@ -20,7 +20,6 @@ fn seeded_violations_detected_clean_trace_passes() {
     let dir = std::env::temp_dir().join(format!("pythia-analyze-e2e-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let clean_path = dir.join("clean.trace");
-    let clean_json_path = dir.join("clean.json");
     let seeded_path = dir.join("seeded.trace");
 
     // Reference execution: record MG on 4 ranks end to end.
@@ -32,20 +31,17 @@ fn seeded_violations_detected_clean_trace_passes() {
         pythia_apps::work::WorkScale::ZERO,
     );
     clean.save(&clean_path).unwrap();
-    clean.save_json(&clean_json_path).unwrap();
     seed_violations(&clean).save(&seeded_path).unwrap();
 
     // The clean recording is protocol-correct: exit 0 even denying
-    // warnings, in both serialization formats (sniffed from content).
-    for p in [&clean_path, &clean_json_path] {
-        let (mut out, mut err) = (String::new(), String::new());
-        let code = run(
-            &args(&[p.to_str().unwrap(), "--deny", "warnings"]),
-            &mut out,
-            &mut err,
-        );
-        assert_eq!(code, EXIT_CLEAN, "{}: {out}{err}", p.display());
-    }
+    // warnings.
+    let (mut out, mut err) = (String::new(), String::new());
+    let code = run(
+        &args(&[clean_path.to_str().unwrap(), "--deny", "warnings"]),
+        &mut out,
+        &mut err,
+    );
+    assert_eq!(code, EXIT_CLEAN, "{out}{err}");
 
     // The seeded trace: both violations found, exit 1 under --deny.
     let (mut out, mut err) = (String::new(), String::new());

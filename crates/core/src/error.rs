@@ -25,8 +25,6 @@ pub enum Error {
     InvariantViolation(String),
     /// The requested thread index does not exist in the trace.
     NoSuchThread(usize),
-    /// JSON (de)serialization failed.
-    Json(String),
     /// A predictor configuration is unusable (e.g. a zero capacity).
     InvalidConfig(String),
     /// The oracle cannot serve this request at all: it was never built,
@@ -60,7 +58,6 @@ impl fmt::Display for Error {
                 write!(f, "grammar invariant violation: {msg}")
             }
             Error::NoSuchThread(t) => write!(f, "trace has no thread {t}"),
-            Error::Json(msg) => write!(f, "json error: {msg}"),
             Error::InvalidConfig(msg) => write!(f, "invalid configuration: {msg}"),
             Error::OracleUnavailable(msg) => write!(f, "oracle unavailable: {msg}"),
             Error::Degraded(msg) => write!(f, "oracle degraded: {msg}"),

@@ -18,7 +18,6 @@ use std::mem::MaybeUninit;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 
 use crate::util::FxHashMap;
 
@@ -29,7 +28,7 @@ use crate::util::FxHashMap;
 /// registry is saved inside the trace file so ids remain stable between the
 /// recording run and predicting runs, provided the runtime interns the same
 /// descriptors).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct EventId(pub u32);
 
 impl EventId {
@@ -48,7 +47,7 @@ impl std::fmt::Display for EventId {
 
 /// The descriptor interned for an event: a key-point name plus an optional
 /// integer payload (peer rank, reduction operation, region id, …).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct EventDesc {
     /// Key-point name, e.g. `"MPI_Send"` or `"GOMP_parallel_start"`.
     pub name: String,
@@ -71,10 +70,9 @@ impl std::fmt::Display for EventDesc {
 /// expected to be wrapped behind a lock by the integration layer; see
 /// `pythia-runtime-mpi`); it is serialized into the trace file so that the
 /// predicting run resolves the same descriptors to the same ids.
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct EventRegistry {
     descs: Vec<EventDesc>,
-    #[serde(skip)]
     index: FxHashMap<EventDesc, EventId>,
 }
 
@@ -137,17 +135,6 @@ impl EventRegistry {
             .iter()
             .enumerate()
             .map(|(i, d)| (EventId(i as u32), d))
-    }
-
-    /// Rebuilds the lookup index after deserialization (the map is not
-    /// serialized; call this once after loading a trace).
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .descs
-            .iter()
-            .enumerate()
-            .map(|(i, d)| (d.clone(), EventId(i as u32)))
-            .collect();
     }
 }
 
@@ -441,19 +428,6 @@ mod tests {
         assert_eq!(r.len(), 0);
         let x = r.intern("x", None);
         assert_eq!(r.lookup("x", None), Some(x));
-    }
-
-    #[test]
-    fn rebuild_index_restores_lookup() {
-        let mut r = EventRegistry::new();
-        let a = r.intern("a", None);
-        let json = serde_json::to_string(&r).unwrap();
-        let mut r2: EventRegistry = serde_json::from_str(&json).unwrap();
-        // Index was skipped during serialization.
-        assert_eq!(r2.lookup("a", None), None);
-        r2.rebuild_index();
-        assert_eq!(r2.lookup("a", None), Some(a));
-        assert_eq!(r2.describe(a).unwrap().name, "a");
     }
 
     #[test]

@@ -27,13 +27,11 @@ pub mod invariants;
 
 pub use index::{GrammarIndex, RuleMeta};
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventId;
 use crate::util::FxHashMap;
 
 /// Identifier of a grammar rule (non-terminal symbol).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RuleId(pub u32);
 
 impl RuleId {
@@ -51,7 +49,7 @@ impl std::fmt::Display for RuleId {
 }
 
 /// A grammar symbol: either a terminal (an event) or a non-terminal (a rule).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub enum Symbol {
     /// A terminal symbol: one event raised by the runtime.
     Terminal(EventId),
@@ -82,7 +80,7 @@ impl Symbol {
 /// One use of a symbol inside a rule body, together with its number of
 /// consecutive repetitions (`count >= 1`). `aⁿ` is `SymbolUse { symbol: a,
 /// count: n }`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SymbolUse {
     /// The symbol being used.
     pub symbol: Symbol,
@@ -100,7 +98,7 @@ impl SymbolUse {
 }
 
 /// A rule body plus the bookkeeping used by the builder.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Rule {
     /// The sequence the non-terminal expands to.
     pub body: Vec<SymbolUse>,
@@ -132,7 +130,7 @@ pub struct Loc {
 /// Rule slots may be vacant (`None`) while a [`builder::GrammarBuilder`] is
 /// mutating the grammar; [`Grammar::compact`] renumbers rules densely for
 /// serialization.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Grammar {
     pub(crate) rules: Vec<Option<Rule>>,
     pub(crate) root: RuleId,

@@ -14,8 +14,8 @@
 //!   using a Sequitur-derived reduction extended with consecutive-repetition
 //!   exponents (paper §II-A), and optionally logs timestamps.
 //! * [`trace`] — the grammar plus the timing model derived from the
-//!   timestamps are saved as a [`trace::TraceData`] file (binary or JSON)
-//!   and reloaded by future executions.
+//!   timestamps are saved as a binary [`trace::TraceData`] file and
+//!   reloaded by future executions.
 //! * [`predict`] — **PYTHIA-PREDICT**: a [`predict::Predictor`] follows the
 //!   new execution inside the reference grammar via *progress sequences*
 //!   (paper §II-B), tolerates unexpected events by tracking weighted sets of

@@ -14,14 +14,12 @@
 //! over all `a`→`b` transitions ("Ab" context); the predictor queries the
 //! deepest context it knows and falls back to shallower ones.
 
-use serde::{Deserialize, Serialize};
-
 use crate::event::EventId;
 use crate::grammar::{Grammar, RuleId, Symbol};
 use crate::util::{stable_hash, FxHashMap};
 
 /// One aggregated duration bucket (serialized representation).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TimingEntry {
     /// Stable hash of the progress-sequence context.
     pub key: u64,
@@ -32,10 +30,9 @@ pub struct TimingEntry {
 }
 
 /// Aggregated inter-event durations keyed by progress-sequence context.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct TimingModel {
     entries: Vec<TimingEntry>,
-    #[serde(skip)]
     index: FxHashMap<u64, usize>,
 }
 
@@ -132,29 +129,28 @@ impl TimingModel {
         })
     }
 
-    /// Rebuilds the lookup index after deserialization.
-    pub fn rebuild_index(&mut self) {
-        self.index = self
-            .entries
-            .iter()
-            .enumerate()
-            .map(|(i, e)| (e.key, i))
-            .collect();
-    }
-
     /// Raw entries (serialization order).
     pub fn entries(&self) -> &[TimingEntry] {
         &self.entries
     }
 
     /// Restores a model from raw entries (used by the binary trace reader).
+    /// A key repeated in `entries` is indexed at its last entry only, so
+    /// the trace reader refuses such a table.
     pub fn from_entries(entries: Vec<TimingEntry>) -> Self {
-        let mut m = TimingModel {
-            entries,
-            index: FxHashMap::default(),
-        };
-        m.rebuild_index();
-        m
+        let index = entries
+            .iter()
+            .enumerate()
+            .map(|(i, e)| (e.key, i))
+            .collect();
+        TimingModel { entries, index }
+    }
+
+    /// Whether some key has more than one entry, which no model built here
+    /// has ([`Self::bucket`] finds a key before appending it): the trace
+    /// reader rejects such a table as corrupt.
+    pub(crate) fn has_repeated_key(&self) -> bool {
+        self.index.len() != self.entries.len()
     }
 
     /// Builds the timing model for a finished (compacted) grammar by

@@ -3,19 +3,17 @@
 //!
 //! Only the *grammar* is stored, never the unfolded trace (paper §II-A,
 //! Fig. 1), plus the timing model derived from the timestamps and the event
-//! registry mapping descriptors to terminal ids. Two on-disk formats are
-//! supported:
+//! registry mapping descriptors to terminal ids. There is one on-disk
+//! format: a compact, versioned binary one, hand-rolled on [`bytes`] with
+//! explicit bounds checks so truncated or corrupt files fail with a clean
+//! [`Error::Corrupt`] instead of a panic. Version 2 appends a whole-payload
+//! CRC32, so silent corruption — a short write a lying disk reported as
+//! complete, bit rot — is detected before parsing; version-1 files (no
+//! checksum) are refused. The human-readable view of a trace is
+//! [`Grammar::render`], the paper's Fig. 7 form.
 //!
-//! * a compact, versioned **binary** format (default; hand-rolled on
-//!   [`bytes`] with explicit bounds checks so truncated or corrupt files
-//!   fail with a clean [`Error::Corrupt`] instead of a panic). Version 2
-//!   appends a whole-payload CRC32, so silent corruption — a short write
-//!   a lying disk reported as complete, bit rot — is detected before
-//!   parsing; version-1 files (no checksum) are refused;
-//! * a **JSON** format (via `serde`) for debugging and interoperability.
-//!
-//! Writes are crash-safe: [`TraceData::save`] and [`TraceData::save_json`]
-//! go through [`crate::persist::atomic_write`] (tmp file + fsync + rename +
+//! Writes are crash-safe: [`TraceData::save`] goes through
+//! [`crate::persist::atomic_write`] (tmp file + fsync + rename +
 //! parent-dir fsync), so a crash mid-save leaves the previous file intact,
 //! never a torn mix. Interrupted recordings are rebuilt with
 //! [`TraceData::recover`] from the [`crate::persist`] journal/checkpoint
@@ -25,7 +23,6 @@ use std::path::Path;
 use std::sync::{Arc, OnceLock};
 
 use bytes::{BufMut, Bytes, BytesMut};
-use serde::{Deserialize, Serialize};
 
 use crate::error::{Error, Result};
 use crate::event::EventRegistry;
@@ -46,7 +43,7 @@ pub const MIN_FORMAT_VERSION: u32 = 2;
 
 /// The recorded behavior of one thread: its grammar (compacted), timing
 /// model, and total event count.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ThreadTrace {
     /// The compacted grammar describing the thread's event sequence.
     pub grammar: Grammar,
@@ -57,7 +54,6 @@ pub struct ThreadTrace {
     /// Precomputed query layer over `grammar`, built lazily and shared by
     /// every predictor over this trace. Never serialized: it is derived
     /// data, rebuilt from the grammar after loading.
-    #[serde(skip)]
     index: OnceLock<Arc<GrammarIndex>>,
 }
 
@@ -94,17 +90,10 @@ pub struct TraceData {
     registry: EventRegistry,
 }
 
-/// Serde mirror of [`TraceData`] (used by the JSON format).
-#[derive(Serialize, Deserialize)]
-struct TraceDataSerde {
-    threads: Vec<ThreadTrace>,
-    registry: EventRegistry,
-}
-
 impl TraceData {
     /// Assembles a trace from per-thread recordings, prebuilding each
     /// thread's [`GrammarIndex`] so predictors never pay for it on the hot
-    /// path (all load paths — binary, JSON, recorder — go through here).
+    /// path (the loaders and the recorder all go through here).
     pub fn from_threads(threads: Vec<ThreadTrace>, registry: EventRegistry) -> Self {
         let threads: Vec<Arc<ThreadTrace>> = threads.into_iter().map(Arc::new).collect();
         for t in &threads {
@@ -189,7 +178,9 @@ impl TraceData {
     /// Deserializes from the binary format with structural validation only
     /// (no invariant lint): accepts corrupt-but-parseable grammars so tools
     /// like `pythia-analyze` can diagnose them. The version-2 checksum is
-    /// still enforced — a file that fails it is damaged, not diagnosable.
+    /// still enforced — a file that fails it is damaged, not diagnosable —
+    /// and so are the structural checks: bounds, acyclic rule references,
+    /// and no repeated registry descriptor or timing key.
     pub fn from_bytes_lenient(data: &[u8]) -> Result<Self> {
         let mut header: &[u8] = data;
         let buf = &mut header;
@@ -389,46 +380,6 @@ impl TraceData {
         }
         Ok(())
     }
-
-    // ------------------------------------------------------------------
-    // JSON format
-    // ------------------------------------------------------------------
-
-    /// Serializes to pretty-printed JSON.
-    pub fn to_json(&self) -> Result<String> {
-        let mirror = TraceDataSerde {
-            threads: self.threads.iter().map(|t| (**t).clone()).collect(),
-            registry: self.registry.clone(),
-        };
-        serde_json::to_string_pretty(&mirror).map_err(|e| Error::Json(e.to_string()))
-    }
-
-    /// Deserializes from JSON. Strict, like [`TraceData::from_bytes`]: the
-    /// grammar linter must find no error-level invariant violation.
-    pub fn from_json(json: &str) -> Result<Self> {
-        let trace = Self::from_json_lenient(json)?;
-        trace.lint_strict()?;
-        Ok(trace)
-    }
-
-    /// Deserializes from JSON with structural validation only (see
-    /// [`TraceData::from_bytes_lenient`]).
-    pub fn from_json_lenient(json: &str) -> Result<Self> {
-        let mut mirror: TraceDataSerde =
-            serde_json::from_str(json).map_err(|e| Error::Json(e.to_string()))?;
-        mirror.registry.rebuild_index();
-        for t in &mut mirror.threads {
-            t.timing.rebuild_index();
-            wire::validate_grammar(&t.grammar)?;
-        }
-        Ok(TraceData::from_threads(mirror.threads, mirror.registry))
-    }
-
-    /// Saves the JSON format to `path` atomically (see
-    /// [`TraceData::save`]).
-    pub fn save_json(&self, path: impl AsRef<Path>) -> Result<()> {
-        crate::persist::atomic_write(path.as_ref(), self.to_json()?.as_bytes())
-    }
 }
 
 /// Rewrites one event for [`TraceData::remap_ranks`]: point-to-point
@@ -472,7 +423,9 @@ fn remap_event(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::grammar::{RuleId, Symbol};
     use crate::record::{RecordConfig, Recorder};
+    use crate::timing::TimingEntry;
 
     fn sample_trace() -> TraceData {
         let mut registry = EventRegistry::new();
@@ -504,18 +457,58 @@ mod tests {
         assert!(loaded.registry().lookup("MPI_Send", Some(1)).is_some());
     }
 
-    #[test]
-    fn json_roundtrip() {
+    /// Thread 0 of [`sample_trace`] taken apart for re-encoding.
+    struct Parts {
+        descs: Vec<(String, Option<i64>)>,
+        grammar: Grammar,
+        timing: Vec<TimingEntry>,
+        event_count: u64,
+    }
+
+    /// [`sample_trace`] re-encoded after `edit` changed its parts, with the
+    /// trailing CRC recomputed: a load that fails, fails on the edit and not
+    /// on the checksum. Encoded by hand because [`TraceData::from_threads`]
+    /// would index a cyclic grammar.
+    fn edited(edit: impl FnOnce(&mut Parts)) -> Vec<u8> {
         let trace = sample_trace();
-        let json = trace.to_json().unwrap();
-        let loaded = TraceData::from_json(&json).unwrap();
-        assert_eq!(
-            loaded.thread(0).unwrap().grammar.unfold(),
-            trace.thread(0).unwrap().grammar.unfold()
-        );
-        // Timing model index must be rebuilt.
-        let ev = loaded.registry().lookup("MPI_Recv", Some(0)).unwrap();
-        assert!(loaded.thread(0).unwrap().timing.mean_ns(ev, &[]).is_some());
+        let t = trace.thread(0).unwrap();
+        let mut p = Parts {
+            descs: trace
+                .registry()
+                .iter()
+                .map(|(_, d)| (d.name.clone(), d.payload))
+                .collect(),
+            grammar: t.grammar.clone(),
+            timing: t.timing.entries().to_vec(),
+            event_count: t.event_count,
+        };
+        edit(&mut p);
+        let mut buf = BytesMut::new();
+        buf.put_slice(MAGIC);
+        buf.put_u32_le(FORMAT_VERSION);
+        buf.put_u32_le(p.descs.len() as u32);
+        for (name, payload) in &p.descs {
+            wire::put_desc(&mut buf, name, *payload);
+        }
+        buf.put_u32_le(1);
+        buf.put_u64_le(p.event_count);
+        wire::put_grammar(&mut buf, &p.grammar);
+        wire::put_timing(&mut buf, &TimingModel::from_entries(p.timing));
+        let crc = crc32(&buf);
+        buf.put_u32_le(crc);
+        buf.to_vec()
+    }
+
+    /// Both loaders reject `bytes` as corrupt.
+    fn assert_corrupt(bytes: &[u8]) {
+        assert!(matches!(
+            TraceData::from_bytes(bytes),
+            Err(Error::Corrupt(_))
+        ));
+        assert!(matches!(
+            TraceData::from_bytes_lenient(bytes),
+            Err(Error::Corrupt(_))
+        ));
     }
 
     #[test]
@@ -601,55 +594,71 @@ mod tests {
 
     #[test]
     fn cyclic_grammar_rejected() {
-        // Hand-craft a JSON trace whose rule graph has a cycle.
-        let trace = sample_trace();
-        let mut json: serde_json::Value = serde_json::from_str(&trace.to_json().unwrap()).unwrap();
-        // Make rule 1 reference itself.
-        let body = json["threads"][0]["grammar"]["rules"][1]["body"]
-            .as_array_mut()
-            .unwrap();
-        body[0]["symbol"] = serde_json::json!({ "Rule": 1 });
-        let res = TraceData::from_json(&json.to_string());
-        assert!(res.is_err());
+        // Rule 1 references itself.
+        assert_corrupt(&edited(|p| {
+            let rule = p.grammar.rules[1].as_mut().unwrap();
+            rule.body[0].symbol = Symbol::Rule(RuleId(1));
+        }));
+    }
+
+    #[test]
+    fn dangling_rule_reference_rejected() {
+        // The root points at a rule far out of range.
+        assert_corrupt(&edited(|p| {
+            let root = p.grammar.rules[0].as_mut().unwrap();
+            root.body[0].symbol = Symbol::Rule(RuleId(999));
+        }));
+    }
+
+    #[test]
+    fn duplicate_registry_descriptor_rejected() {
+        // Interning would drop the repeat and shift every later id down
+        // one: id 2, declared `MPI_Recv(0)`, would load as `MPI_Barrier`.
+        assert_corrupt(&edited(|p| {
+            let first = p.descs[0].clone();
+            p.descs.insert(1, first);
+        }));
+    }
+
+    #[test]
+    fn duplicate_timing_key_rejected() {
+        // The index could serve only one of the two buckets.
+        assert_corrupt(&edited(|p| p.timing.push(p.timing[0])));
     }
 
     #[test]
     fn strict_load_rejects_what_lenient_accepts() {
-        // Duplicate a digram in the root body: the file still parses and is
+        // Duplicate a digram in a rule body: the file still parses and is
         // structurally sound (no cycles, live references), but violates the
         // reduction invariants — exactly the shape a fault-injected
         // serialization can produce.
-        let trace = sample_trace();
-        let mut v: serde_json::Value = serde_json::from_str(&trace.to_json().unwrap()).unwrap();
-        let rules = v["threads"][0]["grammar"]["rules"].as_array_mut().unwrap();
-        let body = rules
-            .iter_mut()
-            .map(|r| r["body"].as_array_mut().unwrap())
-            .find(|b| b.len() >= 2)
-            .expect("some rule has at least two body entries");
-        let (a, b) = (body[0].clone(), body[1].clone());
-        body.push(a);
-        body.push(b);
-        let json = v.to_string();
+        let bytes = edited(|p| {
+            let body = p
+                .grammar
+                .rules
+                .iter_mut()
+                .map(|r| &mut r.as_mut().unwrap().body)
+                .find(|b| b.len() >= 2)
+                .expect("some rule has at least two body entries");
+            let (a, b) = (body[0], body[1]);
+            body.extend([a, b]);
+        });
         assert!(matches!(
-            TraceData::from_json(&json),
+            TraceData::from_bytes(&bytes),
             Err(Error::Corrupt(_))
         ));
-        let lenient = TraceData::from_json_lenient(&json).unwrap();
+        let lenient = TraceData::from_bytes_lenient(&bytes).unwrap();
         assert_eq!(lenient.thread_count(), 1);
     }
 
     #[test]
     fn strict_load_rejects_event_count_mismatch() {
-        let trace = sample_trace();
-        let mut v: serde_json::Value = serde_json::from_str(&trace.to_json().unwrap()).unwrap();
-        v["threads"][0]["event_count"] = serde_json::json!(123456);
-        let json = v.to_string();
+        let bytes = edited(|p| p.event_count = 123456);
         assert!(matches!(
-            TraceData::from_json(&json),
+            TraceData::from_bytes(&bytes),
             Err(Error::Corrupt(_))
         ));
-        assert!(TraceData::from_json_lenient(&json).is_ok());
+        assert!(TraceData::from_bytes_lenient(&bytes).is_ok());
     }
 
     #[test]

@@ -153,6 +153,11 @@ pub(crate) fn get_registry(buf: &mut &[u8]) -> Result<EventRegistry> {
         let (name, payload) = get_desc(buf)?;
         registry.intern(&name, payload);
     }
+    // `intern` drops a repeated descriptor, which would shift every later
+    // id onto the next descriptor. No writer repeats one.
+    if registry.len() != n_events {
+        return Err(Error::Corrupt("registry repeats a descriptor".into()));
+    }
     Ok(registry)
 }
 
@@ -319,7 +324,11 @@ pub(crate) fn get_timing(buf: &mut &[u8]) -> Result<TimingModel> {
         }
         entries.push(TimingEntry { key, sum_ns, count });
     }
-    Ok(TimingModel::from_entries(entries))
+    let model = TimingModel::from_entries(entries);
+    if model.has_repeated_key() {
+        return Err(Error::Corrupt("timing table repeats a context key".into()));
+    }
+    Ok(model)
 }
 
 #[cfg(test)]

@@ -112,23 +112,6 @@ proptest! {
         prop_assert_eq!(loaded.total_events(), seq.len() as u64);
     }
 
-    #[test]
-    fn trace_json_roundtrip(seq in vec(0u32..8, 0..100)) {
-        let mut rec = Recorder::new(RecordConfig::default());
-        let mut t = 0u64;
-        for &s in &seq {
-            t += 10;
-            rec.record_at(EventId(s), t);
-        }
-        let trace = rec.finish(&EventRegistry::new()).unwrap();
-        let json = trace.to_json().unwrap();
-        let loaded = TraceData::from_json(&json).unwrap();
-        prop_assert_eq!(
-            loaded.thread(0).unwrap().grammar.unfold(),
-            trace.thread(0).unwrap().grammar.unfold()
-        );
-    }
-
     /// Replaying the exact reference stream: after a synchronization
     /// prefix, next-event predictions must be correct whenever the
     /// predictor claims full confidence (probability ~1).

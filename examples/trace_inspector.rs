@@ -1,5 +1,6 @@
-//! Inspect a PYTHIA trace file: per-thread grammar, event registry, timing
-//! model size, and a JSON export — useful when debugging an integration.
+//! Inspect a PYTHIA trace file: event registry, timing model size, and
+//! each thread's grammar in the paper's Fig. 7 form — useful when
+//! debugging an integration.
 //!
 //! With no argument, records a demo trace first.
 //!
@@ -55,10 +56,5 @@ fn main() -> Result<()> {
         );
         println!();
     }
-
-    // JSON export for external tooling.
-    let json_path = path.with_extension("json");
-    trace.save_json(&json_path)?;
-    println!("JSON export written to {}", json_path.display());
     Ok(())
 }

@@ -13,11 +13,6 @@ pub struct Bytes {
 }
 
 impl Bytes {
-    /// Creates an empty buffer.
-    pub fn new() -> Self {
-        Bytes::default()
-    }
-
     /// Copies a slice into a fresh buffer.
     pub fn copy_from_slice(data: &[u8]) -> Self {
         Bytes::from(data)
@@ -56,12 +51,6 @@ impl From<&[u8]> for Bytes {
 impl Deref for Bytes {
     type Target = [u8];
     fn deref(&self) -> &[u8] {
-        &self.data
-    }
-}
-
-impl AsRef<[u8]> for Bytes {
-    fn as_ref(&self) -> &[u8] {
         &self.data
     }
 }
@@ -187,11 +176,6 @@ pub trait Buf {
     /// Consumes and returns the next `n` bytes.
     fn take_bytes(&mut self, n: usize) -> &[u8];
 
-    /// Consumes one byte.
-    fn get_u8(&mut self) -> u8 {
-        self.take_bytes(1)[0]
-    }
-
     /// Consumes a little-endian `u32`.
     fn get_u32_le(&mut self) -> u32 {
         u32::from_le_bytes(self.take_bytes(4).try_into().unwrap())
@@ -224,14 +208,12 @@ mod tests {
     #[test]
     fn roundtrip_le() {
         let mut buf = BytesMut::new();
-        buf.put_u8(7);
         buf.put_u32_le(0xDEAD_BEEF);
         buf.put_u64_le(42);
         buf.put_i64_le(-9);
         buf.put_slice(b"xyz");
         let frozen = buf.freeze();
         let mut r: &[u8] = &frozen;
-        assert_eq!(r.get_u8(), 7);
         assert_eq!(r.get_u32_le(), 0xDEAD_BEEF);
         assert_eq!(r.get_u64_le(), 42);
         assert_eq!(r.get_i64_le(), -9);

@@ -137,7 +137,7 @@ macro_rules! impl_signed_range {
 }
 
 impl_unsigned_range!(u8, u16, u32, u64, usize);
-impl_signed_range!(i8, i16, i32, i64, isize);
+impl_signed_range!(i64);
 
 macro_rules! impl_tuple_strategy {
     ($(($($s:ident . $idx:tt),+))*) => {$(
@@ -154,18 +154,6 @@ impl_tuple_strategy! {
     (A.0, B.1)
     (A.0, B.1, C.2)
     (A.0, B.1, C.2, D.3)
-    (A.0, B.1, C.2, D.3, E.4)
-}
-
-/// Always generates a clone of the given value.
-#[derive(Debug, Clone)]
-pub struct Just<T: Clone>(pub T);
-
-impl<T: Clone> Strategy for Just<T> {
-    type Value = T;
-    fn generate(&self, _rng: &mut TestRng) -> T {
-        self.0.clone()
-    }
 }
 
 /// Collection strategies.
@@ -223,8 +211,7 @@ pub mod collection {
 /// The commonly-imported surface, mirroring `proptest::prelude`.
 pub mod prelude {
     pub use crate::{
-        prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest, Just, ProptestConfig,
-        Strategy, TestCaseError,
+        prop_assert, prop_assert_eq, prop_assume, proptest, ProptestConfig, Strategy, TestCaseError,
     };
 }
 
@@ -326,15 +313,6 @@ macro_rules! prop_assert_eq {
             __r,
             ::std::format!($($fmt)+)
         );
-    }};
-}
-
-/// Asserts inequality inside a [`proptest!`] body.
-#[macro_export]
-macro_rules! prop_assert_ne {
-    ($left:expr, $right:expr $(,)?) => {{
-        let (__l, __r) = (&$left, &$right);
-        $crate::prop_assert!(*__l != *__r, "assertion failed: `{:?}` == `{:?}`", __l, __r);
     }};
 }
 

@@ -9,33 +9,9 @@ pub trait Sample: Sized {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self;
 }
 
-impl Sample for u64 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64()
-    }
-}
-
-impl Sample for u32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as u32
-    }
-}
-
 impl Sample for i64 {
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         rng.next_u64() as i64
-    }
-}
-
-impl Sample for i32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 32) as i32
-    }
-}
-
-impl Sample for bool {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        rng.next_u64() & 1 == 1
     }
 }
 
@@ -43,12 +19,6 @@ impl Sample for f64 {
     /// Uniform in `[0, 1)` using the top 53 bits.
     fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
         (rng.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-}
-
-impl Sample for f32 {
-    fn sample<R: RngCore + ?Sized>(rng: &mut R) -> Self {
-        (rng.next_u64() >> 40) as f32 * (1.0 / (1u64 << 24) as f32)
     }
 }
 

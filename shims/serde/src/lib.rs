@@ -1,21 +1,18 @@
 //! Offline shim for the `serde` crate.
 //!
 //! The build environment has no crates.io access, so this workspace vendors
-//! a small serialization framework that is *call-compatible* with how the
-//! repository uses serde: `#[derive(Serialize, Deserialize)]` on structs and
-//! enums (with `#[serde(skip)]` fields), driven through `serde_json`.
+//! the part of serde it still calls: [`Serialize`] for the values the
+//! `serde_json` shim's `json!` macro renders into reports, and
+//! [`Deserialize`] for the one type reports are read back into, [`Value`].
 //!
 //! Instead of serde's visitor architecture, everything funnels through one
 //! dynamically-typed [`Value`] tree: `Serialize` renders a value tree,
 //! `Deserialize` rebuilds a type from one. The JSON text layer lives in the
-//! sibling `serde_json` shim. The derive macros live in `serde_derive` and
-//! generate externally-tagged representations matching real serde's
-//! defaults (newtype structs are transparent, enum variants are
-//! `{"Variant": value}` objects or bare strings for unit variants).
+//! sibling `serde_json` shim. The `serde_derive` dependency is unused; it
+//! stays until the next lock regeneration (see that crate's docs).
 
 mod value;
 
-pub use serde_derive::{Deserialize, Serialize};
 pub use value::{write_json_string, Number, Value};
 
 /// Deserialization error: a human-readable message.
@@ -51,25 +48,6 @@ pub trait Deserialize: Sized {
     fn from_value(v: &Value) -> Result<Self, Error>;
 }
 
-/// Looks up a named struct field during derived deserialization.
-///
-/// Mirrors serde's behavior: missing fields and non-object containers are
-/// errors (skipped fields are filled from `Default` by the derive instead).
-pub fn de_field<T: Deserialize>(v: &Value, strukt: &str, name: &str) -> Result<T, Error> {
-    match v {
-        Value::Object(fields) => match fields.iter().find(|(k, _)| k == name) {
-            Some((_, fv)) => T::from_value(fv),
-            None => Err(Error::custom(format!(
-                "missing field `{name}` in `{strukt}`"
-            ))),
-        },
-        other => Err(Error::custom(format!(
-            "expected object for `{strukt}`, found {}",
-            other.kind()
-        ))),
-    }
-}
-
 // ---------------------------------------------------------------------
 // Blanket implementations for primitives and std containers.
 // ---------------------------------------------------------------------
@@ -81,18 +59,6 @@ macro_rules! impl_unsigned {
                 Value::Number(Number::U64(*self as u64))
             }
         }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_u64().ok_or_else(|| {
-                    Error::custom(format!(
-                        concat!("expected ", stringify!($t), ", found {}"),
-                        v.kind()
-                    ))
-                })?;
-                <$t>::try_from(n)
-                    .map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
-            }
-        }
     )*};
 }
 
@@ -101,18 +67,6 @@ macro_rules! impl_signed {
         impl Serialize for $t {
             fn to_value(&self) -> Value {
                 Value::Number(Number::I64(*self as i64))
-            }
-        }
-        impl Deserialize for $t {
-            fn from_value(v: &Value) -> Result<Self, Error> {
-                let n = v.as_i64().ok_or_else(|| {
-                    Error::custom(format!(
-                        concat!("expected ", stringify!($t), ", found {}"),
-                        v.kind()
-                    ))
-                })?;
-                <$t>::try_from(n)
-                    .map_err(|_| Error::custom(concat!("out of range for ", stringify!($t))))
             }
         }
     )*};
@@ -127,22 +81,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        v.as_f64()
-            .ok_or_else(|| Error::custom(format!("expected f64, found {}", v.kind())))
-    }
-}
-
 impl Serialize for f32 {
     fn to_value(&self) -> Value {
         Value::Number(Number::F64(*self as f64))
-    }
-}
-
-impl Deserialize for f32 {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        Ok(f64::from_value(v)? as f32)
     }
 }
 
@@ -152,33 +93,9 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Bool(b) => Ok(*b),
-            other => Err(Error::custom(format!(
-                "expected bool, found {}",
-                other.kind()
-            ))),
-        }
-    }
-}
-
 impl Serialize for String {
     fn to_value(&self) -> Value {
         Value::String(self.clone())
-    }
-}
-
-impl Deserialize for String {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::String(s) => Ok(s.clone()),
-            other => Err(Error::custom(format!(
-                "expected string, found {}",
-                other.kind()
-            ))),
-        }
     }
 }
 
@@ -203,15 +120,6 @@ impl<T: Serialize> Serialize for Option<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Null => Ok(None),
-            other => Ok(Some(T::from_value(other)?)),
-        }
-    }
-}
-
 impl<T: Serialize> Serialize for Vec<T> {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
@@ -221,18 +129,6 @@ impl<T: Serialize> Serialize for Vec<T> {
 impl<T: Serialize> Serialize for [T] {
     fn to_value(&self) -> Value {
         Value::Array(self.iter().map(Serialize::to_value).collect())
-    }
-}
-
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn from_value(v: &Value) -> Result<Self, Error> {
-        match v {
-            Value::Array(items) => items.iter().map(T::from_value).collect(),
-            other => Err(Error::custom(format!(
-                "expected array, found {}",
-                other.kind()
-            ))),
-        }
     }
 }
 

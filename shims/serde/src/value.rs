@@ -62,32 +62,11 @@ pub enum Value {
 }
 
 impl Value {
-    /// Human-readable kind name for error messages.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            Value::Null => "null",
-            Value::Bool(_) => "bool",
-            Value::Number(_) => "number",
-            Value::String(_) => "string",
-            Value::Array(_) => "array",
-            Value::Object(_) => "object",
-        }
-    }
-
     /// The value as `u64`, if it is a non-negative integer.
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             Value::Number(Number::U64(n)) => Some(*n),
             Value::Number(Number::I64(n)) => u64::try_from(*n).ok(),
-            _ => None,
-        }
-    }
-
-    /// The value as `i64`, if it is an integer in range.
-    pub fn as_i64(&self) -> Option<i64> {
-        match self {
-            Value::Number(Number::I64(n)) => Some(*n),
-            Value::Number(Number::U64(n)) => i64::try_from(*n).ok(),
             _ => None,
         }
     }

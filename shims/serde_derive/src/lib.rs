@@ -1,477 +1,2 @@
-//! Offline shim for `serde_derive`: dependency-free `#[derive(Serialize)]`
-//! and `#[derive(Deserialize)]` macros for the value-tree `serde` shim.
-//!
-//! Written directly against `proc_macro` (no `syn`/`quote`, which are not
-//! available offline), so it supports exactly the item shapes this
-//! workspace derives on:
-//!
-//! * named-field structs (with optional `#[serde(skip)]` fields, restored
-//!   from `Default` on deserialization);
-//! * tuple structs — newtypes serialize transparently, larger tuples as
-//!   arrays (matching real serde);
-//! * enums with unit and tuple variants, externally tagged (`"Variant"`
-//!   strings and `{"Variant": ...}` objects, matching real serde).
-//!
-//! Generics, named-field enum variants, and other `#[serde(...)]`
-//! attributes are rejected with a `compile_error!` so unsupported uses fail
-//! loudly at build time instead of silently misbehaving.
-
-use proc_macro::{Delimiter, TokenStream, TokenTree};
-
-/// Derives the shim's `serde::Serialize` for supported item shapes.
-#[proc_macro_derive(Serialize, attributes(serde))]
-pub fn derive_serialize(input: TokenStream) -> TokenStream {
-    expand(input, Direction::Serialize)
-}
-
-/// Derives the shim's `serde::Deserialize` for supported item shapes.
-#[proc_macro_derive(Deserialize, attributes(serde))]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    expand(input, Direction::Deserialize)
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Direction {
-    Serialize,
-    Deserialize,
-}
-
-fn expand(input: TokenStream, dir: Direction) -> TokenStream {
-    let item = match parse_item(input) {
-        Ok(item) => item,
-        Err(msg) => return compile_error(&msg),
-    };
-    let code = match (dir, &item.shape) {
-        (Direction::Serialize, Shape::Named(fields)) => ser_named(&item.name, fields),
-        (Direction::Deserialize, Shape::Named(fields)) => de_named(&item.name, fields),
-        (Direction::Serialize, Shape::Tuple(n)) => ser_tuple(&item.name, *n),
-        (Direction::Deserialize, Shape::Tuple(n)) => de_tuple(&item.name, *n),
-        (Direction::Serialize, Shape::Enum(variants)) => ser_enum(&item.name, variants),
-        (Direction::Deserialize, Shape::Enum(variants)) => de_enum(&item.name, variants),
-    };
-    code.parse().expect("generated impl must parse")
-}
-
-fn compile_error(msg: &str) -> TokenStream {
-    format!("compile_error!({msg:?});").parse().unwrap()
-}
-
-// ---------------------------------------------------------------------
-// Item model
-// ---------------------------------------------------------------------
-
-struct Field {
-    name: String,
-    skip: bool,
-}
-
-struct Variant {
-    name: String,
-    /// `None` for unit variants, `Some(arity)` for tuple variants.
-    arity: Option<usize>,
-}
-
-enum Shape {
-    Named(Vec<Field>),
-    Tuple(usize),
-    Enum(Vec<Variant>),
-}
-
-struct Item {
-    name: String,
-    shape: Shape,
-}
-
-// ---------------------------------------------------------------------
-// Parsing (token-level, no syn)
-// ---------------------------------------------------------------------
-
-struct Cursor {
-    tokens: Vec<TokenTree>,
-    pos: usize,
-}
-
-impl Cursor {
-    fn new(stream: TokenStream) -> Self {
-        Cursor {
-            tokens: stream.into_iter().collect(),
-            pos: 0,
-        }
-    }
-
-    fn peek(&self) -> Option<&TokenTree> {
-        self.tokens.get(self.pos)
-    }
-
-    fn next(&mut self) -> Option<TokenTree> {
-        let t = self.tokens.get(self.pos).cloned();
-        if t.is_some() {
-            self.pos += 1;
-        }
-        t
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.tokens.len()
-    }
-
-    /// Consumes `#[...]` attributes; returns an error for `#[serde(...)]`
-    /// attributes other than `skip`, and whether a skip was seen.
-    fn eat_attrs(&mut self) -> Result<bool, String> {
-        let mut skip = false;
-        while let Some(TokenTree::Punct(p)) = self.peek() {
-            if p.as_char() != '#' {
-                break;
-            }
-            self.next();
-            let Some(TokenTree::Group(g)) = self.next() else {
-                return Err("expected attribute group after `#`".into());
-            };
-            let mut inner = Cursor::new(g.stream());
-            if let Some(TokenTree::Ident(id)) = inner.peek() {
-                if id.to_string() == "serde" {
-                    inner.next();
-                    let Some(TokenTree::Group(args)) = inner.next() else {
-                        return Err("malformed #[serde] attribute".into());
-                    };
-                    let body = args.stream().to_string();
-                    if body.trim() == "skip" {
-                        skip = true;
-                    } else {
-                        return Err(format!(
-                            "unsupported #[serde({body})] attribute (shim supports only `skip`)"
-                        ));
-                    }
-                }
-            }
-        }
-        Ok(skip)
-    }
-
-    /// Consumes `pub` / `pub(crate)`-style visibility, if present.
-    fn eat_visibility(&mut self) {
-        if let Some(TokenTree::Ident(id)) = self.peek() {
-            if id.to_string() == "pub" {
-                self.next();
-                if let Some(TokenTree::Group(g)) = self.peek() {
-                    if g.delimiter() == Delimiter::Parenthesis {
-                        self.next();
-                    }
-                }
-            }
-        }
-    }
-
-    fn expect_ident(&mut self) -> Result<String, String> {
-        match self.next() {
-            Some(TokenTree::Ident(id)) => Ok(id.to_string()),
-            other => Err(format!("expected identifier, found {other:?}")),
-        }
-    }
-
-    /// Skips type tokens up to (not including) a top-level comma,
-    /// tracking `<...>` nesting so commas inside generics don't split.
-    fn skip_type(&mut self) {
-        let mut angle = 0i32;
-        while let Some(t) = self.peek() {
-            if let TokenTree::Punct(p) = t {
-                match p.as_char() {
-                    ',' if angle == 0 => return,
-                    '<' => angle += 1,
-                    '>' => angle -= 1,
-                    _ => {}
-                }
-            }
-            self.next();
-        }
-    }
-}
-
-fn parse_item(input: TokenStream) -> Result<Item, String> {
-    let mut c = Cursor::new(input);
-    c.eat_attrs()?;
-    c.eat_visibility();
-    let kw = c.expect_ident()?;
-    let name = c.expect_ident()?;
-    if let Some(TokenTree::Punct(p)) = c.peek() {
-        if p.as_char() == '<' {
-            return Err(format!(
-                "serde shim derive does not support generics on `{name}`"
-            ));
-        }
-    }
-    let shape = match kw.as_str() {
-        "struct" => parse_struct_body(&mut c, &name)?,
-        "enum" => parse_enum_body(&mut c, &name)?,
-        other => return Err(format!("cannot derive serde impls for `{other}` items")),
-    };
-    Ok(Item { name, shape })
-}
-
-fn parse_struct_body(c: &mut Cursor, name: &str) -> Result<Shape, String> {
-    match c.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            let mut fields = Vec::new();
-            let mut fc = Cursor::new(g.stream());
-            while !fc.at_end() {
-                let skip = fc.eat_attrs()?;
-                fc.eat_visibility();
-                let fname = fc.expect_ident()?;
-                match fc.next() {
-                    Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
-                    other => return Err(format!("expected `:` after field, found {other:?}")),
-                }
-                fc.skip_type();
-                fc.next(); // consume the separating comma, if any
-                fields.push(Field { name: fname, skip });
-            }
-            Ok(Shape::Named(fields))
-        }
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Parenthesis => {
-            let mut n = 0usize;
-            let mut fc = Cursor::new(g.stream());
-            while !fc.at_end() {
-                if fc.eat_attrs()? {
-                    return Err(format!(
-                        "#[serde(skip)] on tuple fields of `{name}` is not supported"
-                    ));
-                }
-                fc.eat_visibility();
-                fc.skip_type();
-                fc.next();
-                n += 1;
-            }
-            Ok(Shape::Tuple(n))
-        }
-        other => Err(format!(
-            "unsupported struct body for `{name}`: {other:?} (unit structs not needed)"
-        )),
-    }
-}
-
-fn parse_enum_body(c: &mut Cursor, name: &str) -> Result<Shape, String> {
-    match c.next() {
-        Some(TokenTree::Group(g)) if g.delimiter() == Delimiter::Brace => {
-            let mut variants = Vec::new();
-            let mut vc = Cursor::new(g.stream());
-            while !vc.at_end() {
-                vc.eat_attrs()?;
-                let vname = vc.expect_ident()?;
-                let arity = match vc.peek() {
-                    Some(TokenTree::Group(vg)) if vg.delimiter() == Delimiter::Parenthesis => {
-                        let mut n = 0usize;
-                        let mut tc = Cursor::new(vg.stream());
-                        while !tc.at_end() {
-                            tc.eat_attrs()?;
-                            tc.eat_visibility();
-                            tc.skip_type();
-                            tc.next();
-                            n += 1;
-                        }
-                        vc.next();
-                        Some(n)
-                    }
-                    Some(TokenTree::Group(vg)) if vg.delimiter() == Delimiter::Brace => {
-                        return Err(format!(
-                            "named-field variant `{vname}` of `{name}` is not supported by the serde shim"
-                        ));
-                    }
-                    _ => None,
-                };
-                match vc.next() {
-                    None => {}
-                    Some(TokenTree::Punct(p)) if p.as_char() == ',' => {}
-                    other => {
-                        return Err(format!(
-                            "unexpected token after variant `{vname}`: {other:?} (discriminants not supported)"
-                        ));
-                    }
-                }
-                variants.push(Variant { name: vname, arity });
-            }
-            Ok(Shape::Enum(variants))
-        }
-        other => Err(format!("expected enum body for `{name}`, found {other:?}")),
-    }
-}
-
-// ---------------------------------------------------------------------
-// Code generation
-// ---------------------------------------------------------------------
-
-fn ser_named(name: &str, fields: &[Field]) -> String {
-    let mut pushes = String::new();
-    for f in fields.iter().filter(|f| !f.skip) {
-        let fname = &f.name;
-        pushes.push_str(&format!(
-            "__fields.push((::std::string::String::from({fname:?}), \
-             ::serde::Serialize::to_value(&self.{fname})));\n"
-        ));
-    }
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-                 let mut __fields: ::std::vec::Vec<(::std::string::String, ::serde::Value)> = \
-                     ::std::vec::Vec::new();\n\
-                 {pushes}\
-                 ::serde::Value::Object(__fields)\n\
-             }}\n\
-         }}"
-    )
-}
-
-fn de_named(name: &str, fields: &[Field]) -> String {
-    let mut inits = String::new();
-    for f in fields {
-        let fname = &f.name;
-        if f.skip {
-            inits.push_str(&format!("{fname}: ::std::default::Default::default(),\n"));
-        } else {
-            inits.push_str(&format!(
-                "{fname}: ::serde::de_field(__v, {name:?}, {fname:?})?,\n"
-            ));
-        }
-    }
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 ::std::result::Result::Ok({name} {{ {inits} }})\n\
-             }}\n\
-         }}"
-    )
-}
-
-fn ser_tuple(name: &str, n: usize) -> String {
-    let body = if n == 1 {
-        // Newtype structs are transparent, matching real serde.
-        "::serde::Serialize::to_value(&self.0)".to_string()
-    } else {
-        let elems: Vec<String> = (0..n)
-            .map(|i| format!("::serde::Serialize::to_value(&self.{i})"))
-            .collect();
-        format!("::serde::Value::Array(::std::vec![{}])", elems.join(", "))
-    };
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{ {body} }}\n\
-         }}"
-    )
-}
-
-fn de_tuple(name: &str, n: usize) -> String {
-    let body = if n == 1 {
-        format!("::std::result::Result::Ok({name}(::serde::Deserialize::from_value(__v)?))")
-    } else {
-        let elems: Vec<String> = (0..n)
-            .map(|i| format!("::serde::Deserialize::from_value(&__a[{i}])?"))
-            .collect();
-        format!(
-            "match __v {{\n\
-                 ::serde::Value::Array(__a) if __a.len() == {n} => \
-                     ::std::result::Result::Ok({name}({elems})),\n\
-                 __other => ::std::result::Result::Err(::serde::Error::custom(::std::format!(\n\
-                     \"expected {n}-element array for `{name}`, found {{}}\", __other.kind()))),\n\
-             }}",
-            elems = elems.join(", ")
-        )
-    };
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 {body}\n\
-             }}\n\
-         }}"
-    )
-}
-
-fn ser_enum(name: &str, variants: &[Variant]) -> String {
-    let mut arms = String::new();
-    for v in variants {
-        let vname = &v.name;
-        match v.arity {
-            None => arms.push_str(&format!(
-                "{name}::{vname} => ::serde::Value::String(::std::string::String::from({vname:?})),\n"
-            )),
-            Some(1) => arms.push_str(&format!(
-                "{name}::{vname}(__f0) => ::serde::Value::Object(::std::vec![(\
-                     ::std::string::String::from({vname:?}), \
-                     ::serde::Serialize::to_value(__f0))]),\n"
-            )),
-            Some(n) => {
-                let binds: Vec<String> = (0..n).map(|i| format!("__f{i}")).collect();
-                let elems: Vec<String> = binds
-                    .iter()
-                    .map(|b| format!("::serde::Serialize::to_value({b})"))
-                    .collect();
-                arms.push_str(&format!(
-                    "{name}::{vname}({binds}) => ::serde::Value::Object(::std::vec![(\
-                         ::std::string::String::from({vname:?}), \
-                         ::serde::Value::Array(::std::vec![{elems}]))]),\n",
-                    binds = binds.join(", "),
-                    elems = elems.join(", ")
-                ));
-            }
-        }
-    }
-    format!(
-        "impl ::serde::Serialize for {name} {{\n\
-             fn to_value(&self) -> ::serde::Value {{\n\
-                 match self {{ {arms} }}\n\
-             }}\n\
-         }}"
-    )
-}
-
-fn de_enum(name: &str, variants: &[Variant]) -> String {
-    let mut unit_arms = String::new();
-    let mut tagged_arms = String::new();
-    for v in variants {
-        let vname = &v.name;
-        match v.arity {
-            None => unit_arms.push_str(&format!(
-                "{vname:?} => ::std::result::Result::Ok({name}::{vname}),\n"
-            )),
-            Some(1) => tagged_arms.push_str(&format!(
-                "{vname:?} => ::std::result::Result::Ok({name}::{vname}(\
-                     ::serde::Deserialize::from_value(__val)?)),\n"
-            )),
-            Some(n) => {
-                let elems: Vec<String> = (0..n)
-                    .map(|i| format!("::serde::Deserialize::from_value(&__a[{i}])?"))
-                    .collect();
-                tagged_arms.push_str(&format!(
-                    "{vname:?} => match __val {{\n\
-                         ::serde::Value::Array(__a) if __a.len() == {n} => \
-                             ::std::result::Result::Ok({name}::{vname}({elems})),\n\
-                         _ => ::std::result::Result::Err(::serde::Error::custom(\
-                             \"malformed tuple variant payload\")),\n\
-                     }},\n",
-                    elems = elems.join(", ")
-                ));
-            }
-        }
-    }
-    format!(
-        "impl ::serde::Deserialize for {name} {{\n\
-             fn from_value(__v: &::serde::Value) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                 match __v {{\n\
-                     ::serde::Value::String(__s) => match __s.as_str() {{\n\
-                         {unit_arms}\
-                         __other => ::std::result::Result::Err(::serde::Error::custom(\
-                             ::std::format!(\"unknown variant `{{__other}}` of `{name}`\"))),\n\
-                     }},\n\
-                     ::serde::Value::Object(__fields) if __fields.len() == 1 => {{\n\
-                         let (__tag, __val) = &__fields[0];\n\
-                         match __tag.as_str() {{\n\
-                             {tagged_arms}\
-                             __other => ::std::result::Result::Err(::serde::Error::custom(\
-                                 ::std::format!(\"unknown variant `{{__other}}` of `{name}`\"))),\n\
-                         }}\n\
-                     }}\n\
-                     __other => ::std::result::Result::Err(::serde::Error::custom(::std::format!(\n\
-                         \"expected variant of `{name}`, found {{}}\", __other.kind()))),\n\
-                 }}\n\
-             }}\n\
-         }}"
-    )
-}
+//! Empty: nothing in the workspace derives `Serialize` or `Deserialize`.
+//! The crate stays, unused, until the next `Cargo.lock` regeneration drops it.

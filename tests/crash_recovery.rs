@@ -59,10 +59,13 @@ fn rerecord(events: &[EventId]) -> ThreadTrace {
     rec.finish_thread().expect("in-memory recorder cannot fail")
 }
 
-/// Serialized form used for byte-identity comparison (grammar, timing
-/// model and event count; the lazy query index is derived data).
-fn fingerprint(t: &ThreadTrace) -> String {
-    serde_json::to_string(t).unwrap()
+/// Serialized form used for byte-identity comparison: the binary encoding
+/// of a one-thread trace, which holds the grammar, the ordered timing
+/// entries and the event count (the lazy query index is derived data).
+fn fingerprint(t: &ThreadTrace) -> Vec<u8> {
+    TraceData::from_threads(vec![t.clone()], EventRegistry::new())
+        .to_bytes()
+        .to_vec()
 }
 
 /// A process killed between flushes (neither `finish_thread` nor the drop
