@@ -165,3 +165,76 @@ fn pass_selection_flags_suppress_findings() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// MG at 4 ranks with the four seeded violations, made deterministic:
+/// ranks intern descriptors concurrently, so ids are reassigned by first
+/// appearance in rank order and every rank is re-recorded through a
+/// [`Recorder`](pythia_core::record::Recorder).
+fn canonical_seeded_mg() -> pythia_core::trace::TraceData {
+    use pythia_core::event::{EventId, EventRegistry};
+    use pythia_core::record::{RecordConfig, Recorder};
+
+    let app = pythia_apps::find_app("MG").unwrap();
+    let recorded = pythia_apps::harness::record_trace(
+        app.as_ref(),
+        4,
+        pythia_apps::WorkingSet::Small,
+        pythia_apps::work::WorkScale::ZERO,
+    );
+    let mut remap: Vec<Option<EventId>> = vec![None; recorded.registry().len()];
+    let mut registry = EventRegistry::new();
+    let threads = recorded
+        .threads()
+        .iter()
+        .map(|t| {
+            let mut rec = Recorder::new(RecordConfig {
+                timestamps: false,
+                validate: false,
+            });
+            for e in t.grammar.unfold() {
+                let id = *remap[e.index()].get_or_insert_with(|| {
+                    let desc = recorded.registry().describe(e).unwrap();
+                    registry.intern(&desc.name, desc.payload)
+                });
+                rec.record(id);
+            }
+            rec.finish_thread().unwrap()
+        })
+        .collect();
+    seed_violations(&pythia_core::trace::TraceData::from_threads(
+        threads, registry,
+    ))
+}
+
+/// The analyzer's full report on [`canonical_seeded_mg`] — every pass plus
+/// the two window queries `ci.sh` runs — byte for byte against the
+/// committed golden file. On a mismatch the actual report is written to
+/// the system temp dir for inspection.
+#[test]
+fn seeded_report_matches_golden() {
+    use pythia_core::analyze::{analyze_trace, AnalyzeConfig, PatternQuery};
+
+    let trace = canonical_seeded_mg();
+    let config = AnalyzeConfig {
+        patterns: ["MPI_Isend (!MPI_Wait){8}", "MPI_Isend ~6 MPI_Waitall"]
+            .iter()
+            .map(|q| PatternQuery::new(q, Severity::Warning, false).unwrap())
+            .collect(),
+        ..AnalyzeConfig::default()
+    };
+    let report = analyze_trace(&trace, &config);
+    let actual = format!(
+        "{}\n{}",
+        serde_json::to_string_pretty(&report.to_json()).unwrap(),
+        report.render_text()
+    );
+    let golden = include_str!("golden/seeded_mg4_report.txt");
+    if actual != golden {
+        let path = std::env::temp_dir().join("seeded_mg4_report.actual.txt");
+        std::fs::write(&path, &actual).unwrap();
+        panic!(
+            "analyzer report differs from the golden file; actual written to {}",
+            path.display()
+        );
+    }
+}

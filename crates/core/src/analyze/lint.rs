@@ -10,11 +10,17 @@
 //! which assume a DAG — are skipped as soon as structure is broken. That
 //! makes it safe to point at arbitrary bytes that happened to parse.
 //!
-//! Cost is O(|grammar|): every check walks rule bodies once; the optional
-//! event-index annotation adds one [`GrammarIndex`] build (also linear).
+//! Cost is O(|grammar|): every check walks rule bodies once, and the
+//! acyclicity check is [`Grammar::try_topological_order`]. The event-index
+//! annotation costs nothing on a clean grammar: the first anchored
+//! diagnostic computes the rules' first-expansion starts, from the
+//! caller's [`GrammarIndex`] when there is one (a loaded trace prebuilds
+//! one per thread) and from one linear build otherwise.
+
+use std::cell::OnceCell;
 
 use crate::grammar::{Grammar, GrammarIndex, Loc, RuleId, Symbol};
-use crate::util::{FxHashMap, FxHashSet};
+use crate::util::FxHashMap;
 
 use super::{Diagnostic, Pass, Severity};
 
@@ -25,8 +31,9 @@ pub struct LintOptions {
     /// `event_count` stored next to the grammar in a trace file).
     pub expected_events: Option<u64>,
     /// Annotate diagnostics with the approximate index of the anchored
-    /// location in the expanded event stream (first occurrence). Costs one
-    /// linear [`GrammarIndex`] build; disable on the load hot path.
+    /// location in the expanded event stream (first occurrence). Free on a
+    /// clean grammar; the first anchored diagnostic pays one linear sweep
+    /// (plus one [`GrammarIndex`] build when the caller has none).
     pub annotate_positions: bool,
 }
 
@@ -43,6 +50,16 @@ fn warn(code: &'static str, message: String) -> Diagnostic {
 /// Diagnostics carry no thread id; callers analyzing a multi-thread trace
 /// attach it with [`Diagnostic::on_thread`].
 pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
+    lint_indexed(g, opts, None)
+}
+
+/// [`lint_grammar`] with the caller's prebuilt index of `g`, if any, which
+/// the length check and the annotation read instead of recomputing.
+pub(crate) fn lint_indexed(
+    g: &Grammar,
+    opts: &LintOptions,
+    index: Option<&GrammarIndex>,
+) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
     let root = g.root();
     if !g.is_live(root) {
@@ -51,7 +68,6 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
     }
 
     // -- structural pass: everything later assumes this holds -------------
-    let mut structural_ok = true;
     for (id, rule) in g.iter_rules() {
         if id != root && rule.body.is_empty() {
             diags.push(
@@ -61,7 +77,6 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
                 )
                 .at(id.0, 0),
             );
-            structural_ok = false;
         }
         for (pos, u) in rule.body.iter().enumerate() {
             if u.count == 0 {
@@ -72,7 +87,6 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
                     )
                     .at(id.0, pos),
                 );
-                structural_ok = false;
             }
             if let Symbol::Rule(r) = u.symbol {
                 if !g.is_live(r) {
@@ -83,43 +97,50 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
                         )
                         .at(id.0, pos),
                     );
-                    structural_ok = false;
                 }
             }
         }
     }
 
-    // -- acyclicity: its own guarded DFS, never Grammar::topological_order
-    //    (which panics on a cycle) --------------------------------------
-    if let Some(cycle_rule) = find_cycle(g) {
-        diags.push(err(
-            "rule-cycle",
-            format!("rule graph has a cycle through {cycle_rule}"),
-        ));
-        return diags;
-    }
+    let structural_ok = diags.is_empty();
+
+    // -- acyclicity: the guarded sort, which skips the dead references
+    //    reported above ---------------------------------------------------
+    let order = match g.try_topological_order() {
+        Ok(order) => order,
+        Err(cycle_rule) => {
+            diags.push(err(
+                "rule-cycle",
+                format!("rule graph has a cycle through {cycle_rule}"),
+            ));
+            return diags;
+        }
+    };
     if !structural_ok {
         return diags;
     }
 
-    // The grammar is now a structurally sound DAG: the index (and with it
-    // the event-position annotation) is safe to build.
-    let index = opts.annotate_positions.then(|| GrammarIndex::build(g));
-    let starts = index.as_ref().map(|ix| ix.rule_first_starts(g));
+    // The grammar is now a structurally sound DAG: an index (and with it
+    // the event-position annotation) is safe to build, on first need.
+    let own_index = OnceCell::new();
+    let starts = OnceCell::new();
     let annotate = |d: Diagnostic| -> Diagnostic {
-        if let (Some(ix), Some(starts), Some(r), Some(pos)) =
-            (index.as_ref(), starts.as_ref(), d.rule, d.pos)
-        {
-            if let Some(start) = starts.get(r as usize).copied().flatten() {
-                return d.near_event(start + ix.prefix_len(RuleId(r), pos));
-            }
+        let (true, Some(r), Some(pos)) = (opts.annotate_positions, d.rule, d.pos) else {
+            return d;
+        };
+        let ix = index.unwrap_or_else(|| own_index.get_or_init(|| GrammarIndex::build(g)));
+        let starts = starts.get_or_init(|| ix.rule_first_starts(g));
+        match starts.get(r as usize).copied().flatten() {
+            Some(start) => d.near_event(start + ix.prefix_len(RuleId(r), pos)),
+            None => d,
         }
-        d
     };
 
     // -- digram uniqueness + run merging + refcount collection ------------
-    let mut pairs: FxHashMap<(Symbol, Symbol), Loc> = FxHashMap::default();
-    let mut refcounts: FxHashMap<RuleId, u32> = FxHashMap::default();
+    let total_uses = g.iter_rules().map(|(_, r)| r.body.len()).sum();
+    let mut pairs: FxHashMap<(Symbol, Symbol), Loc> =
+        FxHashMap::with_capacity_and_hasher(total_uses, Default::default());
+    let mut refcounts = vec![0u64; g.rules_slots()];
     for (id, rule) in g.iter_rules() {
         if id != root && rule.body.len() == 1 && rule.body[0].count == 1 {
             diags.push(annotate(
@@ -132,7 +153,7 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
         }
         for (pos, u) in rule.body.iter().enumerate() {
             if let Symbol::Rule(r) = u.symbol {
-                *refcounts.entry(r).or_insert(0) += u.count;
+                refcounts[r.index()] += u.count as u64;
             }
             if pos + 1 < rule.body.len() {
                 let next = rule.body[pos + 1];
@@ -164,8 +185,8 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
 
     // -- refcount recount, rule utility, root refcount ---------------------
     for (id, rule) in g.iter_rules() {
-        let expected = refcounts.get(&id).copied().unwrap_or(0);
-        if rule.refcount != expected {
+        let expected = refcounts[id.index()];
+        if rule.refcount as u64 != expected {
             diags.push(annotate(
                 err(
                     "refcount-mismatch",
@@ -191,21 +212,18 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
         }
     }
 
-    // -- reachability ------------------------------------------------------
-    let mut reachable: FxHashSet<RuleId> = FxHashSet::default();
-    let mut stack = vec![root];
-    while let Some(r) = stack.pop() {
-        if !reachable.insert(r) {
-            continue;
-        }
-        for u in &g.rule(r).body {
-            if let Symbol::Rule(child) = u.symbol {
-                stack.push(child);
+    // -- reachability: one parents-first sweep of the sorted rules --------
+    let mut reachable = vec![false; g.rules_slots()];
+    reachable[root.index()] = true;
+    for &r in &order {
+        if reachable[r.index()] {
+            for child in g.rule(r).body.iter().filter_map(|u| u.symbol.rule()) {
+                reachable[child.index()] = true;
             }
         }
     }
     for (id, _) in g.iter_rules() {
-        if !reachable.contains(&id) {
+        if !reachable[id.index()] {
             diags.push(annotate(
                 warn(
                     "unreachable-rule",
@@ -218,7 +236,7 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
 
     // -- losslessness of length -------------------------------------------
     if let Some(expected) = opts.expected_events {
-        let got = g.trace_len();
+        let got = index.map_or_else(|| g.trace_len(), GrammarIndex::trace_len);
         if got != expected {
             diags.push(err(
                 "trace-length-mismatch",
@@ -228,46 +246,6 @@ pub fn lint_grammar(g: &Grammar, opts: &LintOptions) -> Vec<Diagnostic> {
     }
 
     diags
-}
-
-/// Three-color DFS over live rules, guarded against dead references; returns
-/// a rule on a cycle if one exists.
-fn find_cycle(g: &Grammar) -> Option<RuleId> {
-    let n = g.rules_slots();
-    let mut color = vec![0u8; n]; // 0 white, 1 grey, 2 black
-    for (start, _) in g.iter_rules() {
-        if color[start.index()] != 0 {
-            continue;
-        }
-        let mut stack = vec![(start, 0usize)];
-        color[start.index()] = 1;
-        'outer: while let Some(&(r, next)) = stack.last() {
-            let body = &g.rule(r).body;
-            let mut i = next;
-            while i < body.len() {
-                let sym = body[i].symbol;
-                i += 1;
-                if let Symbol::Rule(child) = sym {
-                    if !g.is_live(child) {
-                        continue; // flagged by the structural pass
-                    }
-                    match color[child.index()] {
-                        0 => {
-                            color[child.index()] = 1;
-                            stack.last_mut().unwrap().1 = i;
-                            stack.push((child, 0));
-                            continue 'outer;
-                        }
-                        1 => return Some(child),
-                        _ => {}
-                    }
-                }
-            }
-            color[r.index()] = 2;
-            stack.pop();
-        }
-    }
-    None
 }
 
 #[cfg(test)]

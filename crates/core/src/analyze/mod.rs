@@ -352,9 +352,10 @@ impl AnalysisReport {
 
 /// Runs the configured passes over a loaded trace.
 ///
-/// The linter runs per thread on the raw grammar (and is safe on corrupt,
-/// even cyclic, grammars — it never builds an index before proving the
-/// rule graph is a DAG). The protocol verifier, race detector and
+/// The linter runs per thread on the raw grammar and reads the thread's
+/// prebuilt [`crate::grammar::GrammarIndex`] for the length check and the
+/// position annotation (a loaded trace's grammars are acyclic, which the
+/// loader proves before indexing). The protocol verifier, race detector and
 /// predictability report only run when every thread's grammar carries no
 /// lint *error* (their summary algebra assumes an acyclic grammar, and
 /// their verdicts compare ranks against each other); pattern queries run
@@ -363,12 +364,14 @@ pub fn analyze_trace(trace: &TraceData, cfg: &AnalyzeConfig) -> AnalysisReport {
     let mut report = AnalysisReport::default();
     let mut sound = Vec::with_capacity(trace.thread_count());
     for (i, t) in trace.threads().iter().enumerate() {
-        let diags = lint::lint_grammar(
+        let index = t.index();
+        let diags = lint::lint_indexed(
             &t.grammar,
             &LintOptions {
                 expected_events: Some(t.event_count),
                 annotate_positions: true,
             },
+            Some(&index),
         );
         let ok = !diags.iter().any(|d| d.severity == Severity::Error);
         sound.push(ok);
@@ -386,13 +389,13 @@ pub fn analyze_trace(trace: &TraceData, cfg: &AnalyzeConfig) -> AnalysisReport {
                 .sum();
             report.threads.push(ThreadStats {
                 thread: i,
-                events: t.grammar.trace_len(),
+                events: index.trace_len(),
                 rules: t.grammar.rule_count(),
                 grammar_size,
                 compression_ratio: if grammar_size == 0 {
                     1.0
                 } else {
-                    t.grammar.trace_len() as f64 / grammar_size as f64
+                    index.trace_len() as f64 / grammar_size as f64
                 },
             });
         }

@@ -142,19 +142,8 @@ pub(crate) fn report(
 
         // Weighted bigram distribution in one pass over rule bodies.
         let mut bigrams: FxHashMap<(EventId, EventId), f64> = FxHashMap::default();
-        let edge = |sym: Symbol, first: bool| -> Option<EventId> {
-            match sym {
-                Symbol::Terminal(e) => Some(e),
-                Symbol::Rule(r) => {
-                    let m = ix.meta(r);
-                    if first {
-                        m.first_terminal
-                    } else {
-                        m.last_terminal
-                    }
-                }
-            }
-        };
+        // (Sound grammars use no empty rule, so every symbol has edges.)
+        let seam = |a: Symbol, b: Symbol| (ix.last_terminal(a), ix.first_terminal(b));
         for (id, rule) in g.iter_rules() {
             let exp = ix.expansion(id);
             if exp == 0.0 {
@@ -162,17 +151,11 @@ pub(crate) fn report(
             }
             for (pos, u) in rule.body.iter().enumerate() {
                 if u.count > 1 {
-                    if let (Some(last), Some(first)) = (edge(u.symbol, false), edge(u.symbol, true))
-                    {
-                        *bigrams.entry((last, first)).or_insert(0.0) += exp * (u.count - 1) as f64;
-                    }
+                    *bigrams.entry(seam(u.symbol, u.symbol)).or_insert(0.0) +=
+                        exp * (u.count - 1) as f64;
                 }
                 if let Some(next) = rule.body.get(pos + 1) {
-                    if let (Some(last), Some(first)) =
-                        (edge(u.symbol, false), edge(next.symbol, true))
-                    {
-                        *bigrams.entry((last, first)).or_insert(0.0) += exp;
-                    }
+                    *bigrams.entry(seam(u.symbol, next.symbol)).or_insert(0.0) += exp;
                 }
             }
         }
@@ -210,7 +193,8 @@ pub(crate) fn report(
             .iter()
             .map(|(&e, acc)| EventPredictability {
                 event: e,
-                name: trace.registry().name_of(e),
+                // Named below, for the rows that are reported only.
+                name: String::new(),
                 occurrences: ix
                     .occurrences(e)
                     .map(|occs| occs.iter().map(|&(_, w)| w).sum())
@@ -259,7 +243,7 @@ pub(crate) fn report(
                          ({} successors, {:.2} bits) is below the accuracy watchdog's \
                          tolerance {:.2} — an oracle predicting after this event risks \
                          quarantine",
-                        row.name,
+                        trace.registry().name_of(row.event),
                         row.best_probability,
                         row.successors,
                         row.entropy,
@@ -277,9 +261,12 @@ pub(crate) fn report(
             .collect();
         let grammar_size: u64 = g.iter_rules().map(|(_, r)| r.body.len() as u64).sum();
         rows.truncate(cfg.top);
+        for row in &mut rows {
+            row.name = trace.registry().name_of(row.event);
+        }
         out.threads.push(ThreadPredictability {
             thread,
-            events: g.trace_len(),
+            events: ix.trace_len(),
             rules: g.rule_count(),
             max_rule_len: non_root.iter().copied().max().unwrap_or(0),
             mean_rule_len: if non_root.is_empty() {
@@ -290,7 +277,7 @@ pub(crate) fn report(
             compression_ratio: if grammar_size == 0 {
                 1.0
             } else {
-                g.trace_len() as f64 / grammar_size as f64
+                ix.trace_len() as f64 / grammar_size as f64
             },
             mean_entropy,
             worst: rows,

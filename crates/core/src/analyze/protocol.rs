@@ -38,7 +38,7 @@
 use std::collections::BTreeMap;
 
 use crate::event::{EventId, EventRegistry};
-use crate::grammar::{Grammar, Symbol};
+use crate::grammar::{post_order, Grammar, Loc, Summary, Symbol};
 use crate::trace::TraceData;
 
 use super::{Diagnostic, Pass, Severity};
@@ -267,8 +267,9 @@ impl SeqSummary {
 /// The protocol-relevant summary of one rank's full event sequence.
 ///
 /// `BTreeMap`s keep peer iteration (and equality) deterministic. All counts
-/// saturate: a grammar can legally encode more repetitions than `u64::MAX`
-/// events, and the verifier only ever compares counts.
+/// saturate: a loaded grammar expands to at most `u64::MAX` events (the
+/// loader rejects longer ones), but one built in memory is not checked,
+/// and the verifier only ever compares counts.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankProfile {
     /// Sends per destination rank (blocking + nonblocking + sendrecv).
@@ -323,9 +324,15 @@ impl RankProfile {
             EventClass::Completion | EventClass::Access { .. } | EventClass::Other => {}
         }
     }
+}
 
-    /// Appends `other` repeated `k` times (the composition step of the
-    /// bottom-up sweep).
+impl Summary for RankProfile {
+    type Context = ClassTable;
+
+    fn leaf(&mut self, classes: &ClassTable, e: EventId, count: u32, _at: Loc) {
+        self.add_class(classes.class(e), count as u64);
+    }
+
     fn append_scaled(&mut self, other: &RankProfile, k: u64) {
         for (&dest, &n) in &other.sends {
             bump(&mut self.sends, dest, n.saturating_mul(k));
@@ -363,25 +370,8 @@ pub fn profile_from_events(
 /// expanding the trace. The grammar must be a structurally sound DAG (run
 /// the linter first).
 pub fn profile_from_grammar(g: &Grammar, classes: &ClassTable) -> RankProfile {
-    let mut summaries: Vec<Option<RankProfile>> = vec![None; g.rules_slots()];
-    let order = g.topological_order(); // parents first
-    for &id in order.iter().rev() {
-        // children first
-        let mut p = RankProfile::default();
-        for u in &g.rule(id).body {
-            match u.symbol {
-                Symbol::Terminal(e) => p.add_class(classes.class(e), u.count as u64),
-                Symbol::Rule(r) => {
-                    let child = summaries[r.index()]
-                        .clone()
-                        .expect("topological order visits children first");
-                    p.append_scaled(&child, u.count as u64);
-                }
-            }
-        }
-        summaries[id.index()] = Some(p);
-    }
-    summaries[g.root().index()].take().unwrap_or_default()
+    let mut rules: Vec<RankProfile> = g.fold(classes);
+    std::mem::take(&mut rules[g.root().index()])
 }
 
 fn perr(code: &'static str, message: String) -> Diagnostic {
@@ -617,160 +607,80 @@ pub fn verify(profiles: &[RankProfile]) -> Vec<Diagnostic> {
 /// Finds a cycle in the wait-for graph, returned as the node sequence
 /// `a -> b -> ... -> a`. Deterministic (lowest start node, edge order).
 fn find_wait_cycle(edges: &[Vec<usize>]) -> Option<Vec<usize>> {
-    let n = edges.len();
-    let mut color = vec![0u8; n];
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        color[start] = 1;
-        'outer: while let Some(&(r, next)) = stack.last() {
-            let mut i = next;
-            while i < edges[r].len() {
-                let child = edges[r][i];
-                i += 1;
-                match color[child] {
-                    0 => {
-                        color[child] = 1;
-                        stack.last_mut().unwrap().1 = i;
-                        stack.push((child, 0));
-                        continue 'outer;
-                    }
-                    1 => {
-                        // Unwind the stack down to `child` to report the loop.
-                        let pos = stack.iter().position(|&(x, _)| x == child).unwrap();
-                        let mut cycle: Vec<usize> = stack[pos..].iter().map(|&(x, _)| x).collect();
-                        cycle.push(child);
-                        return Some(cycle);
-                    }
-                    _ => {}
-                }
-            }
-            color[r] = 2;
-            stack.pop();
-        }
-    }
-    None
+    let successors = |r: usize| edges[r].iter().copied();
+    post_order(edges.len(), |r| r, 0..edges.len(), successors).err()
 }
 
-/// Per-rule collective structure, memoized children-first: how many
-/// collectives one expansion of the rule contains, its expanded length,
-/// and the [`SeqSummary`] of its collective-token sequence.
-struct CollectiveMemo {
-    counts: Vec<u64>,
-    lens: Vec<u64>,
-    sums: Vec<SeqSummary>,
+/// The collective structure of one expansion of a symbol: how many
+/// collectives it contains, its expanded length, and the [`SeqSummary`]
+/// of its collective-token sequence.
+#[derive(Debug, Clone, Copy, Default)]
+struct Collectives(u64, u64, SeqSummary);
+
+impl Collectives {
+    fn of_event(classes: &ClassTable, e: EventId) -> Self {
+        match classes.class(e) {
+            EventClass::Collective { token } => Collectives(1, 1, SeqSummary::token(token)),
+            _ => Collectives(0, 1, SeqSummary::EMPTY),
+        }
+    }
 }
 
-impl CollectiveMemo {
-    fn build(g: &Grammar, classes: &ClassTable) -> CollectiveMemo {
-        let slots = g.rules_slots();
-        let mut memo = CollectiveMemo {
-            counts: vec![0; slots],
-            lens: vec![0; slots],
-            sums: vec![SeqSummary::EMPTY; slots],
-        };
-        let order = g.topological_order(); // parents first
-        for &id in order.iter().rev() {
-            let (mut count, mut len, mut sum) = (0u64, 0u64, SeqSummary::EMPTY);
-            for u in &g.rule(id).body {
-                let k = u.count as u64;
-                let (c, l, s) = memo.of(u.symbol, classes);
-                count = count.saturating_add(c.saturating_mul(k));
-                len = len.saturating_add(l.saturating_mul(k));
-                sum = sum.concat(s.repeat(k));
-            }
-            memo.counts[id.index()] = count;
-            memo.lens[id.index()] = len;
-            memo.sums[id.index()] = sum;
-        }
-        memo
+impl Summary for Collectives {
+    type Context = ClassTable;
+
+    fn leaf(&mut self, classes: &ClassTable, e: EventId, count: u32, _at: Loc) {
+        self.append_scaled(&Collectives::of_event(classes, e), count as u64);
     }
 
-    /// `(collectives, expanded length, collective summary)` of a single
-    /// expansion of `symbol`.
-    fn of(&self, symbol: Symbol, classes: &ClassTable) -> (u64, u64, SeqSummary) {
-        match symbol {
-            Symbol::Terminal(e) => match classes.class(e) {
-                EventClass::Collective { token } => (1, 1, SeqSummary::token(token)),
-                _ => (0, 1, SeqSummary::EMPTY),
-            },
-            Symbol::Rule(r) => (
-                self.counts[r.index()],
-                self.lens[r.index()],
-                self.sums[r.index()],
-            ),
-        }
+    fn append_scaled(&mut self, other: &Self, k: u64) {
+        self.0 = self.0.saturating_add(other.0.saturating_mul(k));
+        self.1 = self.1.saturating_add(other.1.saturating_mul(k));
+        self.2 = self.2.concat(other.2.repeat(k));
     }
+}
 
-    /// Summary of the first `n` collectives of the grammar, by
-    /// exponent-aware descent: whole repetitions contribute via
-    /// [`SeqSummary::repeat`], the partial iteration recurses. O(depth ·
-    /// body width), never O(n).
-    fn prefix(&self, g: &Grammar, classes: &ClassTable, mut n: u64) -> SeqSummary {
-        let mut acc = SeqSummary::EMPTY;
-        let mut rule = g.root();
-        'descend: loop {
-            for u in &g.rule(rule).body {
-                if n == 0 {
-                    return acc;
-                }
-                let k = u.count as u64;
-                let (c, _, s) = self.of(u.symbol, classes);
-                if c == 0 {
-                    continue;
-                }
-                let total = c.saturating_mul(k);
-                if total <= n {
-                    acc = acc.concat(s.repeat(k));
-                    n -= total;
-                    continue;
-                }
-                match u.symbol {
-                    // A terminal contributes one collective per repetition.
-                    Symbol::Terminal(_) => return acc.concat(s.repeat(n)),
-                    Symbol::Rule(r) => {
-                        let full = n / c;
-                        acc = acc.concat(s.repeat(full));
-                        n -= full * c;
-                        rule = r;
-                        continue 'descend;
-                    }
+/// Walks `g` from the root towards its collective ordinal `n` (0-based),
+/// exponent-aware, with the per-rule [`Collectives`] `memo` of
+/// [`Grammar::fold`]: every use wholly before the ordinal goes to `take`
+/// with its repetition count, and so do the whole repetitions of a rule
+/// use before the walk descends into it. Returns the terminal use holding
+/// the ordinal with how many of its repetitions precede it, or `None` when
+/// the grammar has `<= n` collectives. O(depth · body width), never O(n).
+fn descend(
+    g: &Grammar,
+    memo: &[Collectives],
+    classes: &ClassTable,
+    mut n: u64,
+    mut take: impl FnMut(Collectives, u64),
+) -> Option<(u64, Collectives)> {
+    let mut rule = g.root();
+    'descend: loop {
+        for u in &g.rule(rule).body {
+            let reps = u.count as u64;
+            let c = match u.symbol {
+                Symbol::Terminal(e) => Collectives::of_event(classes, e),
+                Symbol::Rule(r) => memo[r.index()],
+            };
+            let total = c.0.saturating_mul(reps);
+            if total <= n {
+                take(c, reps);
+                n -= total;
+                continue;
+            }
+            match u.symbol {
+                // A terminal contributes one collective per repetition.
+                Symbol::Terminal(_) => return Some((n, c)),
+                Symbol::Rule(r) => {
+                    let full = n / c.0;
+                    take(c, full);
+                    n -= full * c.0;
+                    rule = r;
+                    continue 'descend;
                 }
             }
-            return acc;
         }
-    }
-
-    /// Expanded-stream index of collective ordinal `k` (0-based), by the
-    /// same descent. `None` when the grammar has `<= k` collectives.
-    fn nth_index(&self, g: &Grammar, classes: &ClassTable, mut k: u64) -> Option<u64> {
-        let mut idx = 0u64;
-        let mut rule = g.root();
-        'descend: loop {
-            for u in &g.rule(rule).body {
-                let reps = u.count as u64;
-                let (c, l, _) = self.of(u.symbol, classes);
-                let total = c.saturating_mul(reps);
-                if total <= k {
-                    k -= total;
-                    idx = idx.saturating_add(l.saturating_mul(reps));
-                    continue;
-                }
-                match u.symbol {
-                    Symbol::Terminal(_) => return Some(idx + k),
-                    Symbol::Rule(r) => {
-                        let full = k / c;
-                        k -= full * c;
-                        idx = idx.saturating_add(l.saturating_mul(full));
-                        rule = r;
-                        continue 'descend;
-                    }
-                }
-            }
-            return None;
-        }
+        return None;
     }
 }
 
@@ -786,12 +696,24 @@ pub fn collective_divergence_point(
     gr: &Grammar,
     classes: &ClassTable,
 ) -> Option<(u64, Option<u64>)> {
-    let m0 = CollectiveMemo::build(g0, classes);
-    let mr = CollectiveMemo::build(gr, classes);
-    let len0 = m0.counts[g0.root().index()];
-    let lenr = mr.counts[gr.root().index()];
+    let (m0, mr): (Vec<Collectives>, Vec<Collectives>) = (g0.fold(classes), gr.fold(classes));
+    let (len0, lenr) = (m0[g0.root().index()].0, mr[gr.root().index()].0);
     let minlen = len0.min(lenr);
-    let eq = |n: u64| m0.prefix(g0, classes, n) == mr.prefix(gr, classes, n);
+    // Summary of the first `n` collectives of a grammar.
+    let prefix = |g: &Grammar, memo: &[Collectives], n: u64| {
+        let mut acc = SeqSummary::EMPTY;
+        let rest = descend(g, memo, classes, n, |c, k| acc = acc.concat(c.2.repeat(k)));
+        rest.map_or(acc, |(r, c)| acc.concat(c.2.repeat(r)))
+    };
+    // Expanded-stream index of collective ordinal `k` of the second rank.
+    let nth_index = |k: u64| {
+        let mut idx = 0u64;
+        let rest = descend(gr, &mr, classes, k, |c, reps| {
+            idx = idx.saturating_add(c.1.saturating_mul(reps))
+        });
+        rest.map(|(r, _)| idx + r)
+    };
+    let eq = |n: u64| prefix(g0, &m0, n) == prefix(gr, &mr, n);
     let k = if eq(minlen) {
         if len0 == lenr {
             return None;
@@ -812,9 +734,9 @@ pub fn collective_divergence_point(
         lo
     };
     let index = if k < lenr {
-        mr.nth_index(gr, classes, k)
+        nth_index(k)
     } else if lenr > 0 {
-        mr.nth_index(gr, classes, lenr - 1)
+        nth_index(lenr - 1)
     } else {
         None
     };

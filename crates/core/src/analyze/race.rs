@@ -40,7 +40,8 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::grammar::{Grammar, Symbol};
+use crate::event::EventId;
+use crate::grammar::{Grammar, Loc, Summary};
 
 use super::protocol::{ClassTable, EventClass};
 use super::{Diagnostic, Pass, Severity};
@@ -322,9 +323,14 @@ pub struct RaceSummary {
     pub writes: BTreeMap<i64, EpochSet>,
 }
 
-impl RaceSummary {
-    /// Appends `other` repeated `k` times (the bottom-up composition
-    /// step). `self`'s current totals are the frame offset.
+impl Summary for RaceSummary {
+    type Context = ClassTable;
+
+    fn leaf(&mut self, classes: &ClassTable, e: EventId, count: u32, at: Loc) {
+        self.record(classes.class(e), count as u64, Some((at.rule.0, at.pos)));
+    }
+
+    /// `self`'s current totals are the frame offset.
     fn append_scaled(&mut self, other: &RaceSummary, k: u64) {
         for (maps, other_map) in [
             (&mut self.reads, &other.reads),
@@ -347,21 +353,37 @@ impl RaceSummary {
         self.events = self.events.saturating_add(other.events.saturating_mul(k));
     }
 
-    fn record_access(&mut self, obj: i64, write: bool, site: Option<(u32, usize)>) {
-        let map = if write {
-            &mut self.writes
-        } else {
-            &mut self.reads
-        };
-        map.entry(obj)
-            .or_default()
-            .push(Ap::singleton(self.collectives, self.events, site));
-    }
-
-    fn normalize(&mut self) {
+    fn close(&mut self) {
         for set in self.reads.values_mut().chain(self.writes.values_mut()) {
             set.normalize();
         }
+    }
+}
+
+impl RaceSummary {
+    /// Appends `count` consecutive events of one class. All repetitions
+    /// of an access share the epoch and the first has the smallest index,
+    /// so one singleton captures the set exactly.
+    fn record(&mut self, class: EventClass, count: u64, site: Option<(u32, usize)>) {
+        match class {
+            EventClass::Access { object, write } => {
+                let map = if write {
+                    &mut self.writes
+                } else {
+                    &mut self.reads
+                };
+                map.entry(object).or_default().push(Ap::singleton(
+                    self.collectives,
+                    self.events,
+                    site,
+                ));
+            }
+            EventClass::Collective { .. } => {
+                self.collectives = self.collectives.saturating_add(count)
+            }
+            _ => {}
+        }
+        self.events = self.events.saturating_add(count);
     }
 }
 
@@ -369,17 +391,12 @@ impl RaceSummary {
 /// compressed sweep must agree with (used by the consistency tests and the
 /// bench baseline).
 pub fn summary_from_events(
-    events: impl IntoIterator<Item = crate::event::EventId>,
+    events: impl IntoIterator<Item = EventId>,
     classes: &ClassTable,
 ) -> RaceSummary {
     let mut s = RaceSummary::default();
     for e in events {
-        match classes.class(e) {
-            EventClass::Access { object, write } => s.record_access(object, write, None),
-            EventClass::Collective { .. } => s.collectives += 1,
-            _ => {}
-        }
-        s.events += 1;
+        s.record(classes.class(e), 1, None);
     }
     s
 }
@@ -388,39 +405,8 @@ pub fn summary_from_events(
 /// without expanding the trace. The grammar must be a structurally sound
 /// DAG (run the linter first).
 pub fn summary_from_grammar(g: &Grammar, classes: &ClassTable) -> RaceSummary {
-    let mut summaries: Vec<Option<RaceSummary>> = vec![None; g.rules_slots()];
-    let order = g.topological_order(); // parents first
-    for &id in order.iter().rev() {
-        // children first
-        let mut s = RaceSummary::default();
-        for (pos, u) in g.rule(id).body.iter().enumerate() {
-            match u.symbol {
-                Symbol::Terminal(e) => match classes.class(e) {
-                    EventClass::Access { object, write } => {
-                        // All `count` repetitions share the epoch; the
-                        // first has the smallest index, so one singleton
-                        // captures the set exactly.
-                        s.record_access(object, write, Some((id.0, pos)));
-                        s.events = s.events.saturating_add(u.count as u64);
-                    }
-                    EventClass::Collective { .. } => {
-                        s.collectives = s.collectives.saturating_add(u.count as u64);
-                        s.events = s.events.saturating_add(u.count as u64);
-                    }
-                    _ => s.events = s.events.saturating_add(u.count as u64),
-                },
-                Symbol::Rule(r) => {
-                    let child = summaries[r.index()]
-                        .clone()
-                        .expect("topological order visits children first");
-                    s.append_scaled(&child, u.count as u64);
-                }
-            }
-        }
-        s.normalize();
-        summaries[id.index()] = Some(s);
-    }
-    summaries[g.root().index()].take().unwrap_or_default()
+    let mut rules: Vec<RaceSummary> = g.fold(classes);
+    std::mem::take(&mut rules[g.root().index()])
 }
 
 /// Smallest epoch two progressions share, via CRT (extended Euclid) when

@@ -5,23 +5,27 @@
 //! and distance-`x` simulation needs to know how many terminals a symbol
 //! expands to so whole subtrees can be skipped in O(1). A [`GrammarIndex`]
 //! computes all of that once, at trace-load time, and is shared (`Arc`) by
-//! every predictor over the same thread trace:
+//! every predictor and every analyzer pass over the same thread trace:
 //!
 //! * per-rule metadata: expanded terminal length (exponents included),
 //!   first/last terminal, expansion count as `f64`;
-//! * per-rule *suffix lengths*: expanded length of `body[pos..]`, so a
-//!   forward simulation can skip the whole tail of a rule body in O(1);
-//! * use sites of every rule (for upward extension of partial paths);
-//! * the **occurrence index**: `EventId -> [(Loc, weight)]` with
-//!   `weight = expansions(rule) × count`, exactly the quantity
-//!   `Predictor::seed` needs, in the same deterministic (rule, pos) order
-//!   as [`Grammar::terminal_uses`];
 //! * the **body arena**: every live rule body copied into one contiguous
 //!   `Vec<SymbolUse>` slab (slot order), addressed by per-rule spans.
 //!   [`GrammarIndex::body`] serves the same slices as
-//!   `Grammar::rule(r).body` but without chasing a per-rule heap `Vec`,
-//!   so the observe/predict walkers and the analyzer passes stream
-//!   cache-linear memory instead of pointer-hopping.
+//!   `Grammar::rule(r).body` without chasing a per-rule heap `Vec`;
+//! * *suffix lengths*, one flat array beside the arena: the expanded
+//!   length of `body[pos..]`, so a forward simulation can skip the whole
+//!   tail of a rule body in O(1);
+//! * use sites of every rule (for upward extension of partial paths), one
+//!   flat array grouped by rule and addressed by per-rule offsets;
+//! * the **occurrence index**: `EventId -> [(Loc, weight)]` with
+//!   `weight = expansions(rule) × count`, exactly the quantity
+//!   `Predictor::seed` needs, in the same deterministic (rule, pos) order
+//!   as [`Grammar::terminal_uses`] — one flat array grouped by event,
+//!   addressed by per-event offsets.
+//!
+//! No list is a heap allocation of its own, so a build allocates a fixed
+//! number of times, and the walkers and passes stream cache-linear memory.
 //!
 //! The index is valid only for the exact grammar it was built from; it is
 //! attached to the immutable post-compaction grammar inside a
@@ -51,83 +55,143 @@ pub struct RuleMeta {
 pub struct GrammarIndex {
     /// Per-slot rule metadata (vacant slots hold zeroed entries).
     metas: Vec<RuleMeta>,
-    /// Per-slot suffix lengths: `suffix_lens[r][pos]` is the expanded
-    /// length of `body[pos..]` (full exponents); one extra trailing `0`.
-    suffix_lens: Vec<Vec<u64>>,
-    /// Use sites of every rule, indexed by rule slot.
-    rule_uses: Vec<Vec<Loc>>,
-    /// Every terminal occurrence with its seed weight
-    /// (`expansions(rule) × count`), in deterministic (rule, pos) order.
-    occurrences: FxHashMap<EventId, Vec<(Loc, f64)>>,
     /// All live rule bodies packed back to back, in rule-slot order.
     arena: Vec<SymbolUse>,
     /// Per-slot `(offset, len)` spans into [`GrammarIndex::arena`]
-    /// (vacant slots hold `(0, 0)`).
+    /// (a vacant slot has length 0).
     spans: Vec<(u32, u32)>,
+    /// Suffix lengths, `len + 1` entries per slot from `spans[r].0 + r`
+    /// on: entry `pos` is the expanded length of `body[pos..]` (full
+    /// exponents), the last one `0`.
+    suffix: Vec<u64>,
+    /// Use sites of every rule, grouped by the rule used, each group in
+    /// (rule, pos) order: rule `r`'s are
+    /// `uses[use_offsets[r]..use_offsets[r + 1]]`.
+    uses: Vec<Loc>,
+    /// Per-slot offsets into [`GrammarIndex::uses`], one extra at the end.
+    use_offsets: Vec<u32>,
+    /// Every terminal occurrence with its seed weight
+    /// (`expansions(rule) × count`), grouped by event, each group in
+    /// (rule, pos) order: the `k`-th event's are
+    /// `occurrences[event_offsets[k]..event_offsets[k + 1]]`.
+    occurrences: Vec<(Loc, f64)>,
+    /// Per-event offsets into [`GrammarIndex::occurrences`], one extra at
+    /// the end.
+    event_offsets: Vec<u32>,
+    /// The number `k` of every event the grammar uses (in order of first
+    /// use).
+    events: FxHashMap<EventId, u32>,
     /// Total trace length (expanded length of the root).
     trace_len: u64,
 }
 
 impl GrammarIndex {
-    /// Builds the index in one pass over the rule bodies plus one
-    /// topological sweep for lengths and terminals. O(grammar size).
+    /// Builds the index: the bodies packed, one topological sort, one
+    /// sweep along it each way (lengths children first, expansion counts
+    /// parents first), then use sites and occurrences placed by a
+    /// counting sort. O(grammar size), and a fixed number of allocations.
     pub fn build(g: &Grammar) -> Self {
         let n = g.rules_slots();
-        let mut metas = vec![RuleMeta::default(); n];
-        for (i, c) in g.expansion_counts().into_iter().enumerate() {
-            metas[i].expansions = c as f64;
-        }
-        // Children-first sweep: topological order is parents-first.
-        let order = g.topological_order();
-        for &id in order.iter().rev() {
-            let body = &g.rule(id).body;
-            let mut len = 0u64;
-            for u in body {
-                len += u.count as u64 * symbol_len(&metas, u.symbol);
-            }
-            metas[id.index()].expanded_len = len;
-            metas[id.index()].first_terminal = body
-                .first()
-                .map(|u| edge_terminal(&metas, u.symbol, /*first=*/ true));
-            metas[id.index()].last_terminal = body
-                .last()
-                .map(|u| edge_terminal(&metas, u.symbol, /*first=*/ false));
-        }
-        // Suffix lengths, use sites, the occurrence index, and the body
-        // arena in one scan.
-        let mut suffix_lens = vec![Vec::new(); n];
-        let mut rule_uses: Vec<Vec<Loc>> = vec![Vec::new(); n];
-        let mut occurrences: FxHashMap<EventId, Vec<(Loc, f64)>> = FxHashMap::default();
         let total_uses: usize = g.iter_rules().map(|(_, r)| r.body.len()).sum();
+        // Pack the bodies; number the events in order of first use; count
+        // each rule's use sites and each event's occurrences.
         let mut arena: Vec<SymbolUse> = Vec::with_capacity(total_uses);
-        let mut spans: Vec<(u32, u32)> = vec![(0, 0); n];
-        for (id, rule) in g.iter_rules() {
-            spans[id.index()] = (arena.len() as u32, rule.body.len() as u32);
-            arena.extend_from_slice(&rule.body);
-            let mut suffix = vec![0u64; rule.body.len() + 1];
-            for (pos, u) in rule.body.iter().enumerate().rev() {
-                suffix[pos] = suffix[pos + 1] + u.count as u64 * symbol_len(&metas, u.symbol);
-            }
-            suffix_lens[id.index()] = suffix;
-            for (pos, u) in rule.body.iter().enumerate() {
-                let loc = Loc { rule: id, pos };
+        let mut spans: Vec<(u32, u32)> = Vec::with_capacity(n);
+        let mut events: FxHashMap<EventId, u32> =
+            FxHashMap::with_capacity_and_hasher(total_uses, Default::default());
+        let mut event_at = vec![0u32; total_uses];
+        let mut use_offsets = vec![0u32; n + 1];
+        let mut event_offsets = vec![0u32; total_uses + 1];
+        for slot in &g.rules {
+            let body = slot.as_ref().map_or(&[][..], |r| r.body.as_slice());
+            spans.push((arena.len() as u32, body.len() as u32));
+            for u in body {
                 match u.symbol {
                     Symbol::Terminal(e) => {
-                        let weight = metas[id.index()].expansions * u.count as f64;
-                        occurrences.entry(e).or_default().push((loc, weight));
+                        let next = events.len() as u32;
+                        let k = *events.entry(e).or_insert(next);
+                        event_offsets[k as usize] += 1;
+                        event_at[arena.len()] = k;
                     }
-                    Symbol::Rule(r) => rule_uses[r.index()].push(loc),
+                    Symbol::Rule(r) => use_offsets[r.index()] += 1,
+                }
+                arena.push(*u);
+            }
+        }
+        let body = |r: usize| &arena[spans[r].0 as usize..][..spans[r].1 as usize];
+
+        let order = g.topological_order();
+        // Children first: suffix lengths, hence expanded lengths, and the
+        // edge terminals.
+        let mut metas = vec![RuleMeta::default(); n];
+        let mut suffix = vec![0u64; total_uses + n];
+        for &id in order.iter().rev() {
+            let body = body(id.index());
+            let sfx = &mut suffix[spans[id.index()].0 as usize + id.index()..][..body.len() + 1];
+            for (pos, u) in body.iter().enumerate().rev() {
+                sfx[pos] = sfx[pos + 1] + u.count as u64 * symbol_len(&metas, u.symbol);
+            }
+            metas[id.index()] = RuleMeta {
+                expanded_len: sfx[0],
+                expansions: 0.0,
+                first_terminal: body.first().map(|u| edge_terminal(&metas, u.symbol, true)),
+                last_terminal: body.last().map(|u| edge_terminal(&metas, u.symbol, false)),
+            };
+        }
+        // Parents first: expansion counts, exact in `u64` before the
+        // conversion the weights use.
+        let mut counts = vec![0u64; n];
+        counts[g.root().index()] = 1;
+        for &id in &order {
+            let c = counts[id.index()];
+            metas[id.index()].expansions = c as f64;
+            for u in body(id.index()) {
+                if let Symbol::Rule(r) = u.symbol {
+                    counts[r.index()] += c * u.count as u64;
+                }
+            }
+        }
+
+        // Turn the counts into group ends, then place use sites and
+        // weighted occurrences back to front, moving each group's end to
+        // its start: every group keeps (rule, pos) order.
+        event_offsets.truncate(events.len() + 1);
+        for offsets in [&mut use_offsets, &mut event_offsets] {
+            for k in 1..offsets.len() {
+                offsets[k] += offsets[k - 1];
+            }
+        }
+        let nowhere = Loc {
+            rule: g.root(),
+            pos: 0,
+        };
+        let mut uses = vec![nowhere; use_offsets[n] as usize];
+        let mut occurrences = vec![(nowhere, 0.0); total_uses - uses.len()];
+        for (slot, &(off, _)) in spans.iter().enumerate().rev() {
+            let rule = RuleId(slot as u32);
+            for (pos, u) in body(slot).iter().enumerate().rev() {
+                if let Symbol::Rule(r) = u.symbol {
+                    use_offsets[r.index()] -= 1;
+                    uses[use_offsets[r.index()] as usize] = Loc { rule, pos };
+                } else {
+                    let end = &mut event_offsets[event_at[off as usize + pos] as usize];
+                    *end -= 1;
+                    let weight = metas[slot].expansions * u.count as f64;
+                    occurrences[*end as usize] = (Loc { rule, pos }, weight);
                 }
             }
         }
         let trace_len = metas[g.root().index()].expanded_len;
         GrammarIndex {
             metas,
-            suffix_lens,
-            rule_uses,
-            occurrences,
             arena,
             spans,
+            suffix,
+            uses,
+            use_offsets,
+            occurrences,
+            event_offsets,
+            events,
             trace_len,
         }
     }
@@ -179,15 +243,15 @@ impl GrammarIndex {
     /// `pos == body.len()` yields 0.
     #[inline]
     pub fn suffix_len(&self, r: RuleId, pos: usize) -> u64 {
-        self.suffix_lens[r.index()][pos]
+        debug_assert!(pos <= self.spans[r.index()].1 as usize);
+        self.suffix[self.spans[r.index()].0 as usize + r.index() + pos]
     }
 
     /// Expanded length of `body[..pos]` of rule `r` — the offset of
     /// position `pos` inside one expansion of the rule. O(1).
     #[inline]
     pub fn prefix_len(&self, r: RuleId, pos: usize) -> u64 {
-        let s = &self.suffix_lens[r.index()];
-        s[0] - s[pos]
+        self.suffix_len(r, 0) - self.suffix_len(r, pos)
     }
 
     /// For every rule slot, the index (into the expanded trace) at which
@@ -203,7 +267,7 @@ impl GrammarIndex {
                 continue;
             };
             let mut offset = 0u64;
-            for u in &g.rule(id).body {
+            for u in self.body(id) {
                 if let Symbol::Rule(child) = u.symbol {
                     let candidate = s + offset;
                     if starts[child.index()].is_none_or(|cur| candidate < cur) {
@@ -219,36 +283,39 @@ impl GrammarIndex {
     /// First terminal produced when expanding `symbol`, in O(1).
     #[inline]
     pub fn first_terminal(&self, symbol: Symbol) -> EventId {
-        match symbol {
-            Symbol::Terminal(e) => e,
-            Symbol::Rule(r) => self.metas[r.index()]
-                .first_terminal
-                .expect("empty rule body"),
-        }
+        edge_terminal(&self.metas, symbol, true)
+    }
+
+    /// Last terminal produced when expanding `symbol`, in O(1).
+    #[inline]
+    pub fn last_terminal(&self, symbol: Symbol) -> EventId {
+        edge_terminal(&self.metas, symbol, false)
     }
 
     /// Use sites of rule `r`.
     #[inline]
     pub fn rule_uses(&self, r: RuleId) -> &[Loc] {
-        &self.rule_uses[r.index()]
+        &self.uses[self.use_offsets[r.index()] as usize..self.use_offsets[r.index() + 1] as usize]
     }
 
     /// All occurrences of `event` with their seed weights, or `None` if the
     /// event never occurred in the reference execution.
     #[inline]
     pub fn occurrences(&self, event: EventId) -> Option<&[(Loc, f64)]> {
-        self.occurrences.get(&event).map(Vec::as_slice)
+        let k = *self.events.get(&event)? as usize;
+        let (start, end) = (self.event_offsets[k], self.event_offsets[k + 1]);
+        Some(&self.occurrences[start as usize..end as usize])
     }
 
     /// Whether `event` occurred in the reference execution. O(1).
     #[inline]
     pub fn knows_event(&self, event: EventId) -> bool {
-        self.occurrences.contains_key(&event)
+        self.events.contains_key(&event)
     }
 
     /// Number of distinct terminals in the grammar.
     pub fn distinct_events(&self) -> usize {
-        self.occurrences.len()
+        self.events.len()
     }
 
     /// Total trace length (expanded length of the root).

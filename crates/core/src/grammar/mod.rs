@@ -18,8 +18,10 @@
 //!    `aⁿ aᵐ` are merged into `aⁿ⁺ᵐ`.
 //!
 //! This module holds the passive data structures plus read-side algorithms
-//! (unfolding, occurrence counting, pretty-printing); the on-line reduction
-//! lives in [`builder`], and the debug validator in [`invariants`].
+//! (unfolding, occurrence counting, the children-first [`Grammar::fold`]
+//! every compressed-domain summary is built by, pretty-printing); the
+//! on-line reduction lives in [`builder`], and the debug validator in
+//! [`invariants`].
 
 pub mod builder;
 pub mod index;
@@ -123,6 +125,24 @@ pub struct Loc {
     pub rule: RuleId,
     /// Index of the symbol use within the rule body.
     pub pos: usize,
+}
+
+/// A per-rule summary that [`Grammar::fold`] composes bottom-up: the
+/// summary of a rule body is the concatenation of its uses, and a use
+/// `sᵏ` of a rule contributes that rule's summary repeated `k` times.
+pub trait Summary: Default {
+    /// What leaves are classified against (e.g. an event-class table).
+    type Context: ?Sized;
+
+    /// Appends `count` consecutive occurrences of `event`, used at `at`.
+    fn leaf(&mut self, cx: &Self::Context, event: EventId, count: u32, at: Loc);
+
+    /// Appends `child` repeated `k` times.
+    fn append_scaled(&mut self, child: &Self, k: u64);
+
+    /// Called once the whole body is appended, before any parent reads
+    /// the summary.
+    fn close(&mut self) {}
 }
 
 /// The trace grammar: a set of rules with a designated root.
@@ -287,48 +307,49 @@ impl Grammar {
     /// (root first). Panics if the rule graph has a cycle, which the builder
     /// never produces.
     pub fn topological_order(&self) -> Vec<RuleId> {
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
-        let mut marks = vec![Mark::White; self.rules.len()];
-        let mut order = Vec::with_capacity(self.rules.len());
-        // Iterative post-order DFS over rule references.
-        for (start, _) in self.iter_rules() {
-            if marks[start.index()] != Mark::White {
-                continue;
-            }
-            let mut stack: Vec<(RuleId, usize)> = vec![(start, 0)];
-            marks[start.index()] = Mark::Grey;
-            'outer: while let Some(&(r, next)) = stack.last() {
-                let body_len = self.rule(r).body.len();
-                let mut i = next;
-                while i < body_len {
-                    let sym = self.rule(r).body[i].symbol;
-                    i += 1;
-                    if let Symbol::Rule(child) = sym {
-                        match marks[child.index()] {
-                            Mark::White => {
-                                marks[child.index()] = Mark::Grey;
-                                stack.last_mut().unwrap().1 = i;
-                                stack.push((child, 0));
-                                continue 'outer;
-                            }
-                            Mark::Grey => panic!("grammar rule graph has a cycle at {child}"),
-                            Mark::Black => {}
-                        }
-                    }
-                }
-                marks[r.index()] = Mark::Black;
-                order.push(r);
-                stack.pop();
-            }
-        }
+        self.try_topological_order()
+            .unwrap_or_else(|r| panic!("grammar rule graph has a cycle at {r}"))
+    }
+
+    /// [`Grammar::topological_order`] for grammars nobody vouches for: a
+    /// cycle is returned as `Err` with a rule on it, and references to
+    /// vacant or out-of-range slots are skipped (the structural checks of
+    /// the linter and the loader report those).
+    pub fn try_topological_order(&self) -> Result<Vec<RuleId>, RuleId> {
+        let live = |u: &SymbolUse| u.symbol.rule().filter(|&r| self.is_live(r));
+        let mut order = post_order(
+            self.rules.len(),
+            RuleId::index,
+            self.iter_rules().map(|(id, _)| id),
+            |r| self.rule(r).body.iter().filter_map(live),
+        )
+        .map_err(|cycle| cycle[cycle.len() - 1])?;
         // Post-order gives children first; reverse for parents-first.
         order.reverse();
-        order
+        Ok(order)
+    }
+
+    /// Folds every live rule into a [`Summary`], children first: a rule's
+    /// summary is its body's terminals ([`Summary::leaf`]) and child
+    /// summaries ([`Summary::append_scaled`], borrowed, scaled by the
+    /// use's exponent) appended in body order. Returns the summaries
+    /// indexed by rule slot (vacant slots hold `S::default()`); the root's
+    /// is the whole trace's. O(|grammar|) calls, never O(|trace|). The
+    /// rule graph must be acyclic.
+    pub fn fold<S: Summary>(&self, cx: &S::Context) -> Vec<S> {
+        let mut sums: Vec<S> = (0..self.rules.len()).map(|_| S::default()).collect();
+        for &id in self.topological_order().iter().rev() {
+            let mut s = S::default();
+            for (pos, u) in self.rule(id).body.iter().enumerate() {
+                match u.symbol {
+                    Symbol::Terminal(e) => s.leaf(cx, e, u.count, Loc { rule: id, pos }),
+                    Symbol::Rule(r) => s.append_scaled(&sums[r.index()], u.count as u64),
+                }
+            }
+            s.close();
+            sums[id.index()] = s;
+        }
+        sums
     }
 
     /// First terminal produced when expanding `symbol`.
@@ -440,6 +461,53 @@ impl Grammar {
         }
         out
     }
+}
+
+/// Iterative three-colour depth-first search from each of `starts` in
+/// turn, over nodes numbered `index(node) < n` whose successors
+/// `children` lists. Returns every node reached in post-order (successors
+/// first), or, at the first edge that closes a cycle, the path from the
+/// search's root to that edge's target, the target repeated at the end.
+pub(crate) fn post_order<N: Copy, I: Iterator<Item = N>>(
+    n: usize,
+    index: impl Fn(N) -> usize,
+    starts: impl Iterator<Item = N>,
+    mut children: impl FnMut(N) -> I,
+) -> Result<Vec<N>, Vec<N>> {
+    let mut marks = vec![0u8; n]; // 0 white, 1 grey (on the path), 2 black
+    let mut order = Vec::with_capacity(n);
+    // One explicit stack for the whole search: a path never holds a node
+    // twice, so `n` frames always suffice.
+    let mut stack: Vec<(N, I)> = Vec::with_capacity(n);
+    for start in starts {
+        if marks[index(start)] != 0 {
+            continue;
+        }
+        marks[index(start)] = 1;
+        stack.push((start, children(start)));
+        while let Some((node, successors)) = stack.last_mut() {
+            let node = *node;
+            let Some(child) = successors.next() else {
+                marks[index(node)] = 2;
+                order.push(node);
+                stack.pop();
+                continue;
+            };
+            match marks[index(child)] {
+                0 => {
+                    marks[index(child)] = 1;
+                    stack.push((child, children(child)));
+                }
+                1 => {
+                    let from = stack.iter().position(|(x, _)| index(*x) == index(child));
+                    let path = stack[from.expect("a grey node is on the path")..].iter();
+                    return Err(path.map(|(x, _)| *x).chain([child]).collect());
+                }
+                _ => {}
+            }
+        }
+    }
+    Ok(order)
 }
 
 /// Lazy depth-first unfolding of a [`Grammar`] into its terminal sequence.

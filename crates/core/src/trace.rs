@@ -360,16 +360,17 @@ impl TraceData {
     /// Runs the grammar linter over every thread and rejects the trace on
     /// the first error-level violation.
     fn lint_strict(&self) -> Result<()> {
-        use crate::analyze::{lint_grammar, LintOptions, Severity};
+        use crate::analyze::{lint::lint_indexed, LintOptions, Severity};
         for (i, t) in self.threads.iter().enumerate() {
-            let diags = lint_grammar(
+            let diags = lint_indexed(
                 &t.grammar,
                 &LintOptions {
                     expected_events: Some(t.event_count),
-                    // Cheap mode on the load path: no event-position
-                    // annotation, no extra index build.
+                    // The error is all a strict load reports: no
+                    // event-position annotation.
                     annotate_positions: false,
                 },
+                Some(&t.index()),
             );
             if let Some(d) = diags.iter().find(|d| d.severity == Severity::Error) {
                 return Err(Error::Corrupt(format!(
@@ -608,6 +609,46 @@ mod tests {
             let root = p.grammar.rules[0].as_mut().unwrap();
             root.body[0].symbol = Symbol::Rule(RuleId(999));
         }));
+    }
+
+    /// `root → R1^m`, `R1 → R2^m`, `R2 → R3^m`, `R3 → a b` with
+    /// `m = u32::MAX`: 2·m³ events, past `u64::MAX`, declared as
+    /// `event_count`.
+    fn overflowing(event_count: u64) -> Vec<u8> {
+        use crate::event::EventId;
+        use crate::grammar::{Rule, SymbolUse};
+        let chain = |to: u32| Rule {
+            body: vec![SymbolUse::new(Symbol::Rule(RuleId(to)), u32::MAX)],
+            refcount: u32::MAX,
+        };
+        edited(|p| {
+            p.grammar.rules = vec![
+                Some(Rule {
+                    refcount: 0,
+                    ..chain(1)
+                }),
+                Some(chain(2)),
+                Some(chain(3)),
+                Some(Rule {
+                    body: vec![
+                        SymbolUse::new(Symbol::Terminal(EventId(0)), 1),
+                        SymbolUse::new(Symbol::Terminal(EventId(1)), 1),
+                    ],
+                    refcount: u32::MAX,
+                }),
+            ];
+            p.event_count = event_count;
+        })
+    }
+
+    #[test]
+    fn expansion_past_u64_rejected() {
+        assert_corrupt(&overflowing(12_345));
+        // The length a wrapping count would compute: 2·m³ mod 2⁶⁴.
+        let m = u32::MAX as u64;
+        let wrapped = m.wrapping_mul(m).wrapping_mul(m).wrapping_mul(2);
+        assert_eq!(wrapped, 25_769_803_774);
+        assert_corrupt(&overflowing(wrapped));
     }
 
     #[test]

@@ -234,10 +234,13 @@ pub(crate) fn get_grammar(buf: &mut &[u8]) -> Result<Grammar> {
 }
 
 /// Structural validation of a deserialized grammar: all rule references in
-/// bounds, rule graph acyclic (so loading a hostile file cannot make the
-/// predictor loop forever or index out of bounds).
+/// bounds, rule graph acyclic, and every rule's expansion no longer than
+/// `u64::MAX` events — so loading a hostile file cannot make the predictor
+/// loop forever, index out of bounds, or count past `u64` (once every
+/// rule's length fits, so does every count and length derived from it: a
+/// reachable rule's expansion count times its length is at most the trace
+/// length).
 pub(crate) fn validate_grammar(g: &Grammar) -> Result<()> {
-    let n = g.rule_count();
     for (id, rule) in g.iter_rules() {
         if id != g.root() && rule.body.is_empty() {
             return Err(Error::Corrupt(format!("empty body for rule {id}")));
@@ -247,7 +250,7 @@ pub(crate) fn validate_grammar(g: &Grammar) -> Result<()> {
                 return Err(Error::Corrupt("zero repetition count".into()));
             }
             if let Symbol::Rule(r) = u.symbol {
-                if r.index() >= n || !g.is_live(r) {
+                if !g.is_live(r) {
                     return Err(Error::Corrupt(format!(
                         "rule {id} references out-of-range rule {r}"
                     )));
@@ -255,42 +258,19 @@ pub(crate) fn validate_grammar(g: &Grammar) -> Result<()> {
             }
         }
     }
-    // Cycle detection (iterative three-color DFS, mirrors
-    // `Grammar::topological_order` but returns an error instead of
-    // panicking).
-    let mut color = vec![0u8; n]; // 0 white, 1 grey, 2 black
-    for start in 0..n {
-        if color[start] != 0 {
-            continue;
-        }
-        let mut stack = vec![(RuleId(start as u32), 0usize)];
-        color[start] = 1;
-        'outer: while let Some(&(r, next)) = stack.last() {
-            let body = &g.rule(r).body;
-            let mut i = next;
-            while i < body.len() {
-                let sym = body[i].symbol;
-                i += 1;
-                if let Symbol::Rule(child) = sym {
-                    match color[child.index()] {
-                        0 => {
-                            color[child.index()] = 1;
-                            stack.last_mut().unwrap().1 = i;
-                            stack.push((child, 0));
-                            continue 'outer;
-                        }
-                        1 => {
-                            return Err(Error::Corrupt(format!(
-                                "rule graph cycle through {child}"
-                            )));
-                        }
-                        _ => {}
-                    }
-                }
-            }
-            color[r.index()] = 2;
-            stack.pop();
-        }
+    let order = g
+        .try_topological_order()
+        .map_err(|r| Error::Corrupt(format!("rule graph cycle through {r}")))?;
+    // Expanded lengths, children first, with checked arithmetic.
+    let mut lens = vec![0u64; g.rules_slots()];
+    for &id in order.iter().rev() {
+        let len = g.rule(id).body.iter().try_fold(0u64, |len, u| {
+            let unit = u.symbol.rule().map_or(1, |r| lens[r.index()]);
+            (u.count as u64).checked_mul(unit)?.checked_add(len)
+        });
+        lens[id.index()] = len.ok_or_else(|| {
+            Error::Corrupt(format!("rule {id} expands to more than u64::MAX events"))
+        })?;
     }
     Ok(())
 }

@@ -25,7 +25,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
 use pythia_core::analyze::pattern::{match_grammar, parse, Dfa};
+use pythia_core::analyze::{analyze_trace, AnalyzeConfig, Severity};
 use pythia_core::event::{EventId, EventRegistry};
+use pythia_core::grammar::GrammarIndex;
 use pythia_core::persist::PersistConfig;
 use pythia_core::predict::{Predictor, PredictorConfig};
 use pythia_core::record::{RecordConfig, Recorder};
@@ -378,5 +380,105 @@ fn pattern_sweep_allocations_do_not_follow_grammar_size() {
     assert!(
         n_large <= n_small + 1,
         "allocations grew with the grammar: {n_small} -> {n_large}"
+    );
+}
+
+/// `p` loops, each a rule of its own: `(x_i y_i y_i z)⁵` for phase `i`.
+fn phased_grammar(phases: u32) -> pythia_core::grammar::Grammar {
+    let mut rec = Recorder::new(RecordConfig {
+        timestamps: false,
+        validate: false,
+    });
+    for p in 0..phases {
+        for _ in 0..5 {
+            for e in [2 * p + 1, 2 * p + 2, 2 * p + 2, 0] {
+                rec.record(EventId(e));
+            }
+        }
+    }
+    rec.finish_thread().unwrap().grammar
+}
+
+/// `GrammarIndex::build` keeps every per-rule and per-event list in one
+/// flat array: a grammar ten times larger, with ten times the events,
+/// costs the same number of allocations.
+#[test]
+fn index_build_allocations_do_not_follow_grammar_size() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let [small, large] = [4u32, 40].map(phased_grammar);
+    assert!(small.rule_count() <= 5, "{} rules", small.rule_count());
+    assert!(large.rule_count() >= 40, "{} rules", large.rule_count());
+    let [n_small, n_large] = [&small, &large].map(|g| {
+        settled_allocations(|| {
+            allocations_in(|| {
+                std::hint::black_box(GrammarIndex::build(g));
+            })
+        })
+    });
+    assert_eq!(
+        n_small, n_large,
+        "index build allocations grew with the grammar"
+    );
+}
+
+/// Ceiling on the allocations of one `analyze_trace` over
+/// [`ring_world`]. The passes allocate per rule summary and per
+/// diagnostic, never per event. (Before the analyzer read the index built
+/// at load and borrowed child summaries, this was 391.)
+const ANALYZE_ALLOCS: usize = 189;
+
+/// Four ranks exchanging halos in a ring, each storing to its own object,
+/// between allreduces: every pass has work, none has findings.
+fn ring_world() -> pythia_core::trace::TraceData {
+    let mut registry = EventRegistry::new();
+    let threads = (0..4i64)
+        .map(|rank| {
+            let events = [
+                registry.intern("MPI_Isend", Some((rank + 1) % 4)),
+                registry.intern("MPI_Irecv", Some((rank + 3) % 4)),
+                registry.intern("MPI_Waitall", None),
+                registry.intern("store", Some(rank)),
+                registry.intern("MPI_Allreduce", Some(0)),
+            ];
+            let barrier = registry.intern("MPI_Barrier", None);
+            let mut rec = Recorder::new(RecordConfig {
+                timestamps: false,
+                validate: false,
+            });
+            for _ in 0..3 {
+                for _ in 0..10 {
+                    for &e in &events {
+                        rec.record(e);
+                    }
+                }
+                rec.record(barrier);
+            }
+            rec.finish_thread().unwrap()
+        })
+        .collect();
+    pythia_core::trace::TraceData::from_threads(threads, registry)
+}
+
+/// The analyzer reads each thread's index, built at load, and folds
+/// summaries by borrowing: its allocations are pinned by a count.
+#[test]
+fn analyze_allocations_are_bounded() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let trace = ring_world();
+    let config = AnalyzeConfig::default();
+    let n = settled_allocations(|| {
+        allocations_in(|| {
+            std::hint::black_box(analyze_trace(&trace, &config));
+        })
+    });
+    let report = analyze_trace(&trace, &config);
+    assert!(
+        !report.exceeds(Severity::Warning),
+        "{}",
+        report.render_text()
+    );
+    assert!(
+        n <= ANALYZE_ALLOCS,
+        "analyze_trace allocated {n} times (ceiling {ANALYZE_ALLOCS})"
     );
 }

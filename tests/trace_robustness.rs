@@ -12,12 +12,15 @@ use pythia::apps::harness::record_trace;
 use pythia::apps::work::WorkScale;
 use pythia::apps::{find_app, WorkingSet};
 use pythia::core::analyze::analyze_trace;
+use pythia::core::error::Error;
 use pythia::core::event::EventId;
+use pythia::core::persist::crc::crc32;
 use pythia::core::persist::{checkpoint_path, journal_path, PersistConfig};
 use pythia::core::record::{RecordConfig, Recorder};
 use pythia::core::resilience::faults::corrupt_bytes;
 use pythia::core::resilience::FaultPlan;
 use pythia::core::trace::TraceData;
+use pythia::core::wire::{get_u32, get_u64, get_u8, take};
 
 fn sample_bytes() -> Vec<u8> {
     let app = find_app("MG").unwrap();
@@ -32,20 +35,63 @@ fn shared_bytes() -> &'static [u8] {
     BYTES.get_or_init(sample_bytes)
 }
 
-/// Every single-byte corruption either round-trips to a loadable trace
-/// (the flip hit a don't-care bit such as a timing value) or fails with a
-/// clean error. Exhaustive over positions with a stride, full coverage of
-/// the header.
+/// Recomputes the trailing CRC32 after a mutation, so the mutant reaches
+/// the parser and its structural checks instead of stopping at the
+/// checksum.
+fn reseal(bytes: &mut [u8]) {
+    let body = bytes.len() - 4;
+    let crc = crc32(&bytes[..body]);
+    bytes[body..].copy_from_slice(&crc.to_le_bytes());
+}
+
+/// Byte offsets of the repetition exponent of every rule use (a symbol
+/// use whose tag says "rule") in a binary trace.
+fn rule_use_exponents(bytes: &[u8]) -> Vec<usize> {
+    let mut buf = &bytes[12..bytes.len() - 4]; // after magic + version
+    let offset = |buf: &[u8]| bytes.len() - 4 - buf.len();
+    let mut found = Vec::new();
+    for _ in 0..get_u32(&mut buf).unwrap() {
+        let name_len = get_u32(&mut buf).unwrap() as usize;
+        take(&mut buf, name_len).unwrap();
+        if get_u8(&mut buf).unwrap() == 1 {
+            take(&mut buf, 8).unwrap();
+        }
+    }
+    for _ in 0..get_u32(&mut buf).unwrap() {
+        get_u64(&mut buf).unwrap(); // event count
+        for _ in 0..get_u32(&mut buf).unwrap() {
+            for _ in 0..get_u32(&mut buf).unwrap() {
+                let tag = get_u8(&mut buf).unwrap();
+                get_u32(&mut buf).unwrap();
+                if tag == 1 {
+                    found.push(offset(buf));
+                }
+                get_u32(&mut buf).unwrap();
+            }
+            get_u32(&mut buf).unwrap(); // refcount
+        }
+        let timing_entries = get_u32(&mut buf).unwrap() as usize;
+        take(&mut buf, 24 * timing_entries).unwrap();
+    }
+    assert!(buf.is_empty());
+    found
+}
+
+/// Every single-byte corruption, re-sealed, either round-trips to a
+/// loadable trace (the flip hit a don't-care bit such as a timing value)
+/// or fails with a clean error. Exhaustive over positions with a stride,
+/// full coverage of the header.
 #[test]
 fn single_byte_flips_never_panic() {
     let bytes = sample_bytes();
     let positions: Vec<usize> = (0..bytes.len().min(64))
-        .chain((64..bytes.len()).step_by(7))
+        .chain((64..bytes.len() - 4).step_by(7))
         .collect();
     for pos in positions {
         for flip in [0x01u8, 0x80, 0xff] {
             let mut corrupt = bytes.clone();
             corrupt[pos] ^= flip;
+            reseal(&mut corrupt);
             // Must return, not panic; both Ok and Err are acceptable.
             let result = std::panic::catch_unwind(|| TraceData::from_bytes(&corrupt));
             assert!(
@@ -199,16 +245,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Clustered multi-byte corruption (the chaos helper used in fault
-    /// injection) never panics the binary parser: every mutated buffer
-    /// either loads or fails with a clean error.
+    /// injection), re-sealed, never panics the binary parser: every
+    /// mutated buffer either loads or fails with a clean error.
     #[test]
     fn fuzz_clustered_mutations_never_panic((seed, n) in (0u64..1 << 48, 1usize..16)) {
-        let mutated = corrupt_bytes(shared_bytes(), seed, n);
+        let mut mutated = corrupt_bytes(shared_bytes(), seed, n);
+        if mutated.len() >= 4 {
+            reseal(&mut mutated);
+        }
         let outcome = std::panic::catch_unwind(|| TraceData::from_bytes(&mutated).is_ok());
         prop_assert!(outcome.is_ok(), "panic for corruption seed {seed} ({n} mutations)");
     }
 
-    /// Scattered independent byte flips at random positions never panic.
+    /// Scattered independent byte flips at random positions, re-sealed,
+    /// never panic.
     #[test]
     fn fuzz_scattered_flips_never_panic(muts in vec((0u64..u64::MAX, 1u32..256), 1..12)) {
         let mut bytes = shared_bytes().to_vec();
@@ -216,8 +266,38 @@ proptest! {
         for &(pos, flip) in &muts {
             bytes[(pos % len) as usize] ^= flip as u8;
         }
+        reseal(&mut bytes);
         let outcome = std::panic::catch_unwind(|| TraceData::from_bytes(&bytes).is_ok());
         prop_assert!(outcome.is_ok(), "panic for flips {muts:?}");
+    }
+
+    /// Rule uses given huge repetition exponents — lengths and expansion
+    /// counts far past `u64`, refcounts that no longer add up — either
+    /// load or fail as `Corrupt`, from both loaders, never panic.
+    #[test]
+    fn fuzz_huge_exponents_load_or_corrupt(
+        picks in vec((0u64..u64::MAX, 1u32 << 16..u32::MAX), 1..6),
+    ) {
+        static SITES: OnceLock<Vec<usize>> = OnceLock::new();
+        let sites = SITES.get_or_init(|| rule_use_exponents(shared_bytes()));
+        let mut bytes = shared_bytes().to_vec();
+        for &(site, exponent) in &picks {
+            let at = sites[(site % sites.len() as u64) as usize];
+            bytes[at..at + 4].copy_from_slice(&exponent.to_le_bytes());
+        }
+        reseal(&mut bytes);
+        for lenient in [false, true] {
+            let outcome = std::panic::catch_unwind(|| {
+                let loaded = if lenient {
+                    TraceData::from_bytes_lenient(&bytes)
+                } else {
+                    TraceData::from_bytes(&bytes)
+                };
+                matches!(loaded, Ok(_) | Err(Error::Corrupt(_)))
+            });
+            prop_assert!(outcome.is_ok(), "panic for exponents {picks:?}");
+            prop_assert!(outcome.unwrap(), "non-Corrupt error for exponents {picks:?}");
+        }
     }
 
     /// Every proper prefix of a valid trace is an error — a partially
