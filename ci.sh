@@ -4,6 +4,13 @@
 set -eu
 
 cargo fmt --all --check
+# One instrumented call surface: the MPI calls are `Communicator`'s provided
+# methods, which `PythiaComm` reaches through its one `intercept` hook. An
+# MPI-named `pub fn` in runtime-mpi would start a second, hand-kept mirror.
+MPI_CALLS='send|recv|isend|irecv|wait|waitall|barrier|bcast|reduce|allreduce|alltoall|gather|allgather|scatter|sendrecv|scan|reduce_scatter|dup|split'
+if grep -rnE "pub fn ($MPI_CALLS)\b" crates/runtime-mpi/src; then
+    echo "ci: an MPI-named pub fn in crates/runtime-mpi/src mirrors Communicator"; exit 1
+fi
 cargo clippy --workspace --all-targets -- -D warnings
 # Doc links that name something that no longer exists (a method that moved
 # to a trait, a deleted type) fail here. Not `-D warnings`: links from

@@ -10,7 +10,7 @@
 //! OpenMP-annotated smoothing (region begin/end events) and a convergence
 //! `MPI_Allreduce` per cycle. Working sets mirror `-n 100/150/200`.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::work::{SplitMix64, WorkScale};

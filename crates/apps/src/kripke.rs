@@ -7,7 +7,7 @@
 //! (group sets 2/4/8). The paper records ~10 k events with 46 rules — a
 //! mid-sized grammar from the octant-dependent neighbour pattern.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d};

@@ -8,7 +8,7 @@
 //! with only 12 grammar rules. Working sets mirror `-s 10/30/50` (time
 //! steps scaled to 8/20/40).
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d, rank_2d};

@@ -7,7 +7,7 @@
 //! `-nx 100/200/300`. The paper records 39 k events with 8 rules — a very
 //! regular application.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::work::WorkScale;

@@ -14,7 +14,7 @@
 //! combining a face exchange with the pipelined ADI solve, then the
 //! verification reductions.
 
-use pythia_minimpi::{ReduceOp, Request};
+use pythia_minimpi::{Communicator, ReduceOp, Request};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d, rank_2d};

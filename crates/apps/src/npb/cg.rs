@@ -8,7 +8,7 @@
 //! second-chattiest NPB kernel in the paper (3.8 M events over 64 ranks,
 //! 15 grammar rules).
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d};

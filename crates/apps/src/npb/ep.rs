@@ -5,7 +5,7 @@
 //! counts) and the timing barrier. The paper records 384 events over 64
 //! ranks — exactly 6 events per rank, which this skeleton reproduces.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::work::WorkScale;

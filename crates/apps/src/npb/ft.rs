@@ -6,7 +6,7 @@
 //! grids; the skeleton uses 6/12/20. The paper records 3072 events over 64
 //! ranks (48 per rank) — the same order as this skeleton's per-rank count.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::work::WorkScale;

@@ -5,7 +5,7 @@
 //! verification reduces the global rank sum. The paper records 2493 events
 //! over 64 ranks (~39 per rank).
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::work::WorkScale;

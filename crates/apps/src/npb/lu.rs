@@ -9,7 +9,7 @@
 //! (11 rules). Class A/B/C run 250/250/250 iterations on 64³/102³/162³
 //! grids; scaled here to 8/20/50 iterations with 8/12/16 planes.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d};

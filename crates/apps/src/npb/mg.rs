@@ -7,7 +7,7 @@
 //! paper (14 rules, 610 k events over 64 ranks). Class A/B/C run 4/20/20
 //! cycles; scaled here to 4/8/16 with 4/5/6 levels.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d, rank_2d};

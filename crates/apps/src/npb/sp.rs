@@ -5,7 +5,7 @@
 //! for class A/B/C; scaled to 40/100/250 here). The paper records 357 k
 //! events over 64 ranks with a 9-rule grammar.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::npb::{coords_2d, grid_2d, rank_2d};

@@ -12,7 +12,7 @@
 //! messages, then tallies with reductions. Working sets mirror
 //! `-n 10^7/10^7/2*10^8`.
 
-use pythia_minimpi::ReduceOp;
+use pythia_minimpi::{Communicator, ReduceOp};
 use pythia_runtime_mpi::PythiaComm;
 
 use crate::work::{SplitMix64, WorkScale};

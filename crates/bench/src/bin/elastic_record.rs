@@ -39,7 +39,7 @@ use std::io::Write;
 use std::path::Path;
 
 use pythia_core::persist::{remove_sidecars, PersistConfig};
-use pythia_minimpi::{Hub, SocketComm, World};
+use pythia_minimpi::{Communicator, Hub, SocketComm, World};
 use pythia_runtime_mpi::{RecordingSession, SharedRegistry};
 
 /// Events per iteration of the recorded loop (compute + 3-peer exchange

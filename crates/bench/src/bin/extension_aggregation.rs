@@ -36,7 +36,7 @@ fn run_predict(
             pc.enable_aggregation(AggregationConfig::default());
         }
         app.run(&pc, WorkingSet::Small, &WorkScale::ZERO);
-        let net = pc.inner().network_stats();
+        let net = pc.network_stats();
         let report = pc.finish().expect("no live split communicators");
         (net, report.aggregation)
     });

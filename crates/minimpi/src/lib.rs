@@ -17,6 +17,9 @@
 //!
 //! * The whole call surface is the [`Communicator`] trait, written once
 //!   over a handful of backend primitives; import it to call anything.
+//!   Each provided call reports itself, as an [`MpiCall`], to one hook,
+//!   [`Communicator::intercept`], that a wrapper overrides to instrument
+//!   every call (the PMPI profiling interface).
 //! * [`World::run`] launches `n` ranks, each executing the same closure on
 //!   its own OS thread with a [`Comm`] handle (the `MPI_COMM_WORLD`
 //!   equivalent).
@@ -77,7 +80,7 @@ pub mod request;
 pub mod socket;
 
 pub use comm::{Comm, ElasticWorldStats, World};
-pub use communicator::Communicator;
+pub use communicator::{Communicator, MpiCall};
 pub use datatype::{MpiReduce, MpiType, ReduceOp};
 pub use failure::{CommError, FailureState, PoisonedWorld, RankFault, RANK_TIMEOUT_ENV};
 pub use p2p::{Message, NetworkStats, Status, Tag, ANY_SOURCE, ANY_TAG};

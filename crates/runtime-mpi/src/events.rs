@@ -1,170 +1,10 @@
-//! MPI call descriptors and the per-rank event-interning cache.
+//! The per-rank event-interning cache.
 
 use std::sync::Arc;
 
 use pythia_core::event::{ConcurrentRegistry, EventId};
 use pythia_core::util::FxHashMap;
-
-/// The MPI primitives the runtime system instruments (paper §III-B).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum MpiCall {
-    /// `MPI_Send` (payload: destination rank).
-    Send,
-    /// `MPI_Recv` (payload: source rank, `-1` for `MPI_ANY_SOURCE`).
-    Recv,
-    /// `MPI_Isend` (payload: destination rank).
-    Isend,
-    /// `MPI_Irecv` (payload: source rank, `-1` for any).
-    Irecv,
-    /// `MPI_Wait`.
-    Wait,
-    /// `MPI_Waitall`.
-    Waitall,
-    /// `MPI_Barrier`.
-    Barrier,
-    /// `MPI_Bcast` (payload: root).
-    Bcast,
-    /// `MPI_Reduce` (payload: reduction operation).
-    Reduce,
-    /// `MPI_Allreduce` (payload: reduction operation).
-    Allreduce,
-    /// `MPI_Alltoall`.
-    Alltoall,
-    /// `MPI_Gather` (payload: root).
-    Gather,
-    /// `MPI_Allgather`.
-    Allgather,
-    /// `MPI_Scatter` (payload: root).
-    Scatter,
-    /// `MPI_Sendrecv` (payload: destination rank).
-    Sendrecv,
-    /// `MPI_Scan` (payload: reduction operation).
-    Scan,
-    /// `MPI_Reduce_scatter` (payload: reduction operation).
-    ReduceScatter,
-    /// `MPI_Comm_dup`.
-    CommDup,
-    /// `MPI_Comm_split`.
-    CommSplit,
-    /// A non-MPI key point submitted through the same per-thread event
-    /// stream (e.g. the OpenMP region begin/end events of the hybrid
-    /// MPI+OpenMP applications — the paper maintains one grammar per
-    /// thread across both runtime systems).
-    Custom(&'static str),
-}
-
-impl MpiCall {
-    /// The MPI function name used as the event key point.
-    pub fn name(self) -> &'static str {
-        match self {
-            MpiCall::Send => "MPI_Send",
-            MpiCall::Recv => "MPI_Recv",
-            MpiCall::Isend => "MPI_Isend",
-            MpiCall::Irecv => "MPI_Irecv",
-            MpiCall::Wait => "MPI_Wait",
-            MpiCall::Waitall => "MPI_Waitall",
-            MpiCall::Barrier => "MPI_Barrier",
-            MpiCall::Bcast => "MPI_Bcast",
-            MpiCall::Reduce => "MPI_Reduce",
-            MpiCall::Allreduce => "MPI_Allreduce",
-            MpiCall::Alltoall => "MPI_Alltoall",
-            MpiCall::Gather => "MPI_Gather",
-            MpiCall::Allgather => "MPI_Allgather",
-            MpiCall::Scatter => "MPI_Scatter",
-            MpiCall::Sendrecv => "MPI_Sendrecv",
-            MpiCall::Scan => "MPI_Scan",
-            MpiCall::ReduceScatter => "MPI_Reduce_scatter",
-            MpiCall::CommDup => "MPI_Comm_dup",
-            MpiCall::CommSplit => "MPI_Comm_split",
-            MpiCall::Custom(name) => name,
-        }
-    }
-
-    /// Protocol role of the call — the event-kind metadata the static
-    /// analyzer's cross-rank verifier keys on. Kept next to [`MpiCall`] so
-    /// adding a variant forces a decision here; a consistency test pins
-    /// this to the name-based classifier in `pythia_core::analyze`.
-    pub fn kind(self) -> MpiCallKind {
-        match self {
-            MpiCall::Send => MpiCallKind::Send { blocking: true },
-            MpiCall::Isend => MpiCallKind::Send { blocking: false },
-            MpiCall::Recv => MpiCallKind::Recv { blocking: true },
-            MpiCall::Irecv => MpiCallKind::Recv { blocking: false },
-            MpiCall::Sendrecv => MpiCallKind::SendRecv,
-            MpiCall::Wait | MpiCall::Waitall => MpiCallKind::Completion,
-            MpiCall::Barrier
-            | MpiCall::Bcast
-            | MpiCall::Reduce
-            | MpiCall::Allreduce
-            | MpiCall::Alltoall
-            | MpiCall::Gather
-            | MpiCall::Allgather
-            | MpiCall::Scatter
-            | MpiCall::Scan
-            | MpiCall::ReduceScatter => MpiCallKind::Collective {
-                payload_significant: true,
-            },
-            // The payload of communicator management (the split color, the
-            // dup ordinal) legitimately differs across ranks: it must not
-            // count as collective divergence.
-            MpiCall::CommDup | MpiCall::CommSplit => MpiCallKind::Collective {
-                payload_significant: false,
-            },
-            MpiCall::Custom(_) => MpiCallKind::Other,
-        }
-    }
-
-    /// Whether the runtime requests predictions when entering this call
-    /// (blocking synchronization points, paper §III-B).
-    pub fn is_blocking_sync(self) -> bool {
-        matches!(
-            self,
-            MpiCall::Wait
-                | MpiCall::Waitall
-                | MpiCall::Barrier
-                | MpiCall::Bcast
-                | MpiCall::Reduce
-                | MpiCall::Allreduce
-                | MpiCall::Alltoall
-                | MpiCall::Gather
-                | MpiCall::Allgather
-                | MpiCall::Scatter
-                | MpiCall::Scan
-                | MpiCall::ReduceScatter
-        )
-    }
-}
-
-/// Protocol role of an [`MpiCall`]: what its payload means to a cross-rank
-/// matching analysis.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MpiCallKind {
-    /// Point-to-point send; payload is the destination rank.
-    Send {
-        /// Whether the call blocks until the message is handed off.
-        blocking: bool,
-    },
-    /// Point-to-point receive; payload is the source rank (`-1` for
-    /// `MPI_ANY_SOURCE`).
-    Recv {
-        /// Whether the call blocks until a message arrives.
-        blocking: bool,
-    },
-    /// Combined send + receive; payload is the destination rank of the
-    /// send half.
-    SendRecv,
-    /// Collective call all ranks of the communicator must make.
-    Collective {
-        /// Whether the payload (root, reduction operation) must agree
-        /// across ranks. `false` for communicator management, whose
-        /// payload (e.g. the split color) legitimately differs.
-        payload_significant: bool,
-    },
-    /// Request completion (`MPI_Wait`, `MPI_Waitall`).
-    Completion,
-    /// No protocol meaning (custom key points).
-    Other,
-}
+use pythia_minimpi::MpiCall;
 
 /// Registry shared by all ranks of a run (the trace file stores one
 /// registry; interning must be globally consistent). Appends serialize
@@ -175,11 +15,21 @@ pub enum MpiCallKind {
 /// session hands the identical handle to the journal layer.
 pub type SharedRegistry = Arc<ConcurrentRegistry>;
 
+/// What an event of a rank's stream is: an intercepted MPI call, or a
+/// non-MPI key point submitted through the same stream (e.g. the OpenMP
+/// region boundaries of a hybrid application — the paper maintains one
+/// grammar per thread across both runtime systems).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    Call(MpiCall),
+    Custom(&'static str, Option<i64>),
+}
+
 /// Per-rank cache resolving repeated descriptors without touching the
 /// shared registry at all (not even its lock-free read path).
 #[derive(Debug, Default)]
 pub struct EventCache {
-    map: FxHashMap<(MpiCall, Option<i64>), EventId>,
+    map: FxHashMap<Key, EventId>,
 }
 
 impl EventCache {
@@ -188,19 +38,34 @@ impl EventCache {
         Self::default()
     }
 
-    /// Resolves `(call, payload)` to its [`EventId`], interning through the
-    /// shared registry on a cache miss.
-    pub fn resolve(
+    /// Resolves `call` to its [`EventId`] (its MPI name plus its payload),
+    /// interning through the shared registry on a cache miss.
+    pub fn resolve(&mut self, registry: &SharedRegistry, call: MpiCall) -> EventId {
+        self.intern(registry, Key::Call(call), call.name(), call.payload())
+    }
+
+    /// Resolves the non-MPI key point `(name, payload)` to its [`EventId`].
+    pub fn resolve_custom(
         &mut self,
         registry: &SharedRegistry,
-        call: MpiCall,
+        name: &'static str,
         payload: Option<i64>,
     ) -> EventId {
-        if let Some(&id) = self.map.get(&(call, payload)) {
+        self.intern(registry, Key::Custom(name, payload), name, payload)
+    }
+
+    fn intern(
+        &mut self,
+        registry: &SharedRegistry,
+        key: Key,
+        name: &str,
+        payload: Option<i64>,
+    ) -> EventId {
+        if let Some(&id) = self.map.get(&key) {
             return id;
         }
-        let id = registry.intern(call.name(), payload);
-        self.map.insert((call, payload), id);
+        let id = registry.intern(name, payload);
+        self.map.insert(key, id);
         id
     }
 }
@@ -208,14 +73,15 @@ impl EventCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use pythia_minimpi::ReduceOp;
 
     #[test]
     fn cache_interns_once() {
         let registry: SharedRegistry = Arc::new(ConcurrentRegistry::new());
         let mut cache = EventCache::new();
-        let a = cache.resolve(&registry, MpiCall::Send, Some(3));
-        let b = cache.resolve(&registry, MpiCall::Send, Some(3));
-        let c = cache.resolve(&registry, MpiCall::Send, Some(4));
+        let a = cache.resolve(&registry, MpiCall::Send(3));
+        let b = cache.resolve(&registry, MpiCall::Send(3));
+        let c = cache.resolve(&registry, MpiCall::Send(4));
         assert_eq!(a, b);
         assert_ne!(a, c);
         assert_eq!(registry.len(), 2);
@@ -226,109 +92,130 @@ mod tests {
         let registry: SharedRegistry = Arc::new(ConcurrentRegistry::new());
         let mut c1 = EventCache::new();
         let mut c2 = EventCache::new();
-        let a = c1.resolve(&registry, MpiCall::Barrier, None);
-        let b = c2.resolve(&registry, MpiCall::Barrier, None);
+        let a = c1.resolve(&registry, MpiCall::Barrier);
+        let b = c2.resolve(&registry, MpiCall::Barrier);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn custom_points_share_the_registry_with_calls() {
+        let registry: SharedRegistry = Arc::new(ConcurrentRegistry::new());
+        let mut cache = EventCache::new();
+        let call = cache.resolve(&registry, MpiCall::Barrier);
+        assert_eq!(cache.resolve_custom(&registry, "MPI_Barrier", None), call);
+        let region = cache.resolve_custom(&registry, "omp_region_begin", Some(1));
+        assert_ne!(region, call);
+        assert_eq!(registry.lookup("omp_region_begin", Some(1)), Some(region));
     }
 
     #[test]
     fn blocking_classification_matches_paper() {
         assert!(MpiCall::Wait.is_blocking_sync());
-        assert!(MpiCall::Allreduce.is_blocking_sync());
+        assert!(MpiCall::Allreduce(ReduceOp::Sum).is_blocking_sync());
         assert!(MpiCall::Barrier.is_blocking_sync());
-        assert!(!MpiCall::Isend.is_blocking_sync());
-        assert!(!MpiCall::Send.is_blocking_sync());
+        assert!(!MpiCall::Isend(0).is_blocking_sync());
+        assert!(!MpiCall::Send(0).is_blocking_sync());
     }
 
     #[test]
     fn names_are_mpi_spelled() {
-        assert_eq!(MpiCall::Allreduce.name(), "MPI_Allreduce");
-        assert_eq!(MpiCall::CommSplit.name(), "MPI_Comm_split");
+        assert_eq!(MpiCall::Allreduce(ReduceOp::Sum).name(), "MPI_Allreduce");
+        assert_eq!(MpiCall::CommSplit(0).name(), "MPI_Comm_split");
     }
 }
 
 #[cfg(test)]
 mod kind_tests {
-    use super::*;
     use pythia_core::analyze::{classify, EventClass};
+    use pythia_minimpi::{MpiCall, ReduceOp};
 
-    const ALL: [MpiCall; 20] = [
-        MpiCall::Send,
-        MpiCall::Recv,
-        MpiCall::Isend,
-        MpiCall::Irecv,
-        MpiCall::Wait,
-        MpiCall::Waitall,
-        MpiCall::Barrier,
-        MpiCall::Bcast,
-        MpiCall::Reduce,
-        MpiCall::Allreduce,
-        MpiCall::Alltoall,
-        MpiCall::Gather,
-        MpiCall::Allgather,
-        MpiCall::Scatter,
-        MpiCall::Sendrecv,
-        MpiCall::Scan,
-        MpiCall::ReduceScatter,
-        MpiCall::CommDup,
-        MpiCall::CommSplit,
-        MpiCall::Custom("omp_region"),
-    ];
+    /// What the protocol verifier must make of an event.
+    #[derive(Clone, Copy)]
+    enum Role {
+        Is(EventClass),
+        /// A collective; `payload_significant` says whether two ranks
+        /// disagreeing on the payload count as divergence (not for
+        /// communicator management, whose split color legitimately
+        /// differs).
+        Collective {
+            payload_significant: bool,
+        },
+    }
 
-    /// The declarative metadata here and the name-based classifier in
-    /// `pythia_core::analyze::protocol` must agree on every variant: the
-    /// analyzer sees only interned names, so a drift between the two would
-    /// silently blind the verifier to a call.
+    /// Every call the runtime emits, with the classification the verifier
+    /// must give it.
+    fn table() -> Vec<(MpiCall, Role)> {
+        use Role::{Collective, Is};
+        let send = |dest, blocking| Is(EventClass::Send { dest, blocking });
+        let recv = |source, blocking| Is(EventClass::Recv { source, blocking });
+        let op = ReduceOp::Max;
+        let coll = Collective {
+            payload_significant: true,
+        };
+        let management = Collective {
+            payload_significant: false,
+        };
+        vec![
+            (MpiCall::Send(3), send(3, true)),
+            (MpiCall::Isend(3), send(3, false)),
+            (MpiCall::Recv(Some(3)), recv(3, true)),
+            (MpiCall::Recv(None), recv(-1, true)),
+            (MpiCall::Irecv(Some(3)), recv(3, false)),
+            (MpiCall::Irecv(None), recv(-1, false)),
+            (MpiCall::Sendrecv(3), Is(EventClass::SendRecv { dest: 3 })),
+            (MpiCall::Wait, Is(EventClass::Completion)),
+            (MpiCall::Waitall, Is(EventClass::Completion)),
+            (MpiCall::Barrier, coll),
+            (MpiCall::Bcast(3), coll),
+            (MpiCall::Reduce(op), coll),
+            (MpiCall::Allreduce(op), coll),
+            (MpiCall::Alltoall, coll),
+            (MpiCall::Gather(3), coll),
+            (MpiCall::Allgather, coll),
+            (MpiCall::Scatter(3), coll),
+            (MpiCall::Scan(op), coll),
+            (MpiCall::ReduceScatter(op), coll),
+            (MpiCall::CommDup, management),
+            (MpiCall::CommSplit(3), management),
+        ]
+    }
+
+    /// The analyzer sees only interned names and payloads, so every call
+    /// the runtime emits must classify as the verifier expects: a drift
+    /// would silently blind the verifier to a call.
     #[test]
     fn kind_agrees_with_core_classifier() {
-        for call in ALL {
-            let payload = Some(3);
-            let class = classify(call.name(), payload);
-            match call.kind() {
-                MpiCallKind::Send { blocking } => {
-                    assert_eq!(class, EventClass::Send { dest: 3, blocking }, "{call:?}")
-                }
-                MpiCallKind::Recv { blocking } => assert_eq!(
-                    class,
-                    EventClass::Recv {
-                        source: 3,
-                        blocking
-                    },
-                    "{call:?}"
-                ),
-                MpiCallKind::SendRecv => {
-                    assert_eq!(class, EventClass::SendRecv { dest: 3 }, "{call:?}")
-                }
-                MpiCallKind::Collective {
+        for (call, role) in table() {
+            let class = classify(call.name(), call.payload());
+            match role {
+                Role::Is(expected) => assert_eq!(class, expected, "{call:?}"),
+                Role::Collective {
                     payload_significant,
                 } => {
-                    let EventClass::Collective { token } = class else {
-                        panic!("{call:?} classified as {class:?}");
+                    let token = |payload| match classify(call.name(), payload) {
+                        EventClass::Collective { token } => token,
+                        other => panic!("{call:?} classified as {other:?}"),
                     };
-                    let EventClass::Collective { token: other } = classify(call.name(), Some(4))
-                    else {
-                        panic!("{call:?} with different payload left Collective");
-                    };
+                    token(call.payload());
                     assert_eq!(
-                        token != other,
+                        token(Some(3)) != token(Some(4)),
                         payload_significant,
                         "{call:?}: payload significance drifted"
                     );
                 }
-                MpiCallKind::Completion => {
-                    assert_eq!(class, EventClass::Completion, "{call:?}")
-                }
-                MpiCallKind::Other => assert_eq!(class, EventClass::Other, "{call:?}"),
             }
         }
+        // Custom key points (OpenMP region boundaries) have no protocol
+        // meaning.
+        assert_eq!(classify("omp_region_begin", Some(3)), EventClass::Other);
     }
 
-    /// `MPI_ANY_SOURCE` spelling: a `-1` receive payload classifies as a
-    /// wildcard, for blocking and nonblocking receives alike.
+    /// `MPI_ANY_SOURCE` spelling: a wildcard receive payload classifies as
+    /// a wildcard, for blocking and nonblocking receives alike.
     #[test]
     fn any_source_payload_is_wildcard() {
-        for call in [MpiCall::Recv, MpiCall::Irecv] {
-            match classify(call.name(), Some(-1)) {
+        for call in [MpiCall::Recv(None), MpiCall::Irecv(None)] {
+            match classify(call.name(), call.payload()) {
                 EventClass::Recv { source, .. } => assert_eq!(source, -1),
                 c => panic!("{call:?} classified as {c:?}"),
             }
@@ -340,12 +227,14 @@ mod kind_tests {
     /// can match across ranks without a payload.
     #[test]
     fn blocking_sync_points_are_matchable() {
-        for call in ALL {
+        let table = table();
+        assert!(table.iter().any(|(call, _)| call.is_blocking_sync()));
+        for (call, _) in table {
             if call.is_blocking_sync() {
                 assert!(
                     matches!(
-                        call.kind(),
-                        MpiCallKind::Collective { .. } | MpiCallKind::Completion
+                        classify(call.name(), call.payload()),
+                        EventClass::Collective { .. } | EventClass::Completion
                     ),
                     "{call:?}"
                 );
@@ -356,21 +245,24 @@ mod kind_tests {
 
 #[cfg(test)]
 mod extended_call_tests {
-    use super::*;
+    use pythia_minimpi::{MpiCall, ReduceOp};
 
     #[test]
     fn extended_calls_have_mpi_names() {
-        assert_eq!(MpiCall::Sendrecv.name(), "MPI_Sendrecv");
-        assert_eq!(MpiCall::Scan.name(), "MPI_Scan");
-        assert_eq!(MpiCall::ReduceScatter.name(), "MPI_Reduce_scatter");
+        assert_eq!(MpiCall::Sendrecv(0).name(), "MPI_Sendrecv");
+        assert_eq!(MpiCall::Scan(ReduceOp::Sum).name(), "MPI_Scan");
+        assert_eq!(
+            MpiCall::ReduceScatter(ReduceOp::Sum).name(),
+            "MPI_Reduce_scatter"
+        );
         assert_eq!(MpiCall::CommDup.name(), "MPI_Comm_dup");
     }
 
     #[test]
     fn extended_blocking_classification() {
-        assert!(MpiCall::Scan.is_blocking_sync());
-        assert!(MpiCall::ReduceScatter.is_blocking_sync());
-        assert!(!MpiCall::Sendrecv.is_blocking_sync());
+        assert!(MpiCall::Scan(ReduceOp::Sum).is_blocking_sync());
+        assert!(MpiCall::ReduceScatter(ReduceOp::Sum).is_blocking_sync());
+        assert!(!MpiCall::Sendrecv(0).is_blocking_sync());
         assert!(!MpiCall::CommDup.is_blocking_sync());
     }
 }

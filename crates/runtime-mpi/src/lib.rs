@@ -14,10 +14,15 @@
 //! * measures what the paper's evaluation needs: per-distance prediction
 //!   accuracy (Fig. 8) and prediction latency (Fig. 9).
 //!
-//! The paper implements this by `LD_PRELOAD`-intercepting `MPI_*` symbols;
-//! here the application simply calls [`PythiaComm`] instead of
-//! [`pythia_minimpi::Comm`] — the observable behavior (which events are
-//! submitted when) is identical, without the linking trick.
+//! The paper implements this by `LD_PRELOAD`-intercepting `MPI_*` symbols.
+//! Here interception is one hook: every provided call of
+//! [`pythia_minimpi::Communicator`] reports itself to
+//! [`Communicator::intercept`](pythia_minimpi::Communicator::intercept)
+//! before it touches a primitive, and [`PythiaComm`] implements the trait
+//! by forwarding the primitives and overriding that hook. An application
+//! written against the trait runs unchanged on a plain backend or on
+//! [`PythiaComm`]; the observable behavior (which events are submitted
+//! when) is the paper's, without the linking trick.
 
 pub mod events;
 pub mod omp_bridge;
@@ -25,7 +30,6 @@ pub mod probe;
 pub mod recording;
 pub mod session;
 
-pub use events::MpiCall;
 pub use omp_bridge::DurationPolicy;
 pub use probe::{AccuracyProbe, CostProbe, DistanceAccuracy};
 pub use recording::RecordingSession;

@@ -17,7 +17,7 @@ use std::time::Duration;
 use pythia_core::predict::ObserveOutcome;
 use pythia_minomp::{OmpListener, RegionId, ThreadChoice};
 
-use crate::events::{EventCache, MpiCall, SharedRegistry};
+use crate::events::SharedRegistry;
 use crate::session::RankCell;
 
 /// Decision function mapping a predicted region duration (`None` = oracle
@@ -25,35 +25,26 @@ use crate::session::RankCell;
 /// fits directly: `Box::new(move |d| policy.choose(d))`.
 pub type DurationPolicy = Box<dyn Fn(Option<Duration>) -> ThreadChoice + Send>;
 
-pub(crate) struct OmpBridgeListener {
+pub(crate) struct OmpBridgeListener<C> {
     /// The rank's single-owner state cell: minomp invokes the listener
     /// on the caller (rank) thread, so entering the cell here honors the
     /// same ownership contract as the MPI façade — no lock per event.
-    pub(crate) state: Arc<RankCell>,
+    pub(crate) state: Arc<RankCell<C>>,
     pub(crate) registry: SharedRegistry,
-    pub(crate) cache: EventCache,
     pub(crate) policy: Option<DurationPolicy>,
 }
 
-impl OmpListener for OmpBridgeListener {
+impl<C: Send> OmpListener for OmpBridgeListener<C> {
     fn region_begin(&mut self, region: RegionId) -> ThreadChoice {
-        let Self {
-            state,
-            registry,
-            cache,
-            policy,
-        } = self;
-        state.with(|st| {
+        self.state.with(|st| {
             if st.oracle.is_off() {
                 return ThreadChoice::Default;
             }
-            let id = cache.resolve(
-                registry,
-                MpiCall::Custom("omp_region_begin"),
-                Some(region.0 as i64),
-            );
+            let id =
+                st.cache
+                    .resolve_custom(&self.registry, "omp_region_begin", Some(region.0 as i64));
             let outcome = st.submit(id);
-            match (&policy, outcome) {
+            match (&self.policy, outcome) {
                 (Some(policy), Some(ObserveOutcome::Matched)) => {
                     // The next event in the reference stream is this region's
                     // end: its delay is the estimated region duration.
@@ -66,22 +57,15 @@ impl OmpListener for OmpBridgeListener {
     }
 
     fn region_end(&mut self, region: RegionId, _team: usize) {
-        let Self {
-            state,
-            registry,
-            cache,
-            ..
-        } = self;
-        state.with(|st| {
-            if st.oracle.is_off() {
-                return;
+        self.state.with(|st| {
+            if !st.oracle.is_off() {
+                let id = st.cache.resolve_custom(
+                    &self.registry,
+                    "omp_region_end",
+                    Some(region.0 as i64),
+                );
+                st.submit(id);
             }
-            let id = cache.resolve(
-                registry,
-                MpiCall::Custom("omp_region_end"),
-                Some(region.0 as i64),
-            );
-            st.submit(id);
         });
     }
 }
@@ -90,7 +74,7 @@ impl OmpListener for OmpBridgeListener {
 mod tests {
     use std::sync::Arc;
 
-    use pythia_minimpi::{ReduceOp, World};
+    use pythia_minimpi::{Communicator, ReduceOp, World};
     use pythia_minomp::{OmpRuntime, PoolMode, RegionId};
 
     use crate::session::{assemble_trace, MpiMode, PythiaComm};

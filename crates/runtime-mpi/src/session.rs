@@ -1,221 +1,47 @@
 //! The instrumented communicator: every MPI call submits a PYTHIA event;
 //! blocking calls request predictions (paper §III-B).
+//!
+//! [`PythiaComm`] implements [`Communicator`] by forwarding the backend's
+//! primitives and overriding one hook, [`Communicator::intercept`], which
+//! every provided MPI call invokes exactly once on entry.
 
 use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use bytes::Bytes;
 use pythia_core::error::{Error, Result};
-use pythia_core::event::ConcurrentRegistry;
+use pythia_core::event::{ConcurrentRegistry, EventId};
 use pythia_core::oracle::Oracle;
-use pythia_core::predict::{PredictStats, PredictorConfig};
+use pythia_core::predict::{ObserveOutcome, PredictorConfig};
 use pythia_core::record::RecordConfig;
-use pythia_core::resilience::{FaultPlan, HardenedOracle, ResilienceConfig, ResilienceStats};
-use pythia_core::trace::{ThreadTrace, TraceData};
-use pythia_minimpi::{
-    Comm, Communicator, MpiReduce, MpiType, RankFault, ReduceOp, Request, Status, Tag,
-};
+use pythia_core::resilience::{FaultPlan, HardenedOracle, ResilienceConfig};
+use pythia_core::trace::TraceData;
+use pythia_minimpi::{Comm, Communicator, Message, MpiCall, NetworkStats, RankFault, Tag};
 
-use crate::events::{EventCache, MpiCall};
-use crate::probe::{AccuracyProbe, CostProbe, DistanceAccuracy};
+use crate::events::EventCache;
+use crate::probe::{AccuracyProbe, CostProbe};
+
+mod aggregation;
+mod mode;
+mod report;
 
 pub use crate::events::SharedRegistry;
+pub use aggregation::{AggregationConfig, AggregationStats};
+pub use mode::MpiMode;
+pub use report::{assemble_trace, ElasticStats, RankReport};
 
-/// How the runtime system uses PYTHIA for this execution.
-///
-/// Constructed once per execution, so the size skew from `Predict`'s
-/// inline [`ResilienceConfig`] (which carries the full fault plan) is
-/// irrelevant — boxing it would only tax every construction site.
-#[allow(clippy::large_enum_variant)]
-#[derive(Clone)]
-pub enum MpiMode {
-    /// No oracle (baseline "Vanilla" of the paper's tables).
-    Vanilla,
-    /// Reference execution: record events (PYTHIA-RECORD).
-    Record {
-        /// Log per-event timestamps (costs memory on huge traces).
-        timestamps: bool,
-    },
-    /// Subsequent execution: load the reference trace and predict
-    /// (PYTHIA-PREDICT). Predictions are requested at blocking calls for
-    /// every distance in `distances` and scored by the accuracy probe.
-    Predict {
-        /// The reference trace (thread `i` = rank `i`).
-        trace: Arc<TraceData>,
-        /// Prediction distances to request and score.
-        distances: Vec<usize>,
-        /// Map rank `r` to trace thread `r % thread_count` instead of
-        /// requiring equal counts — the paper's stated future work
-        /// ("predict accurately when the application runs with different
-        /// configuration (number of threads, number of processes)").
-        /// Symmetric ranks of these kernels behave alike, so the modulo
-        /// mapping is a reasonable first approximation.
-        map_ranks: bool,
-        /// Hardening knobs for the [`HardenedOracle`] facade every rank's
-        /// oracle is wrapped in (time budget, watchdog, fault injection).
-        resilience: ResilienceConfig,
-    },
-}
+use aggregation::AggState;
 
-impl MpiMode {
-    /// Record mode with timestamps enabled.
-    pub fn record() -> Self {
-        MpiMode::Record { timestamps: true }
-    }
-
-    /// Predict mode scoring only distance 1.
-    pub fn predict(trace: Arc<TraceData>) -> Self {
-        MpiMode::Predict {
-            trace,
-            distances: vec![1],
-            map_ranks: false,
-            resilience: ResilienceConfig::default(),
-        }
-    }
-
-    /// Predict mode scoring a set of distances (Fig. 8 uses 1..=128).
-    pub fn predict_distances(trace: Arc<TraceData>, distances: Vec<usize>) -> Self {
-        MpiMode::Predict {
-            trace,
-            distances,
-            map_ranks: false,
-            resilience: ResilienceConfig::default(),
-        }
-    }
-
-    /// Predict mode tolerating a different rank count than the reference
-    /// execution (rank `r` follows trace thread `r mod threads`).
-    pub fn predict_mapped(trace: Arc<TraceData>, distances: Vec<usize>) -> Self {
-        MpiMode::Predict {
-            trace,
-            distances,
-            map_ranks: true,
-            resilience: ResilienceConfig::default(),
-        }
-    }
-
-    /// Predict mode with explicit hardening knobs (time budget, watchdog
-    /// thresholds, fault injection) for the per-rank oracle facade.
-    pub fn predict_resilient(
-        trace: Arc<TraceData>,
-        distances: Vec<usize>,
-        resilience: ResilienceConfig,
-    ) -> Self {
-        MpiMode::Predict {
-            trace,
-            distances,
-            map_ranks: false,
-            resilience,
-        }
-    }
-}
-
-/// Elastic-world counters of one rank: what the membership/failure
-/// surface of the communicator observed during the run, plus how the
-/// prediction facade adapted to a world size different from the
-/// reference execution. All three are zero in a fault-free,
-/// size-matched run — the bench gates on exactly that.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ElasticStats {
-    /// Rank failures the communicator's world detected (heartbeat
-    /// timeouts, supervised aborts, connection loss).
-    pub rank_failures_detected: u64,
-    /// 1 if this rank is a replacement (incarnation > 0) admitted after
-    /// the original died, 0 for a first spawn.
-    pub ranks_replaced: u64,
-    /// Verifier-validated [`TraceData::remap_ranks`] remaps this rank
-    /// performed to predict from a reference trace of a different world
-    /// size.
-    pub remap_validations: u64,
-}
-
-/// Everything one rank accumulated during a run.
-#[derive(Debug)]
-pub struct RankReport {
-    /// This rank's communicator-world rank.
-    pub rank: usize,
-    /// Total events submitted to the oracle.
-    pub events: u64,
-    /// Grammar rule count (record mode; 0 otherwise).
-    pub rules: usize,
-    /// The recorded thread trace (record mode).
-    pub thread_trace: Option<ThreadTrace>,
-    /// Per-distance accuracy (predict mode).
-    pub accuracy: Vec<(usize, DistanceAccuracy)>,
-    /// Per-distance prediction latency (predict mode).
-    pub cost: CostProbe,
-    /// Predictor synchronization statistics (predict mode).
-    pub predict_stats: Option<PredictStats>,
-    /// Send-aggregation counters (zero unless aggregation was enabled).
-    pub aggregation: AggregationStats,
-    /// Resilience counters of the rank's hardened oracle facade (panics
-    /// caught, deadline misses, quarantine transitions, degraded time).
-    pub resilience: ResilienceStats,
-    /// Events a durable recorder failed to journal after a sticky IO
-    /// error (0 for in-memory recording and predict mode). Non-zero means
-    /// the run completed but its crash-recovery sidecars are incomplete.
-    pub dropped_events: u64,
-    /// Elastic-world counters (failures detected, replacements, remap
-    /// validations); all zero in a fault-free, size-matched run.
-    pub elastic: ElasticStats,
-}
-
-/// Configuration of prediction-driven send aggregation — the optimization
-/// the paper names as the MPI runtime's motivation (§III-B: "aggregating
-/// multiple successive MPI send messages"): when the oracle predicts that
-/// the next event is another `MPI_Isend` to the same destination, the
-/// message is buffered and shipped together with the following ones as a
-/// single wire transfer.
-#[derive(Debug, Clone, Copy)]
-pub struct AggregationConfig {
-    /// Minimum predicted probability of "another isend to the same peer
-    /// follows" required to hold a message back.
-    pub min_probability: f64,
-    /// Maximum messages per aggregated transfer.
-    pub max_batch: usize,
-}
-
-impl Default for AggregationConfig {
-    fn default() -> Self {
-        AggregationConfig {
-            min_probability: 0.9,
-            max_batch: 16,
-        }
-    }
-}
-
-/// Counters of the aggregation layer.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct AggregationStats {
-    /// Nonblocking sends issued by the application.
-    pub logical_sends: u64,
-    /// Sends that were buffered based on a prediction.
-    pub held_back: u64,
-    /// Aggregated transfers flushed (each carried >= 2 messages).
-    pub batches: u64,
-}
-
-struct PendingBatch {
-    dest: usize,
-    tag: Tag,
-    bufs: Vec<bytes::Bytes>,
-}
-
-struct AggState {
-    config: AggregationConfig,
-    stats: AggregationStats,
-    pending: Option<PendingBatch>,
-}
-
-pub(crate) struct RankState {
+pub(crate) struct RankState<C> {
     pub(crate) oracle: HardenedOracle,
-    cache: EventCache,
+    pub(crate) cache: EventCache,
     accuracy: Option<AccuracyProbe>,
     cost: CostProbe,
     distances: Vec<usize>,
     events: u64,
-    aggregation: Option<AggState>,
+    aggregation: Option<AggState<C>>,
     /// Armed rank fault from the `PYTHIA_CHAOS` plan: `(kind, at)` kills
     /// this rank the chosen way once `events` reaches `at`. `None` on
     /// every rank the plan does not target and on replacement
@@ -242,20 +68,23 @@ pub(crate) struct RankState {
 /// Cross-thread observers never touch this cell: they read the
 /// immutable snapshots the recorder publishes at flush boundaries
 /// (`pythia_core::sync::Published`) and the lock-free shared registry.
-pub(crate) struct RankCell {
-    state: UnsafeCell<RankState>,
+pub(crate) struct RankCell<C> {
+    state: UnsafeCell<RankState<C>>,
     busy: AtomicBool,
 }
 
 // SAFETY: the cell is shared across threads only in the ownership sense
 // (Arc clones held by sub-communicators and the OMP bridge of the same
 // rank); every entry is dynamically checked to be exclusive by `busy`,
-// so two threads can never alias the inner state mutably.
-unsafe impl Send for RankCell {}
-unsafe impl Sync for RankCell {}
+// so two threads can never alias the inner state mutably. The only `C`
+// inside is a held batch's communicator handle: it is used only by the
+// rank's `PythiaComm` handles, which are not `Send` unless `C` is `Sync`,
+// and may be dropped wherever the cell is, hence `C: Send`.
+unsafe impl<C: Send> Send for RankCell<C> {}
+unsafe impl<C: Send> Sync for RankCell<C> {}
 
-impl RankCell {
-    fn new(state: RankState) -> Self {
+impl<C> RankCell<C> {
+    fn new(state: RankState<C>) -> Self {
         RankCell {
             state: UnsafeCell::new(state),
             busy: AtomicBool::new(false),
@@ -266,7 +95,7 @@ impl RankCell {
     /// already entered — which only a contract violation (access from a
     /// foreign thread, or re-entrancy) can cause.
     #[inline]
-    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut RankState) -> R) -> R {
+    pub(crate) fn with<R>(&self, f: impl FnOnce(&mut RankState<C>) -> R) -> R {
         struct Reset<'a>(&'a AtomicBool);
         impl Drop for Reset<'_> {
             fn drop(&mut self) {
@@ -284,18 +113,15 @@ impl RankCell {
         f(unsafe { &mut *self.state.get() })
     }
 
-    fn into_inner(self) -> RankState {
+    fn into_inner(self) -> RankState<C> {
         self.state.into_inner()
     }
 }
 
-impl RankState {
+impl<C> RankState<C> {
     /// Submits an already-resolved event id into this rank's stream
     /// (shared by the MPI façade and the OpenMP bridge listener).
-    pub(crate) fn submit(
-        &mut self,
-        id: pythia_core::event::EventId,
-    ) -> Option<pythia_core::predict::ObserveOutcome> {
+    pub(crate) fn submit(&mut self, id: EventId) -> Option<ObserveOutcome> {
         self.events += 1;
         let outcome = self.oracle.event(id);
         if let Some(probe) = self.accuracy.as_mut() {
@@ -303,66 +129,44 @@ impl RankState {
         }
         outcome
     }
-
-    /// Submits a batch of already-resolved event ids through a single
-    /// oracle dispatch ([`HardenedOracle::events`]); the accuracy probe
-    /// still sees every event. Returns the last event's outcome.
-    pub(crate) fn submit_all(
-        &mut self,
-        ids: &[pythia_core::event::EventId],
-    ) -> Option<pythia_core::predict::ObserveOutcome> {
-        self.events += ids.len() as u64;
-        let outcome = self.oracle.events(ids);
-        if let Some(probe) = self.accuracy.as_mut() {
-            for &id in ids {
-                probe.on_event(id);
-            }
-        }
-        outcome
-    }
 }
 
-/// Assembles the per-rank recordings of a run into a [`TraceData`] (rank
-/// `i` becomes thread `i`), embedding the registry the run interned into —
-/// event ids are only meaningful together with that registry.
-///
-/// Errors with [`Error::OracleUnavailable`] if ranks are missing or a
-/// report has no recording (the run was not in record mode, or the rank's
-/// recording oracle panicked and was poisoned).
-pub fn assemble_trace(reports: Vec<RankReport>, registry: &SharedRegistry) -> Result<TraceData> {
-    let mut reports = reports;
-    reports.sort_by_key(|r| r.rank);
-    for (i, r) in reports.iter().enumerate() {
-        if r.rank != i {
-            return Err(Error::OracleUnavailable(format!(
-                "missing rank {i} in reports"
-            )));
+impl<C: Communicator> RankState<C> {
+    /// Ships the held aggregation batch, if any: done before every call
+    /// whose semantics need buffered sends visible (ordering, progress).
+    fn flush_pending(&mut self) {
+        if let Some(agg) = self.aggregation.as_mut() {
+            agg.flush();
         }
     }
-    let threads: Vec<ThreadTrace> = reports
-        .into_iter()
-        .map(|r| {
-            let rank = r.rank;
-            r.thread_trace
-                .ok_or_else(|| Error::OracleUnavailable(format!("rank {rank} has no recording")))
-        })
-        .collect::<Result<_>>()?;
-    Ok(TraceData::from_threads(threads, registry.snapshot()))
+
+    /// At a blocking call, mimic a runtime that uses the synchronization
+    /// time to plan an optimization: predict the event `x` ahead for every
+    /// configured distance, scoring accuracy and latency.
+    fn request_predictions(&mut self) {
+        let Some(probe) = self.accuracy.as_mut() else {
+            return;
+        };
+        for (slot, &d) in self.distances.iter().enumerate() {
+            let t0 = Instant::now();
+            let prediction = self.oracle.predict_event(d);
+            self.cost.add(d, t0.elapsed().as_nanos());
+            probe.on_prediction(slot, prediction.most_likely());
+        }
+    }
 }
 
 /// A communicator that notifies PYTHIA of every MPI call.
 ///
-/// Mirrors the [`Comm`] API; sub-communicators from [`PythiaComm::split`]
-/// share the rank's oracle (the paper maintains one event stream per
+/// Implements [`Communicator`] over any backend `C` — the in-process
+/// threads backend ([`Comm`], the default) or the multi-process socket
+/// backend — so a recording made over one is byte-identical to the same
+/// run over the other. Sub-communicators from `split`/`dup` share the
+/// rank's oracle (the paper maintains one event stream per
 /// process/thread, across all communicators).
-///
-/// Generic over the transport: any [`Communicator`] backend works — the
-/// in-process threads backend ([`Comm`], the default) and the
-/// multi-process socket backend run the same facade, so a recording made
-/// over one is byte-identical to the same run over the other.
 pub struct PythiaComm<C: Communicator = Comm> {
-    comm: C,
-    state: Arc<RankCell>,
+    comm: Arc<C>,
+    state: Arc<RankCell<C>>,
     registry: SharedRegistry,
 }
 
@@ -480,19 +284,12 @@ impl<C: Communicator> PythiaComm<C> {
                 return (Arc::new(remapped), comm.rank(), 1);
             }
         }
-        (
-            Arc::clone(trace),
-            Self::thread_for(comm, trace, map_ranks),
-            0,
-        )
-    }
-
-    fn thread_for(comm: &C, trace: &TraceData, map_ranks: bool) -> usize {
-        if map_ranks {
+        let thread = if map_ranks {
             comm.rank() % trace.thread_count().max(1)
         } else {
             comm.rank()
-        }
+        };
+        (Arc::clone(trace), thread, 0)
     }
 
     /// The rank fault the `PYTHIA_CHAOS` plan (or an explicit plan, see
@@ -534,7 +331,7 @@ impl<C: Communicator> PythiaComm<C> {
     ) -> Self {
         let fault = FaultPlan::from_env().and_then(|p| Self::rank_fault_from_plan(&comm, &p));
         PythiaComm {
-            comm,
+            comm: Arc::new(comm),
             state: Arc::new(RankCell::new(RankState {
                 oracle,
                 cache: EventCache::new(),
@@ -550,22 +347,6 @@ impl<C: Communicator> PythiaComm<C> {
         }
     }
 
-    /// Rank within the communicator.
-    pub fn rank(&self) -> usize {
-        self.comm.rank()
-    }
-
-    /// Communicator size.
-    pub fn size(&self) -> usize {
-        self.comm.size()
-    }
-
-    /// The underlying communicator (escape hatch; calls made through it
-    /// are invisible to the oracle).
-    pub fn inner(&self) -> &C {
-        &self.comm
-    }
-
     /// Per-event liveness + chaos hook, run inside the rank's cell entry
     /// before the event is submitted. Unarmed (the common case) it costs
     /// two predictable branches: a throttled [`Communicator::heartbeat`]
@@ -574,50 +355,13 @@ impl<C: Communicator> PythiaComm<C> {
     /// check, which diverges via [`Communicator::fail_self`] when the
     /// `PYTHIA_CHAOS` plan says this rank dies at this event count.
     #[inline]
-    fn observe_rank_chaos(&self, st: &mut RankState) {
+    fn observe_rank_chaos(&self, st: &mut RankState<C>) {
         if st.events & 0x3FF == 0 {
             self.comm.heartbeat();
         }
         if let Some((kind, at)) = st.fault {
             if st.events >= at {
                 self.comm.fail_self(kind);
-            }
-        }
-    }
-
-    fn event(&self, call: MpiCall, payload: Option<i64>) {
-        // No lock on the per-event path: the rank's state is entered
-        // through its single-owner cell.
-        self.state.with(|st| {
-            self.observe_rank_chaos(st);
-            if st.oracle.is_off() {
-                // Vanilla: no oracle work at all (the paper's baseline).
-                return;
-            }
-            let id = st.cache.resolve(&self.registry, call, payload);
-            st.submit(id);
-            if call.is_blocking_sync() {
-                self.request_predictions(st);
-            }
-        });
-    }
-
-    /// At a blocking call, mimic a runtime that uses the synchronization
-    /// time to plan an optimization: predict the event `x` ahead for every
-    /// configured distance, scoring accuracy and latency.
-    fn request_predictions(&self, st: &mut RankState) {
-        if st.accuracy.is_none() {
-            return;
-        }
-        for slot in 0..st.distances.len() {
-            let d = st.distances[slot];
-            let t0 = Instant::now();
-            let prediction = st.oracle.predict_event(d);
-            let elapsed = t0.elapsed().as_nanos();
-            st.cost.add(d, elapsed);
-            let predicted = prediction.most_likely();
-            if let Some(probe) = st.accuracy.as_mut() {
-                probe.on_prediction(slot, predicted);
             }
         }
     }
@@ -634,14 +378,13 @@ impl<C: Communicator> PythiaComm<C> {
     /// communicator — backends with an explicit goodbye (the socket
     /// backend's `bye`) need it after the report is assembled.
     pub fn finish_into(self) -> Result<(RankReport, C)> {
-        self.flush_pending();
+        self.state.with(|st| st.flush_pending());
         let rank = self.comm.rank();
         let elastic = ElasticStats {
             rank_failures_detected: self.comm.failures_detected(),
             ranks_replaced: u64::from(self.comm.incarnation() > 0),
             remap_validations: self.state.with(|st| st.remap_validations),
         };
-        let comm = self.comm;
         let state = Arc::try_unwrap(self.state)
             .map_err(|_| {
                 Error::OracleUnavailable(format!(
@@ -649,302 +392,41 @@ impl<C: Communicator> PythiaComm<C> {
                 ))
             })?
             .into_inner();
-        let events = state.events;
-        let rules = state.oracle.recorder().map_or(0, |r| r.rule_count());
-        let dropped_events = state.oracle.recorder().map_or(0, |r| r.dropped_events());
-        let predict_stats = state.oracle.predict_stats();
-        let resilience = state.oracle.resilience_stats();
-        let aggregation = state
-            .aggregation
-            .as_ref()
-            .map(|a| a.stats)
-            .unwrap_or_default();
-        let accuracy = state
-            .accuracy
-            .as_ref()
-            .map(|a| a.results())
-            .unwrap_or_default();
-        let thread_trace = state.oracle.finish()?;
-        Ok((
-            RankReport {
-                rank,
-                events,
-                rules,
-                thread_trace,
-                accuracy,
-                cost: state.cost,
-                predict_stats,
-                aggregation,
-                resilience,
-                dropped_events,
-                elastic,
-            },
-            comm,
-        ))
-    }
-
-    // ------------------------------------------------------------------
-    // Instrumented MPI surface
-    // ------------------------------------------------------------------
-
-    /// `MPI_Send` (eager semantics: may be buffered, so it participates
-    /// in prediction-driven aggregation like `isend`).
-    pub fn send<T: MpiType>(&self, buf: &[T], dest: usize, tag: Tag) {
-        self.do_send(MpiCall::Send, buf, dest, tag);
-    }
-
-    /// `MPI_Recv`.
-    pub fn recv<T: MpiType>(&self, src: Option<usize>, tag: Option<Tag>) -> (Vec<T>, Status) {
-        self.flush_pending();
-        self.event(MpiCall::Recv, Some(src.map_or(-1, |s| s as i64)));
-        self.comm.recv(src, tag)
+        let comm = Arc::into_inner(self.comm).expect("no held batch outlives the flush");
+        let recorder = state.oracle.recorder();
+        let report = RankReport {
+            rank,
+            events: state.events,
+            rules: recorder.map_or(0, |r| r.rule_count()),
+            dropped_events: recorder.map_or(0, |r| r.dropped_events()),
+            predict_stats: state.oracle.predict_stats(),
+            resilience: state.oracle.resilience_stats(),
+            aggregation: state.aggregation.map(|a| a.stats).unwrap_or_default(),
+            accuracy: state.accuracy.map(|a| a.results()).unwrap_or_default(),
+            cost: state.cost,
+            elastic,
+            thread_trace: state.oracle.finish()?,
+        };
+        Ok((report, comm))
     }
 
     /// Enables prediction-driven send aggregation (only effective in
     /// predict mode; see [`AggregationConfig`]).
     pub fn enable_aggregation(&self, config: AggregationConfig) {
-        self.state.with(|st| {
-            st.aggregation = Some(AggState {
-                config,
-                stats: AggregationStats::default(),
-                pending: None,
-            });
-        });
-    }
-
-    /// Ships any buffered messages (one transfer per destination batch).
-    fn flush_pending_locked(&self, st: &mut RankState) {
-        if let Some(agg) = st.aggregation.as_mut() {
-            if let Some(p) = agg.pending.take() {
-                if p.bufs.len() >= 2 {
-                    agg.stats.batches += 1;
-                }
-                self.comm.send_batch_raw(p.bufs, p.dest, p.tag);
-            }
-        }
-    }
-
-    /// Flush entry point used before every operation whose semantics
-    /// require buffered sends to be visible (ordering and progress).
-    fn flush_pending(&self) {
-        self.state.with(|st| self.flush_pending_locked(st));
-    }
-
-    /// `MPI_Isend`. With aggregation enabled and the oracle predicting
-    /// another send to the same peer, the message is buffered and later
-    /// shipped as part of one transfer.
-    pub fn isend<T: MpiType>(&self, buf: &[T], dest: usize, tag: Tag) -> Request<T> {
-        self.do_send(MpiCall::Isend, buf, dest, tag);
-        Request::send(dest, tag)
-    }
-
-    /// Shared path of `send`/`isend`: submit the event, then either ship
-    /// the message or — when the oracle predicts that the next event is
-    /// another send to the same peer — buffer it for an aggregated
-    /// transfer.
-    fn do_send<T: MpiType>(&self, call: MpiCall, buf: &[T], dest: usize, tag: Tag) {
-        // The whole decision runs inside the rank's single-owner cell;
-        // the send itself is issued after leaving it (the cell is not a
-        // lock, but keeping blocking transport calls outside preserves
-        // the old lock-discipline shape and keeps entries short).
-        let ship = self.state.with(|st| {
-            self.observe_rank_chaos(st);
-            if st.oracle.is_off() {
-                return true;
-            }
-            // Submit the event (identical to the un-aggregated path).
-            let id = st.cache.resolve(&self.registry, call, Some(dest as i64));
-            st.submit(id);
-            if st.aggregation.is_none() || st.oracle.predictor().is_none() {
-                return true;
-            }
-            // "Another send to this peer follows" — blocking or nonblocking.
-            // The prediction is computed before the aggregation state is
-            // borrowed (the hardened facade's watchdog mutates on every query);
-            // a degraded oracle answers uninformed, so the message ships
-            // immediately — aggregation falls back to no-prefetch behavior.
-            let send_id = st
-                .cache
-                .resolve(&self.registry, MpiCall::Send, Some(dest as i64));
-            let isend_id = st
-                .cache
-                .resolve(&self.registry, MpiCall::Isend, Some(dest as i64));
-            let prediction = st.oracle.predict_event(1);
-            // A pending batch for a different peer must go out first to
-            // preserve per-destination ordering.
-            let incompatible = st
-                .aggregation
-                .as_ref()
-                .and_then(|a| a.pending.as_ref())
-                .is_some_and(|p| p.dest != dest || p.tag != tag);
-            if incompatible {
-                self.flush_pending_locked(st);
-            }
-            let Some(agg) = st.aggregation.as_mut() else {
-                return true;
-            };
-            agg.stats.logical_sends += 1;
-            let room = agg
-                .pending
-                .as_ref()
-                .is_none_or(|p| p.bufs.len() < agg.config.max_batch);
-            let min_p = agg.config.min_probability;
-            let more_coming =
-                matches!(
-                    prediction.most_likely(),
-                    Some(m) if m == send_id || m == isend_id
-                ) && prediction.probability(send_id) + prediction.probability(isend_id) >= min_p;
-            match agg.pending.as_mut() {
-                Some(p) => {
-                    p.bufs.push(pythia_minimpi::datatype::to_bytes(buf));
-                    agg.stats.held_back += 1;
-                    if !(more_coming && room) {
-                        self.flush_pending_locked(st);
-                    }
-                    false
-                }
-                None if more_coming => {
-                    agg.pending = Some(PendingBatch {
-                        dest,
-                        tag,
-                        bufs: vec![pythia_minimpi::datatype::to_bytes(buf)],
-                    });
-                    agg.stats.held_back += 1;
-                    false
-                }
-                None => true,
-            }
-        });
-        if ship {
-            self.comm.send(buf, dest, tag);
-        }
-    }
-
-    /// `MPI_Irecv`.
-    pub fn irecv<T: MpiType>(&self, src: Option<usize>, tag: Option<Tag>) -> Request<T> {
-        self.event(MpiCall::Irecv, Some(src.map_or(-1, |s| s as i64)));
-        self.comm.irecv(src, tag)
-    }
-
-    /// `MPI_Wait` (requests predictions).
-    pub fn wait<T: MpiType>(&self, request: Request<T>) -> Option<(Vec<T>, Status)> {
-        self.flush_pending();
-        self.event(MpiCall::Wait, None);
-        self.comm.wait(request)
-    }
-
-    /// `MPI_Waitall` (requests predictions).
-    pub fn waitall<T: MpiType>(&self, requests: Vec<Request<T>>) -> Vec<Option<(Vec<T>, Status)>> {
-        self.flush_pending();
-        self.event(MpiCall::Waitall, None);
-        self.comm.waitall(requests)
-    }
-
-    /// `MPI_Barrier` (requests predictions).
-    pub fn barrier(&self) {
-        self.flush_pending();
-        self.event(MpiCall::Barrier, None);
-        self.comm.barrier();
-    }
-
-    /// `MPI_Bcast` (requests predictions; payload: root).
-    pub fn bcast<T: MpiType>(&self, data: &[T], root: usize) -> Vec<T> {
-        self.flush_pending();
-        self.event(MpiCall::Bcast, Some(root as i64));
-        self.comm.bcast(data, root)
-    }
-
-    /// `MPI_Reduce` (requests predictions; payload: reduction op).
-    pub fn reduce<T: MpiReduce>(&self, contrib: &[T], op: ReduceOp, root: usize) -> Option<Vec<T>> {
-        self.flush_pending();
-        self.event(MpiCall::Reduce, Some(op.code()));
-        self.comm.reduce(contrib, op, root)
-    }
-
-    /// `MPI_Allreduce` (requests predictions; payload: reduction op).
-    pub fn allreduce<T: MpiReduce>(&self, contrib: &[T], op: ReduceOp) -> Vec<T> {
-        self.flush_pending();
-        self.event(MpiCall::Allreduce, Some(op.code()));
-        self.comm.allreduce(contrib, op)
-    }
-
-    /// `MPI_Alltoall` (requests predictions).
-    pub fn alltoall<T: MpiType>(&self, sends: &[Vec<T>]) -> Vec<Vec<T>> {
-        self.flush_pending();
-        self.event(MpiCall::Alltoall, None);
-        self.comm.alltoall(sends)
-    }
-
-    /// `MPI_Gather` (requests predictions; payload: root).
-    pub fn gather<T: MpiType>(&self, contrib: &[T], root: usize) -> Option<Vec<Vec<T>>> {
-        self.flush_pending();
-        self.event(MpiCall::Gather, Some(root as i64));
-        self.comm.gather(contrib, root)
-    }
-
-    /// `MPI_Allgather` (requests predictions).
-    pub fn allgather<T: MpiType>(&self, contrib: &[T]) -> Vec<Vec<T>> {
-        self.flush_pending();
-        self.event(MpiCall::Allgather, None);
-        self.comm.allgather(contrib)
-    }
-
-    /// `MPI_Scatter` (requests predictions; payload: root).
-    pub fn scatter<T: MpiType>(&self, chunks: Option<&[Vec<T>]>, root: usize) -> Vec<T> {
-        self.flush_pending();
-        self.event(MpiCall::Scatter, Some(root as i64));
-        self.comm.scatter(chunks, root)
-    }
-
-    /// `MPI_Sendrecv` (payload: destination rank; flushes pending
-    /// aggregated sends first — it contains a blocking receive).
-    pub fn sendrecv<T: MpiType>(
-        &self,
-        buf: &[T],
-        dest: usize,
-        src: Option<usize>,
-        tag: Tag,
-    ) -> (Vec<T>, Status) {
-        self.flush_pending();
-        self.event(MpiCall::Sendrecv, Some(dest as i64));
-        self.comm.sendrecv(buf, dest, src, tag)
-    }
-
-    /// `MPI_Scan` (requests predictions; payload: reduction op).
-    pub fn scan<T: MpiReduce>(&self, contrib: &[T], op: ReduceOp) -> Vec<T> {
-        self.flush_pending();
-        self.event(MpiCall::Scan, Some(op.code()));
-        self.comm.scan(contrib, op)
-    }
-
-    /// `MPI_Reduce_scatter` (requests predictions; payload: reduction op).
-    pub fn reduce_scatter<T: MpiReduce>(&self, chunks: &[Vec<T>], op: ReduceOp) -> Vec<T> {
-        self.flush_pending();
-        self.event(MpiCall::ReduceScatter, Some(op.code()));
-        self.comm.reduce_scatter(chunks, op)
-    }
-
-    /// `MPI_Comm_dup`: the duplicate shares this rank's oracle.
-    pub fn dup(&self) -> PythiaComm<C> {
-        self.flush_pending();
-        self.event(MpiCall::CommDup, None);
-        PythiaComm {
-            comm: self.comm.dup(),
-            state: Arc::clone(&self.state),
-            registry: Arc::clone(&self.registry),
-        }
+        self.state
+            .with(|st| st.aggregation = Some(AggState::new(config)));
     }
 
     /// Submits a non-MPI key point (e.g. an OpenMP region boundary of a
     /// hybrid application) into this rank's event stream.
     pub fn custom_event(&self, name: &'static str, payload: Option<i64>) {
-        self.event(MpiCall::Custom(name), payload);
+        self.custom_events(&[(name, payload)]);
     }
 
     /// Submits several non-MPI key points at once, through a single state
-    /// entry and a single oracle dispatch. Instrumentation points that emit
-    /// adjacent events (e.g. a phase marker plus a region boundary) should
-    /// prefer this over repeated [`PythiaComm::custom_event`] calls.
+    /// entry. Instrumentation points that emit adjacent events (e.g. a
+    /// phase marker plus a region boundary) should prefer this over
+    /// repeated [`PythiaComm::custom_event`] calls.
     pub fn custom_events(&self, events: &[(&'static str, Option<i64>)]) {
         if events.is_empty() {
             return;
@@ -954,14 +436,10 @@ impl<C: Communicator> PythiaComm<C> {
             if st.oracle.is_off() {
                 return;
             }
-            let ids: Vec<pythia_core::event::EventId> = events
-                .iter()
-                .map(|&(name, payload)| {
-                    st.cache
-                        .resolve(&self.registry, MpiCall::Custom(name), payload)
-                })
-                .collect();
-            st.submit_all(&ids);
+            for &(name, payload) in events {
+                let id = st.cache.resolve_custom(&self.registry, name, payload);
+                st.submit(id);
+            }
         });
     }
 
@@ -973,24 +451,119 @@ impl<C: Communicator> PythiaComm<C> {
     pub fn omp_listener(
         &self,
         policy: Option<crate::omp_bridge::DurationPolicy>,
-    ) -> Box<dyn pythia_minomp::OmpListener> {
+    ) -> Box<dyn pythia_minomp::OmpListener>
+    where
+        C: Send + 'static,
+    {
         Box::new(crate::omp_bridge::OmpBridgeListener {
             state: Arc::clone(&self.state),
             registry: Arc::clone(&self.registry),
-            cache: EventCache::new(),
             policy,
         })
     }
+}
 
-    /// `MPI_Comm_split`: the sub-communicator shares this rank's oracle.
-    pub fn split(&self, color: i64, key: i64) -> PythiaComm<C> {
-        self.flush_pending();
-        self.event(MpiCall::CommSplit, Some(color));
+/// The instrumented call surface: the backend's primitives, forwarded, and
+/// the one hook every provided MPI call enters through.
+impl<C: Communicator> Communicator for PythiaComm<C> {
+    fn rank(&self) -> usize {
+        self.comm.rank()
+    }
+    fn size(&self) -> usize {
+        self.comm.size()
+    }
+    fn id(&self) -> u64 {
+        self.comm.id()
+    }
+    fn world_rank(&self, local: usize) -> usize {
+        self.comm.world_rank(local)
+    }
+    fn incarnation(&self) -> u64 {
+        self.comm.incarnation()
+    }
+
+    /// Sends pass through aggregation: held back when the oracle predicts
+    /// another send to the same peer (see [`AggregationConfig`]).
+    fn deposit(&self, dest: usize, msgs: Vec<Message>) {
+        let ship = self
+            .state
+            .with(|st| st.hold(&self.registry, &self.comm, dest, msgs));
+        if let Some(msgs) = ship {
+            self.comm.deposit(dest, msgs);
+        }
+    }
+
+    fn take(&self, src: Option<usize>, tag: Option<Tag>) -> Message {
+        self.comm.take(src, tag)
+    }
+    fn deposit_take(
+        &self,
+        dest: usize,
+        msgs: Vec<Message>,
+        src: Option<usize>,
+        tag: Option<Tag>,
+    ) -> Message {
+        self.comm.deposit_take(dest, msgs, src, tag)
+    }
+    fn try_take(&self, src: Option<usize>, tag: Option<Tag>) -> Option<Message> {
+        self.comm.try_take(src, tag)
+    }
+    fn probe(&self, src: Option<usize>, tag: Option<Tag>) -> bool {
+        self.comm.probe(src, tag)
+    }
+    fn exchange(&self, mine: Vec<Bytes>) -> Arc<Vec<Vec<Bytes>>> {
+        self.comm.exchange(mine)
+    }
+    fn next_split_seq(&self) -> u64 {
+        self.comm.next_split_seq()
+    }
+
+    /// The sub-communicator shares this rank's oracle.
+    fn register_split(&self, seq: u64, color: i64, members: Vec<usize>, my_rank: usize) -> Self {
         PythiaComm {
-            comm: self.comm.split(color, key),
+            comm: Arc::new(self.comm.register_split(seq, color, members, my_rank)),
             state: Arc::clone(&self.state),
             registry: Arc::clone(&self.registry),
         }
+    }
+
+    fn network_stats(&self) -> NetworkStats {
+        self.comm.network_stats()
+    }
+    fn poisoned(&self) -> Option<usize> {
+        self.comm.poisoned()
+    }
+    fn failures_detected(&self) -> u64 {
+        self.comm.failures_detected()
+    }
+    fn heartbeat(&self) {
+        self.comm.heartbeat()
+    }
+    fn fail_self(&self, fault: RankFault) -> ! {
+        self.comm.fail_self(fault)
+    }
+
+    /// Flushes held sends (except at `send`, `isend` and `irecv`), submits
+    /// the call's event, and requests predictions at blocking calls.
+    fn intercept(&self, call: MpiCall) {
+        self.state.with(|st| {
+            if !matches!(
+                call,
+                MpiCall::Send(_) | MpiCall::Isend(_) | MpiCall::Irecv(_)
+            ) {
+                st.flush_pending();
+            }
+            self.observe_rank_chaos(st);
+            if st.oracle.is_off() {
+                // Vanilla: no oracle work at all (the paper's baseline).
+                return;
+            }
+            let id = st.cache.resolve(&self.registry, call);
+            st.submit(id);
+            if call.is_blocking_sync() {
+                st.request_predictions();
+            }
+        });
     }
 }
 
@@ -1040,7 +613,7 @@ impl PythiaComm {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pythia_minimpi::World;
+    use pythia_minimpi::{ReduceOp, World};
 
     /// Runs a tiny app in the given mode and returns per-rank reports plus
     /// the registry the run interned into.

@@ -29,7 +29,7 @@ fn bursty_app(pc: &PythiaComm) -> (Vec<u64>, NetworkStats) {
         }
         pc.barrier();
     }
-    (received, pc.inner().network_stats())
+    (received, pc.network_stats())
 }
 
 fn run(mode: MpiMode, aggregate: bool) -> Vec<(RankReport, Vec<u64>, NetworkStats)> {
@@ -147,4 +147,79 @@ fn interleaved_destinations_flush_correctly() {
     let expect: Vec<u64> = (0..30).collect();
     assert_eq!(out[1], expect);
     assert_eq!(out[2], expect);
+}
+
+/// A held send belongs to the communicator it was buffered on. Rank 2
+/// sends on its row communicator (`{2, 3}`) and then on the world, to
+/// local rank 1 both times — world rank 3, then world rank 1 — with the
+/// same event ids, so the oracle predicts the second send from the first.
+/// With `world_tag` equal to the row tag the world send would extend the
+/// row batch; with another tag it flushes it through the world handle
+/// instead. Either way every message must arrive on the communicator it
+/// was sent on. Receivers drain with `try_recv` after the final barrier,
+/// so a misrouted message fails the test instead of hanging it.
+fn cross_communicator_batches_ship_on_their_own_communicator(world_tag: i32) {
+    const ITERS: u64 = 30;
+    const ROW_TAG: i32 = 5;
+    let app = |pc: &PythiaComm| {
+        let row = pc.split((pc.rank() / 2) as i64, pc.rank() as i64);
+        for it in 0..ITERS {
+            if pc.rank() == 2 {
+                row.isend(&[it], 1, ROW_TAG);
+                pc.isend(&[1000 + it], 1, world_tag);
+            }
+            pc.barrier();
+        }
+        let drain = |comm: &PythiaComm| {
+            let mut got = Vec::new();
+            while let Some((v, _)) = comm.try_recv::<u64>(None, None) {
+                got.push(v[0]);
+            }
+            got
+        };
+        (drain(&row), drain(pc))
+    };
+    let mode = MpiMode::record();
+    let registry = PythiaComm::registry_for(&mode);
+    let reports = World::run(4, |comm| {
+        let pc = PythiaComm::wrap(comm, &mode, Arc::clone(&registry));
+        app(&pc);
+        pc.finish().unwrap()
+    });
+    let trace = Arc::new(assemble_trace(reports, &registry).unwrap());
+    let mode = MpiMode::predict(trace);
+    let registry = PythiaComm::registry_for(&mode);
+    let out = World::run(4, |comm| {
+        let pc = PythiaComm::wrap(comm, &mode, Arc::clone(&registry));
+        pc.enable_aggregation(AggregationConfig::default());
+        let got = app(&pc);
+        (pc.finish().unwrap(), got)
+    });
+    assert!(
+        out[2].0.aggregation.held_back > 0,
+        "the scenario must hold sends back: {:?}",
+        out[2].0.aggregation
+    );
+    let row_msgs: Vec<u64> = (0..ITERS).collect();
+    let world_msgs: Vec<u64> = (1000..1000 + ITERS).collect();
+    assert_eq!(out[3].1 .0, row_msgs, "rank 3, row communicator");
+    assert_eq!(out[1].1 .1, world_msgs, "rank 1, world communicator");
+    for (rank, (_, (row, world))) in out.iter().enumerate() {
+        if rank != 3 {
+            assert!(row.is_empty(), "rank {rank} got {row:?} on its row");
+        }
+        if rank != 1 {
+            assert!(world.is_empty(), "rank {rank} got {world:?} on the world");
+        }
+    }
+}
+
+#[test]
+fn held_send_is_not_extended_by_another_communicator() {
+    cross_communicator_batches_ship_on_their_own_communicator(5);
+}
+
+#[test]
+fn held_send_is_not_flushed_through_another_communicator() {
+    cross_communicator_batches_ship_on_their_own_communicator(6);
 }

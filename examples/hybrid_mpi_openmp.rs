@@ -12,7 +12,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use pythia::minimpi::{ReduceOp, World};
+use pythia::minimpi::{Communicator, ReduceOp, World};
 use pythia::minomp::{OmpRuntime, PoolMode, RegionId};
 use pythia::runtime_mpi::session::assemble_trace;
 use pythia::runtime_mpi::{MpiMode, PythiaComm};
