@@ -1,4 +1,4 @@
-//! Elastic multi-process recording driver for CI: the socket backend's
+//! Elastic multi-process recording driver: the socket backend's
 //! rank-crash recovery, exercised with real OS processes.
 //!
 //! Subcommands (one process each; a harness composes them):
@@ -7,7 +7,6 @@
 //! elastic_record hub SOCKET RANKS            # serve an elastic world
 //! elastic_record worker SOCKET TRACE RANK RANKS EVENTS [INCARNATION [SPAN]]
 //! elastic_record assemble TRACE              # sidecars -> final trace file
-//! elastic_record threads TRACE RANKS EVENTS  # elastic threads world
 //! ```
 //!
 //! Each worker connects to the hub as one world rank, records an
@@ -18,7 +17,8 @@
 //! -9`s a worker mid-record, then launches a replacement with
 //! `INCARNATION=1`: the replacement salvages the dead rank's journal,
 //! resumes at the exact event it died at, and the assembled trace is
-//! byte-identical to a fault-free run's.
+//! byte-identical to a fault-free run's
+//! (`crates/bench/tests/elastic_socket_recovery.rs` does exactly this).
 //!
 //! Registry discipline: every worker interns the full event vocabulary
 //! in the same deterministic warm-up order before recording, so the
@@ -26,24 +26,18 @@
 //! agree across processes without any cross-process registry service.
 //!
 //! `worker`'s optional SPAN hosts SPAN consecutive ranks (RANK..RANK+SPAN)
-//! inside one process, one thread per rank over its own hub connection —
-//! the ci.sh socket smoke runs an 8-rank world as 2 processes x 4 ranks.
-//!
-//! `threads` runs the whole world in-process on the elastic threads
-//! backend instead, with rank faults injected from the ambient
-//! `PYTHIA_CHAOS` plan — the ci.sh rank-chaos sweep (panic / hang /
-//! disconnect) runs it under each plan and byte-compares the finalized
-//! trace against a fault-free run.
+//! inside one process, one thread per rank over its own hub connection;
+//! the same test's fault-free run hosts two of its three ranks this way.
 
 use std::io::Write;
 use std::path::Path;
 
 use pythia_core::persist::{remove_sidecars, PersistConfig};
-use pythia_minimpi::{Communicator, Hub, SocketComm, World};
+use pythia_minimpi::{Communicator, Hub, SocketComm};
 use pythia_runtime_mpi::{RecordingSession, SharedRegistry};
 
-/// Events per iteration of the recorded loop (compute + 3-peer exchange
-/// + reduce), mirroring `crash_record`'s stencil shape.
+/// Distinct payloads of the recorded `step` event: the stream cycles
+/// through them, so it compresses into a loop.
 const STEP_MOD: i64 = 7;
 
 fn warm_up(registry: &SharedRegistry) {
@@ -110,30 +104,6 @@ fn run_worker(socket: &Path, trace: &Path, rank: usize, ranks: usize, events: u6
     comm.bye().ok();
 }
 
-fn run_threads(trace: &Path, ranks: usize, events: u64) {
-    let session = RecordingSession::with_persist(trace, false, persist());
-    warm_up(session.registry());
-    let (reports, stats) = World::run_elastic(ranks, |comm| {
-        let (pc, resumed) = session.wrap_or_resume(comm).expect("wrap rank");
-        for i in resumed..events {
-            pc.custom_event("step", Some((i as i64) % STEP_MOD));
-        }
-        pc.barrier();
-        pc.finish().expect("finish rank")
-    })
-    .expect("elastic threads world");
-    let replaced: u64 = reports.iter().map(|r| r.elastic.ranks_replaced).sum();
-    let data = session.finalize(reports).expect("finalize trace");
-    println!(
-        "threads done ranks={} events={} replaced={replaced} \
-         world_failures={} world_replaced={}",
-        data.thread_count(),
-        data.total_events(),
-        stats.failures_detected,
-        stats.ranks_replaced
-    );
-}
-
 fn run_assemble(trace: &Path) {
     let (data, report) = RecordingSession::recover(trace).expect("recover sidecars");
     data.save(trace).expect("save assembled trace");
@@ -160,8 +130,7 @@ fn main() {
         eprintln!(
             "usage: elastic_record hub SOCKET RANKS\n\
              \x20      elastic_record worker SOCKET TRACE RANK RANKS EVENTS [INCARNATION [SPAN]]\n\
-             \x20      elastic_record assemble TRACE\n\
-             \x20      elastic_record threads TRACE RANKS EVENTS"
+             \x20      elastic_record assemble TRACE"
         );
         std::process::exit(2);
     };
@@ -191,11 +160,6 @@ fn main() {
             );
         }
         Some("assemble") if argv.len() >= 2 => run_assemble(Path::new(&argv[1])),
-        Some("threads") if argv.len() >= 4 => {
-            let ranks = argv[2].parse().unwrap_or_else(|_| usage());
-            let events = argv[3].parse().unwrap_or_else(|_| usage());
-            run_threads(Path::new(&argv[1]), ranks, events);
-        }
         _ => usage(),
     }
 }

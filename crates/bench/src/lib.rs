@@ -64,20 +64,48 @@ impl Args {
         self.argv.iter().any(|a| a == &key)
     }
 
-    /// Parses the value of `--name`, falling back to `default`.
+    /// Parses the value of `--name`, falling back to `default` when the
+    /// flag is absent. A value that does not parse is a usage error: the
+    /// process exits 2 with a message naming the flag.
     pub fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> T {
-        self.value(name)
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        self.try_parse_or(name, default)
+            .unwrap_or_else(|e| usage_error(&e))
     }
 
-    /// Parses a comma-separated list of values for `--name`.
+    /// Parses a comma-separated list of values for `--name`, falling back
+    /// to `default` when the flag is absent. An item that does not parse
+    /// is a usage error, as in [`Args::parse_or`].
     pub fn parse_list<T: std::str::FromStr + Clone>(&self, name: &str, default: &[T]) -> Vec<T> {
+        self.try_parse_list(name, default)
+            .unwrap_or_else(|e| usage_error(&e))
+    }
+
+    fn try_parse_or<T: std::str::FromStr>(&self, name: &str, default: T) -> Result<T, String> {
+        self.value(name)
+            .map_or(Ok(default), |v| parse_value(name, v))
+    }
+
+    fn try_parse_list<T: std::str::FromStr + Clone>(
+        &self,
+        name: &str,
+        default: &[T],
+    ) -> Result<Vec<T>, String> {
         match self.value(name) {
-            None => default.to_vec(),
-            Some(v) => v.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
+            None => Ok(default.to_vec()),
+            Some(v) => v.split(',').map(|x| parse_value(name, x.trim())).collect(),
         }
     }
+}
+
+fn parse_value<T: std::str::FromStr>(name: &str, value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|_| format!("--{name}: cannot parse {value:?}"))
+}
+
+fn usage_error(message: &str) -> ! {
+    eprintln!("error: {message}");
+    std::process::exit(2)
 }
 
 /// An aligned plain-text table, in the spirit of the paper's Table I.
@@ -190,6 +218,26 @@ mod tests {
         let a = Args::from(&["--sizes", "5, 10,20"]);
         assert_eq!(a.parse_list("sizes", &[1u64]), vec![5, 10, 20]);
         assert_eq!(a.parse_list("other", &[7u64]), vec![7]);
+    }
+
+    #[test]
+    fn args_reject_values_that_do_not_parse() {
+        let a = Args::from(&["--ranks", "abc", "--rates", "0,x", "--sizes", "5,"]);
+        assert_eq!(
+            a.try_parse_or("ranks", 4usize),
+            Err("--ranks: cannot parse \"abc\"".to_string())
+        );
+        assert_eq!(
+            a.try_parse_list("rates", &[0.5f64]),
+            Err("--rates: cannot parse \"x\"".to_string())
+        );
+        assert!(a.try_parse_list("sizes", &[1u64]).is_err());
+        // A flag given without a value swallows the next flag as its value.
+        let a = Args::from(&["--ranks", "--fast"]);
+        assert!(a.try_parse_or("ranks", 4usize).is_err());
+        // Absent flags still fall back to their defaults.
+        assert_eq!(a.try_parse_or("runs", 3usize), Ok(3));
+        assert_eq!(a.try_parse_list("sizes", &[1u64]), Ok(vec![1]));
     }
 
     #[test]

@@ -6,9 +6,10 @@
 //!
 //! Drives `analyze_cli::run` in-process (the binary's `main` is a thin
 //! wrapper around it), so exit codes, loading, and output formatting are
-//! all the production path.
+//! all the production path. The `recover` subcommand is driven the same
+//! way over a durable multi-rank recording crashed at chosen event counts.
 
-use pythia_bench::analyze_cli::{run, seed_violations, EXIT_CLEAN, EXIT_FINDINGS};
+use pythia_bench::analyze_cli::{run, run_recover, seed_violations, EXIT_CLEAN, EXIT_FINDINGS};
 use pythia_core::analyze::Severity;
 
 fn args(list: &[&str]) -> Vec<String> {
@@ -237,4 +238,142 @@ fn seeded_report_matches_golden() {
             path.display()
         );
     }
+}
+
+/// Journal flush budget of [`crashed_recording_recovers_and_analyzes_clean`].
+const FLUSH_EVENTS: u64 = 64;
+/// Checkpoint cadence of the same test.
+const SNAPSHOT_EVENTS: u64 = 4096;
+
+/// Submits the first `n` events of a rank's stream: iterations of
+/// compute, a three-peer exchange and a reduce (the shape a stencil
+/// solver produces), so the grammar is a real compressed loop nest.
+fn record_stream(pc: &pythia_runtime_mpi::PythiaComm<pythia_minimpi::Comm>, n: u64) {
+    for i in 0..n {
+        match i % 5 {
+            0 => pc.custom_event("compute", Some((i / 5 % 7) as i64)),
+            4 => pc.custom_event("reduce", None),
+            peer => pc.custom_event("exchange", Some(peer as i64 - 1)),
+        }
+    }
+}
+
+/// A durable 2-rank recording whose ranks each stop after `events[rank]`
+/// events. With `crash`, each rank's wrapper is leaked instead of
+/// finished: no finish and no drop guard runs, as under `kill -9`, and
+/// only the sidecars survive. Otherwise the run finalizes normally.
+fn record_session(path: &std::path::Path, events: [u64; 2], crash: bool) {
+    use pythia_core::persist::PersistConfig;
+    use pythia_runtime_mpi::RecordingSession;
+
+    let session = RecordingSession::with_persist(
+        path,
+        false,
+        PersistConfig {
+            flush_events: FLUSH_EVENTS as usize,
+            flush_bytes: 4 << 10,
+            snapshot_events: SNAPSHOT_EVENTS,
+            faults: Some(pythia_core::resilience::FaultPlan::none()),
+            ..PersistConfig::default()
+        },
+    );
+    let reports = pythia_minimpi::World::run(2, |comm| {
+        let rank = pythia_minimpi::Communicator::rank(&comm);
+        let pc = session.wrap(comm).unwrap();
+        record_stream(&pc, events[rank]);
+        if crash {
+            std::mem::forget(pc);
+            None
+        } else {
+            Some(pc.finish().unwrap())
+        }
+    });
+    if !crash {
+        session
+            .finalize(reports.into_iter().flatten().collect())
+            .unwrap();
+    }
+}
+
+/// One rank of a trace, serialized alone: grammar, timing entries and
+/// event count, without the registry.
+fn rank_bytes(trace: &pythia_core::trace::TraceData, rank: usize) -> Vec<u8> {
+    pythia_core::trace::TraceData::from_threads(
+        vec![(**trace.thread(rank).unwrap()).clone()],
+        pythia_core::event::EventRegistry::new(),
+    )
+    .to_bytes()
+    .to_vec()
+}
+
+/// A durable recording crashed after `k` events per rank is rebuilt by
+/// `pythia-analyze recover` and analyzes clean under `--deny errors`,
+/// for kill points on both sides of a flush boundary and of a checkpoint
+/// boundary. Each recovered rank lost at most one flush budget and is
+/// byte-identical to a fresh recording of its journaled prefix.
+#[test]
+fn crashed_recording_recovers_and_analyzes_clean() {
+    let dir = std::env::temp_dir().join(format!("pythia-analyze-crash-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for k in [
+        FLUSH_EVENTS,
+        2 * FLUSH_EVENTS - 1,
+        2 * FLUSH_EVENTS + 1,
+        SNAPSHOT_EVENTS - 1,
+        SNAPSHOT_EVENTS + 1,
+    ] {
+        let crashed = dir.join(format!("crash{k}.pythia"));
+        let recovered = dir.join(format!("recovered{k}.pythia"));
+        record_session(&crashed, [k, k], true);
+        assert!(!crashed.exists(), "k={k}: the crashed run finalized");
+
+        let (mut out, mut err) = (String::new(), String::new());
+        let code = run_recover(
+            &args(&[
+                "--json",
+                "--out",
+                recovered.to_str().unwrap(),
+                crashed.to_str().unwrap(),
+            ]),
+            &mut out,
+            &mut err,
+        );
+        assert_eq!(code, EXIT_CLEAN, "k={k}: {out}{err}");
+        let (mut out2, mut err2) = (String::new(), String::new());
+        let code = run(
+            &args(&["--deny", "errors", recovered.to_str().unwrap()]),
+            &mut out2,
+            &mut err2,
+        );
+        assert_eq!(code, EXIT_CLEAN, "k={k}: {out2}{err2}");
+
+        let report: serde_json::Value = serde_json::from_str(out.trim()).unwrap();
+        let ranks = report["ranks"].as_array().unwrap();
+        assert_eq!(ranks.len(), 2, "k={k}: {out}");
+        let mut prefix = [0u64; 2];
+        for r in ranks {
+            let rank = r["rank"].as_u64().unwrap() as usize;
+            prefix[rank] = r["recovered_events"].as_u64().unwrap();
+            assert!(
+                k - prefix[rank] <= FLUSH_EVENTS,
+                "k={k}: rank {rank} lost {} events, flush budget is {FLUSH_EVENTS}",
+                k - prefix[rank]
+            );
+            let from_checkpoint = r["checkpoint_events"].as_u64().unwrap() > 0;
+            assert_eq!(from_checkpoint, k >= SNAPSHOT_EVENTS, "k={k}: {r}");
+        }
+
+        let fresh = dir.join(format!("fresh{k}.pythia"));
+        record_session(&fresh, prefix, false);
+        let fresh = pythia_core::trace::TraceData::load(&fresh).unwrap();
+        let rebuilt = pythia_core::trace::TraceData::load(&recovered).unwrap();
+        for rank in 0..2 {
+            assert_eq!(
+                rank_bytes(&rebuilt, rank),
+                rank_bytes(&fresh, rank),
+                "k={k}: recovered rank {rank} differs from a fresh recording of its prefix"
+            );
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }

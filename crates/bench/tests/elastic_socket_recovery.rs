@@ -1,10 +1,11 @@
-//! The rank-crash regression gate for elastic socket worlds (ISSUE 10
-//! acceptance criterion): record a multi-process world over the socket
-//! backend, SIGKILL one rank's worker process mid-record, admit a
-//! replacement incarnation, and prove the assembled trace — every
-//! rank's grammar — is byte-identical to a fault-free run's. Drives the
-//! `elastic_record` binary; ci.sh runs this flow only here, through
-//! `cargo test --workspace`.
+//! The rank-crash gate for elastic socket worlds: record a multi-process
+//! world over the socket backend, SIGKILL one rank's worker process
+//! mid-record, admit a replacement incarnation, and prove the assembled
+//! trace — every rank's grammar — is byte-identical to a fault-free
+//! run's. The fault-free run doubles as the socket smoke: one worker
+//! process hosts two of the three ranks, the hub must report no failure,
+//! and the assembled trace must carry every rank's events. Drives the
+//! `elastic_record` binary.
 
 use std::io::{BufRead, BufReader};
 use std::path::{Path, PathBuf};
@@ -13,7 +14,7 @@ use std::time::{Duration, Instant};
 
 const BIN: &str = env!("CARGO_BIN_EXE_elastic_record");
 const RANKS: usize = 3;
-const EVENTS: &str = "20000";
+const EVENTS: u64 = 20_000;
 
 fn spawn_hub(socket: &Path, ranks: usize) -> Child {
     let child = Command::new(BIN)
@@ -32,15 +33,17 @@ fn spawn_hub(socket: &Path, ranks: usize) -> Child {
     child
 }
 
-fn spawn_worker(socket: &Path, trace: &Path, rank: usize, incarnation: u64) -> Child {
+/// One worker process hosting ranks `rank..rank + span`.
+fn spawn_worker(socket: &Path, trace: &Path, rank: usize, span: usize, incarnation: u64) -> Child {
     Command::new(BIN)
         .arg("worker")
         .arg(socket)
         .arg(trace)
         .arg(rank.to_string())
         .arg(RANKS.to_string())
-        .arg(EVENTS)
+        .arg(EVENTS.to_string())
         .arg(incarnation.to_string())
+        .arg(span.to_string())
         .stdout(Stdio::piped())
         .stderr(Stdio::inherit())
         .spawn()
@@ -74,20 +77,28 @@ fn assemble(trace: &Path) -> String {
     String::from_utf8_lossy(&out.stdout).into_owned()
 }
 
-/// Fault-free run: hub + one worker process per rank.
+/// Fault-free run: hub + one worker process hosting ranks 0 and 1 + one
+/// hosting rank 2. No failure is detected and the assembled trace holds
+/// every rank's events plus its closing barrier.
 fn record_clean(dir: &Path) -> PathBuf {
     let socket = dir.join("free.sock");
     let trace = dir.join("free.pythia");
     let hub = spawn_hub(&socket, RANKS);
-    let workers: Vec<Child> = (0..RANKS)
-        .map(|r| spawn_worker(&socket, &trace, r, 0))
-        .collect();
-    for (r, w) in workers.into_iter().enumerate() {
-        wait_success(w, &format!("worker {r}"));
+    let workers = [
+        spawn_worker(&socket, &trace, 0, 2, 0),
+        spawn_worker(&socket, &trace, 2, 1, 0),
+    ];
+    for (i, w) in workers.into_iter().enumerate() {
+        wait_success(w, &format!("worker process {i}"));
     }
     let hub_out = wait_success(hub, "hub");
     assert!(hub_out.contains("failures=0 replaced=0"), "{hub_out}");
-    assemble(&trace);
+    let assembled = assemble(&trace);
+    let total = RANKS as u64 * (EVENTS + 1);
+    assert!(
+        assembled.contains(&format!("assembled ranks={RANKS} events={total} ")),
+        "{assembled}"
+    );
     trace
 }
 
@@ -100,10 +111,10 @@ fn record_with_rank_crash(dir: &Path) -> PathBuf {
     let hub = spawn_hub(&socket, RANKS);
     let survivors: Vec<Child> = [0, 2]
         .iter()
-        .map(|&r| spawn_worker(&socket, &trace, r, 0))
+        .map(|&r| spawn_worker(&socket, &trace, r, 1, 0))
         .collect();
 
-    let mut victim = spawn_worker(&socket, &trace, 1, 0);
+    let mut victim = spawn_worker(&socket, &trace, 1, 1, 0);
     {
         // The victim prints `progress rank=1 events=N` every 256 events;
         // kill it only after real progress so the replacement genuinely
@@ -121,7 +132,7 @@ fn record_with_rank_crash(dir: &Path) -> PathBuf {
     victim.kill().expect("SIGKILL the victim rank");
     let _ = victim.wait();
 
-    let replacement = spawn_worker(&socket, &trace, 1, 1);
+    let replacement = spawn_worker(&socket, &trace, 1, 1, 1);
     let out = wait_success(replacement, "replacement rank 1");
     assert!(out.contains("replaced=1"), "not a replacement run:\n{out}");
     let resumed: u64 = out

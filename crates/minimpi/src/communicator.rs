@@ -244,9 +244,8 @@ pub trait Communicator: Sized {
 
     /// The interception hook: every provided MPI call below calls it
     /// exactly once, on entry, before any primitive. The default does
-    /// nothing. [`Communicator::try_recv`], [`Communicator::send_batch`]
-    /// and [`Communicator::send_batch_raw`] are transport helpers, not
-    /// instrumented calls, and do not call it.
+    /// nothing. [`Communicator::try_recv`] and [`Communicator::probe`]
+    /// are transport helpers, not instrumented calls, and do not call it.
     #[inline]
     fn intercept(&self, _call: MpiCall) {}
 
@@ -273,24 +272,6 @@ pub trait Communicator: Sized {
         tag: Option<Tag>,
     ) -> Option<(Vec<T>, Status)> {
         self.try_take(src, tag).map(unpack)
-    }
-
-    /// Sends several messages to `dest` as one modeled wire transfer.
-    fn send_batch<T: MpiType>(&self, bufs: &[Vec<T>], dest: usize, tag: Tag) {
-        let msgs: Vec<Message> = bufs
-            .iter()
-            .map(|b| message(self, tag, to_bytes(b)))
-            .collect();
-        self.deposit(dest, msgs);
-    }
-
-    /// [`Communicator::send_batch`] for already-encoded payloads.
-    fn send_batch_raw(&self, bufs: Vec<Bytes>, dest: usize, tag: Tag) {
-        let msgs: Vec<Message> = bufs
-            .into_iter()
-            .map(|data| message(self, tag, data))
-            .collect();
-        self.deposit(dest, msgs);
     }
 
     /// Nonblocking send; completes immediately (eager buffering).

@@ -159,8 +159,8 @@ fn every_provided_call_is_intercepted_once_with_its_payload() {
     });
 }
 
-/// `try_recv`, `probe`, `send_batch` and `send_batch_raw` are transport
-/// helpers, not instrumented calls: they never reach the hook.
+/// `try_recv` and `probe` are transport helpers, not instrumented calls:
+/// they never reach the hook.
 #[test]
 fn transport_helpers_are_not_intercepted() {
     World::run(2, |comm| {
@@ -169,10 +169,13 @@ fn transport_helpers_are_not_intercepted() {
             seen: Rc::default(),
         };
         let peer = 1 - c.rank();
-        c.send_batch(&[vec![1u8], vec![2u8]], peer, 0);
-        c.send_batch_raw(vec![Bytes::from(vec![3u8])], peer, 0);
+        c.send(&[1u8, 2], peer, 0);
+        c.send(&[3u8], peer, 0);
         c.barrier();
-        assert_eq!(c.drain(), vec![MpiCall::Barrier]);
+        assert_eq!(
+            c.drain(),
+            vec![MpiCall::Send(peer), MpiCall::Send(peer), MpiCall::Barrier]
+        );
         assert!(c.probe(Some(peer), Some(0)));
         let mut got = Vec::new();
         while let Some((v, _)) = c.try_recv::<u8>(Some(peer), Some(0)) {

@@ -336,65 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn elastic_rank_panic_resumes_byte_identical() {
-        use pythia_core::resilience::FaultPlan;
-
-        let dir = session_dir("elastic");
-        let total = 120i64;
-
-        // Runs the same app over an elastic world, optionally arming a
-        // seeded rank fault, and returns the finalized trace file bytes.
-        let run = |name: &str, plan: Option<FaultPlan>| -> (Vec<u8>, u64) {
-            let path = dir.join(format!("{name}.pythia"));
-            let session = RecordingSession::with_persist(
-                &path,
-                false,
-                PersistConfig {
-                    // Flush every event: the replacement must recover the
-                    // dead rank's complete prefix for byte identity.
-                    flush_events: 1,
-                    ..PersistConfig::default()
-                },
-            );
-            let (reports, stats) = World::run_elastic(3, |comm| {
-                let (pc, resumed) = session.wrap_or_resume(comm).unwrap();
-                if let Some(p) = &plan {
-                    pc.arm_rank_faults(p);
-                }
-                // Fast-forward: the first `resumed` events are already
-                // recorded (and their communication already happened).
-                for i in resumed as i64..total {
-                    pc.custom_event("step", Some(i % 7));
-                }
-                pc.barrier();
-                pc.finish().unwrap()
-            })
-            .unwrap();
-            let replaced: u64 = reports.iter().map(|r| r.elastic.ranks_replaced).sum();
-            assert_eq!(replaced, stats.ranks_replaced);
-            session.finalize(reports).unwrap();
-            (std::fs::read(&path).unwrap(), stats.ranks_replaced)
-        };
-
-        let (clean, replaced) = run("free", None);
-        assert_eq!(replaced, 0);
-
-        // Rank 1 panics after recording 40 events; the replacement must
-        // salvage those 40 from the journal, resume at event 40, and end
-        // with a trace byte-identical to the fault-free run.
-        let silent_guard = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let (faulty, replaced) = run(
-            "faulty",
-            Some(FaultPlan::parse("rank-panic=40,rank-fault-rank=1")),
-        );
-        std::panic::set_hook(silent_guard);
-        assert_eq!(replaced, 1);
-        assert_eq!(clean, faulty, "recovered trace differs from fault-free run");
-        std::fs::remove_dir_all(&dir).ok();
-    }
-
-    #[test]
     fn finalize_with_missing_rank_keeps_sidecars() {
         let dir = session_dir("missing");
         let path = dir.join("run.pythia");

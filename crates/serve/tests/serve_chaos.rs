@@ -5,7 +5,9 @@
 //!
 //! 1. the server never panics and never wedges a shard — after the
 //!    chaos drive every shard still opens, observes, and predicts;
-//! 2. clients make forward progress with plain reconnect-and-retry;
+//! 2. clients make forward progress with plain reconnect-and-retry, and
+//!    a session block that completes over the faulty socket predicts
+//!    bit for bit what the single-process oracle predicts;
 //! 3. a tenant degraded by wire chaos stays contained: an unaffected
 //!    tenant driven in-process keeps predictions byte-identical to the
 //!    single-process oracle throughout;
@@ -18,11 +20,13 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pythia_core::event::{EventId, EventRegistry};
-use pythia_core::predict::{Predictor, PredictorConfig};
+use pythia_core::predict::{Prediction, Predictor, PredictorConfig};
 use pythia_core::record::{RecordConfig, Recorder};
 use pythia_core::resilience::FaultPlan;
 use pythia_core::trace::TraceData;
-use pythia_serve::{Request, Response, ServeConfig, Server, SessionId, SocketClient, Tenants};
+use pythia_serve::{
+    Admission, Request, Response, ServeConfig, Server, SessionId, SocketClient, Tenants,
+};
 
 fn trace_of(seq: &[u32], repeat: usize) -> TraceData {
     let mut rec = Recorder::new(RecordConfig {
@@ -60,6 +64,27 @@ fn chaos_server(workers: usize) -> Server {
         },
     )
     .unwrap()
+}
+
+fn assert_bit_identical(served: &Prediction, local: &Prediction, what: &str) {
+    assert_eq!(
+        served.distribution.len(),
+        local.distribution.len(),
+        "{what}: distribution size diverged"
+    );
+    for (&(es, ps), &(el, pl)) in served.distribution.iter().zip(&local.distribution) {
+        assert_eq!(es, el, "{what}: event order diverged");
+        assert_eq!(
+            ps.to_bits(),
+            pl.to_bits(),
+            "{what}: probability bits diverged"
+        );
+    }
+    assert_eq!(
+        served.end_probability.to_bits(),
+        local.end_probability.to_bits(),
+        "{what}: end probability diverged"
+    );
 }
 
 /// Issues `req` over TCP, reconnecting and retrying on any wire error.
@@ -119,49 +144,76 @@ fn wire_faults_never_wedge_the_server() {
     let mut alpha_pos = 0usize;
 
     // Wire drive: beta sessions hammered through the faulty transport.
+    // Each round is one atomic block — open a session, observe a prefix
+    // of beta's stream and predict — whose prediction must equal the
+    // single-process oracle's bit for bit. A wire error abandons the
+    // block's session and retries the whole block on a fresh connection
+    // with a fresh session, so a completed block observed its prefix
+    // exactly once. The plan corrupts the third response frame of every
+    // connection, so each round after the first loses a response once.
+    let beta = trace_of(BETA_SEQ, 16);
     let mut conn: Option<SocketClient<std::net::TcpStream>> = None;
-    let mut wire_calls = 0u64;
+    let mut faulted_blocks = 0u64;
     for round in 0..12 {
-        let id = match call_retrying(
-            addr,
-            &mut conn,
-            &Request::Open {
-                tenant: "beta".into(),
-                durable: false,
-            },
-        ) {
-            Response::Session { id } => id,
-            other => panic!("chaotic open returned {other:?}"),
-        };
         let events: Vec<EventId> = BETA_SEQ
             .iter()
             .cycle()
             .take(1 + round % 9)
             .map(|&e| EventId(e))
             .collect();
-        match call_retrying(
-            addr,
-            &mut conn,
-            &Request::Observe {
-                session: id,
-                events,
-            },
-        ) {
-            Response::Advice { .. } | Response::Error { .. } => {}
-            other => panic!("chaotic observe returned {other:?}"),
+        let distance = 1 + round as u32 % 3;
+        let mut local = Predictor::from_thread_trace(
+            Arc::clone(beta.thread(0).unwrap()),
+            PredictorConfig::default(),
+        );
+        for &e in &events {
+            local.observe(e);
         }
-        match call_retrying(
-            addr,
-            &mut conn,
-            &Request::Predict {
-                session: id,
-                distance: 1,
-            },
-        ) {
-            Response::Advice { .. } | Response::Error { .. } => {}
-            other => panic!("chaotic predict returned {other:?}"),
-        }
-        wire_calls += 3;
+        let served = 'attempt: {
+            for _ in 0..50 {
+                let client = match conn.as_mut() {
+                    Some(c) => c,
+                    None => match SocketClient::connect_tcp(addr) {
+                        Ok(c) => conn.insert(c),
+                        Err(_) => continue,
+                    },
+                };
+                let id = match client.call(&Request::Open {
+                    tenant: "beta".into(),
+                    durable: false,
+                }) {
+                    Ok(Response::Session { id }) => id,
+                    Err(_) => {
+                        conn = None;
+                        faulted_blocks += 1;
+                        continue;
+                    }
+                    other => panic!("round {round}: chaotic open returned {other:?}"),
+                };
+                match client.call(&Request::ObservePredict {
+                    session: id,
+                    distance,
+                    events: events.clone(),
+                }) {
+                    Ok(Response::Advice {
+                        prediction: Some(p),
+                        admission: Admission::Served,
+                        ..
+                    }) => break 'attempt p,
+                    Err(_) => {
+                        conn = None;
+                        faulted_blocks += 1;
+                    }
+                    other => panic!("round {round}: chaotic observe+predict returned {other:?}"),
+                }
+            }
+            panic!("round {round}: session block never completed in 50 attempts");
+        };
+        assert_bit_identical(
+            &served,
+            &local.predict(distance as usize),
+            &format!("round {round}: beta over the faulty socket"),
+        );
 
         // Containment check: the in-process tenant advances and stays
         // bit-identical while the wire burns.
@@ -190,18 +242,13 @@ fn wire_faults_never_wedge_the_server() {
             } => p,
             other => panic!("in-process alpha call returned {other:?}"),
         };
-        let local = alpha_local.predict(2);
-        assert_eq!(served.distribution.len(), local.distribution.len());
-        for (&(es, ps), &(el, pl)) in served.distribution.iter().zip(&local.distribution) {
-            assert_eq!(es, el, "round {round}: alpha event order diverged");
-            assert_eq!(
-                ps.to_bits(),
-                pl.to_bits(),
-                "round {round}: alpha probability bits diverged"
-            );
-        }
+        assert_bit_identical(
+            &served,
+            &alpha_local.predict(2),
+            &format!("round {round}: in-process alpha"),
+        );
     }
-    assert!(wire_calls >= 36, "wire drive made no progress");
+    assert!(faulted_blocks >= 11, "wire faults never hit a block");
 
     // No wedged shard: every shard still serves a full session cycle
     // (opens round-robin, so `workers` opens touch every shard).

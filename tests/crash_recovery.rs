@@ -2,9 +2,10 @@
 //! killed between flushes, journal tail torn mid-write, writer killed in
 //! the middle of the final save — must recover to exactly the grammar a
 //! fresh recording of the journaled prefix would produce, losing at most
-//! one flush budget of trailing events. (The `kill -9`-a-real-process
-//! variant of these runs in `ci.sh`, driving the `crash_record` binary
-//! and `pythia-analyze recover`.)
+//! one flush budget of trailing events. (The multi-rank variant, a
+//! durable `RecordingSession` crashed at chosen event counts and rebuilt
+//! by `pythia-analyze recover`, is
+//! `crates/bench/tests/analyze_cli.rs::crashed_recording_recovers_and_analyzes_clean`.)
 
 use std::path::PathBuf;
 
