@@ -37,14 +37,32 @@
 //! appended to the root **raw** (unindexed, no digram work) while the
 //! cursor walks `A`'s expansion in lockstep. If the whole expansion
 //! matches, the raw tail is truncated and the use becomes `A^{k+1}` — a
-//! handful of writes per motif instead of the churn cycle. On a mismatch
-//! the raw tail is re-scanned through the normal digram machinery
-//! ([`GrammarBuilder::flush_accel`]), reproducing exactly what immediate
-//! processing would have produced. The grammar is **lossless at every
-//! instant** (the raw tail unfolds as part of the root); only the digram
-//! index invariants are deferred while a cursor is in flight, so
-//! compaction/publication boundaries and the invariant validator flush
-//! first.
+//! handful of writes per motif instead of the churn cycle.
+//!
+//! On a mismatch the raw tail is *settled*: replayed use by use through
+//! the digram machinery ([`GrammarBuilder::flush_accel`]). That yields a
+//! valid grammar, though not always the one per-event processing builds
+//! (a completed cycle bumps an exponent where the digram machine may
+//! factor differently). The mismatching event is then offered to a new
+//! cursor before the digram path:
+//!
+//! * **(a) at the next repetition** — if the settle completed one: the
+//!   root's last use is the engaged rule or the use before it, with a
+//!   grown exponent (`R3^14 R5 | x` settles into `R3^15`; `x` starts the
+//!   next `R3`). Re-engaging after *every* mismatch would ride nested
+//!   loops out of phase;
+//! * **(b) at a phase offset** — else, if the root ends in `A^k B^j`,
+//!   `A`'s body starts with `B^m`, `j ≤ m`, and the event continues `A`'s
+//!   expansion after `j` repetitions of `B`: `B^j` is adopted as the head
+//!   of the raw tail, leaving the digram index. A fold drops its weight
+//!   from `B` and runs rule utility; a mismatch replays it like any other
+//!   raw use.
+//!
+//! The grammar is **lossless at every instant** (the raw tail unfolds as
+//! part of the root); only the digram index invariants are deferred while
+//! a cursor is in flight. Checkpoints and snapshot publication therefore
+//! settle a *copy* of the builder, never the live one: the grammar stays
+//! a function of the event stream alone, wherever the stream is cut.
 
 use std::collections::VecDeque;
 
@@ -76,7 +94,7 @@ const EMPTY: u128 = u128::MAX;
 /// array, linear probing, back-shift deletion (no tombstones). The hot
 /// probe is branch-predictable arithmetic — multiply-mix, mask, compare —
 /// instead of `FxHashMap`'s tuple hashing and bucket logic.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct DigramTable {
     /// Packed pair per slot, `EMPTY` when vacant. Power-of-two length.
     keys: Vec<u128>,
@@ -84,6 +102,8 @@ struct DigramTable {
     vals: Vec<Loc>,
     /// Occupied slots.
     len: usize,
+    /// `get`/`insert`/`remove` calls so far (growth rehashes excluded).
+    ops: u64,
 }
 
 impl DigramTable {
@@ -100,6 +120,7 @@ impl DigramTable {
                 Self::MIN_SLOTS
             ],
             len: 0,
+            ops: 0,
         }
     }
 
@@ -121,7 +142,14 @@ impl DigramTable {
     }
 
     #[inline]
-    fn get(&self, key: u128) -> Option<Loc> {
+    fn get(&mut self, key: u128) -> Option<Loc> {
+        self.ops += 1;
+        self.peek(key)
+    }
+
+    /// Uncounted lookup.
+    #[inline]
+    fn peek(&self, key: u128) -> Option<Loc> {
         let mask = self.mask();
         let mut i = self.probe_start(key);
         loop {
@@ -138,6 +166,7 @@ impl DigramTable {
 
     /// Inserts or overwrites.
     fn insert(&mut self, key: u128, val: Loc) {
+        self.ops += 1;
         // Grow at 3/4 load to keep probe runs short.
         if (self.len + 1) * 4 > self.keys.len() * 3 {
             self.grow();
@@ -163,6 +192,7 @@ impl DigramTable {
     /// Removes `key` if present, back-shifting the following probe run so
     /// no tombstones accumulate (lookups stay probe-run bounded forever).
     fn remove(&mut self, key: u128) {
+        self.ops += 1;
         let mask = self.mask();
         let mut i = self.probe_start(key);
         loop {
@@ -208,12 +238,14 @@ impl DigramTable {
                 new_slots
             ],
         );
+        let ops = self.ops;
         self.len = 0;
         for (k, v) in old_keys.into_iter().zip(old_vals) {
             if k != EMPTY {
                 self.insert(k, v);
             }
         }
+        self.ops = ops; // a rehash is not a digram operation
     }
 }
 
@@ -240,7 +272,7 @@ struct Window {
 /// let unfolded: Vec<u32> = g.unfold().into_iter().map(|e| e.0).collect();
 /// assert_eq!(unfolded, vec![0, 1, 1, 2, 1, 2, 0, 1]);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct GrammarBuilder {
     g: Grammar,
     digrams: DigramTable,
@@ -263,7 +295,7 @@ pub struct GrammarBuilder {
 /// Cursor state for loop acceleration: a descent stack walking the
 /// engaged rule's expansion terminal by terminal, plus the root-body
 /// index where the raw (unindexed) tail starts.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 struct AccelCursor {
     /// Whether a raw tail is in flight.
     active: bool,
@@ -328,29 +360,27 @@ impl GrammarBuilder {
                 }
                 return;
             }
-            // Mismatch: settle the raw tail through the normal machinery,
-            // then take the legacy path for this event.
-            self.deaccelerate();
+            self.mismatch(event);
+            return;
         } else if self.try_engage(event) {
             return;
         }
-        self.push_legacy(event);
+        self.append_use(SymbolUse::new(Symbol::Terminal(event), 1));
     }
 
-    /// The classic per-event path: merge into a trailing terminal run or
-    /// append a fresh use and run the digram machinery.
-    fn push_legacy(&mut self, event: EventId) {
+    /// The per-use digram path: merges `u` into a trailing run of the same
+    /// symbol, or appends it and repairs the new boundary.
+    fn append_use(&mut self, u: SymbolUse) {
         let root = self.g.root;
-        let sym = Symbol::Terminal(event);
         let body = &mut self.g.rule_mut(root).body;
         if let Some(last) = body.last_mut() {
-            if last.symbol == sym {
-                last.count += 1;
+            if last.symbol == u.symbol {
+                last.count += u.count;
                 return;
             }
         }
-        body.push(SymbolUse::new(sym, 1));
-        let len = self.g.rule(root).body.len();
+        body.push(u);
+        let len = body.len();
         if len >= 2 {
             self.push_window(root, len - 2, len - 2);
             self.drain();
@@ -365,27 +395,88 @@ impl GrammarBuilder {
     /// whose expansion starts with `event`. On success the event is
     /// appended raw and the cursor is live.
     fn try_engage(&mut self, event: EventId) -> bool {
+        let body = &self.g.rule(self.g.root).body;
+        let raw_start = body.len();
+        let Some(Symbol::Rule(r)) = body.last().map(|u| u.symbol) else {
+            return false;
+        };
+        let frame = (r, 0, self.g.rule(r).body[0].count);
+        self.aim(frame, event) && self.engage(raw_start, event)
+    }
+
+    /// Phase-offset engagement: the root ends in `A^k B^j`, A's body
+    /// starts with `B^m`, `j ≤ m`, and `event` is the next terminal of A's
+    /// expansion after `j` repetitions of B. `B^j` is adopted as the head
+    /// of the raw tail and the cursor rides A from there.
+    fn try_engage_offset(&mut self, event: EventId) -> bool {
         let root = self.g.root;
         let body = &self.g.rule(root).body;
-        let Some(&last) = body.last() else {
+        let len = body.len();
+        let [.., a_use, b_use] = body[..] else {
             return false;
         };
-        let Symbol::Rule(r) = last.symbol else {
+        let Symbol::Rule(a) = a_use.symbol else {
             return false;
         };
-        self.accel.frames.clear();
-        let first_count = self.g.rule(r).body[0].count;
-        self.accel.frames.push((r, 0, first_count));
-        if self.accel_descend() != event {
+        let (a_body, j) = (&self.g.rule(a).body, b_use.count);
+        if a_body[0].symbol != b_use.symbol || j > a_body[0].count {
             return false;
         }
-        self.accel.raw_start = self.g.rule(root).body.len();
+        let frame = if j < a_body[0].count {
+            (a, 0, a_body[0].count - j)
+        } else {
+            (a, 1, a_body[1].count)
+        };
+        if !self.aim(frame, event) {
+            return false;
+        }
+        // The adopted use joins the unindexed raw tail.
+        self.digrams
+            .remove(digram_key((a_use.symbol, b_use.symbol)));
+        self.engage(len - 1, event)
+    }
+
+    /// Points the cursor at `frame`; true if the expansion continues with
+    /// `event` there.
+    fn aim(&mut self, frame: (RuleId, usize, u32), event: EventId) -> bool {
+        self.accel.frames.clear();
+        self.accel.frames.push(frame);
+        self.accel_descend() == event
+    }
+
+    /// Makes the aimed cursor live with the raw tail starting at
+    /// `raw_start` and consumes `event`. Always true.
+    fn engage(&mut self, raw_start: usize, event: EventId) -> bool {
+        self.accel.raw_start = raw_start;
         self.accel.active = true;
         self.append_raw(event);
         if !self.accel_advance() {
             self.fold_cycle();
         }
         true
+    }
+
+    /// A cursor mismatch: settles the raw tail, then offers `event` to a
+    /// new cursor — at the next repetition when the settle completed one
+    /// (the root's last use is the engaged rule or the one before it, with
+    /// a grown exponent), else at a phase offset — and only then to the
+    /// per-use digram path.
+    #[cold]
+    #[inline(never)]
+    fn mismatch(&mut self, event: EventId) {
+        let (root, raw_start) = (self.g.root, self.accel.raw_start);
+        let body = &self.g.rule(root).body;
+        let before = [body[raw_start - 1], body[raw_start.saturating_sub(2)]];
+        self.deaccelerate();
+        let last = self.g.rule(root).body.last().copied();
+        let completed = last.is_some_and(|l| {
+            let grew = |u: &SymbolUse| u.symbol == l.symbol && u.count < l.count;
+            l.symbol.rule().is_some() && before.iter().any(grew)
+        });
+        if (completed && self.try_engage(event)) || self.try_engage_offset(event) {
+            return;
+        }
+        self.append_use(SymbolUse::new(Symbol::Terminal(event), 1));
     }
 
     /// Descends from the cursor's top frame to the next terminal of the
@@ -463,9 +554,10 @@ impl GrammarBuilder {
     fn fold_cycle(&mut self) {
         let root = self.g.root;
         let raw_start = self.accel.raw_start;
-        let r = {
+        let (r, head) = {
             let body = &mut self.g.rule_mut(root).body;
             debug_assert!(raw_start >= 1 && body.len() > raw_start);
+            let head = body[raw_start];
             body.truncate(raw_start);
             let unit = &mut body[raw_start - 1];
             let Symbol::Rule(r) = unit.symbol else {
@@ -475,19 +567,24 @@ impl GrammarBuilder {
                 .count
                 .checked_add(1)
                 .expect("repetition exponent overflow");
-            r
+            (r, head)
         };
         // The bumped exponent is one more weighted reference to `r`.
         self.inc_ref(r, 1);
         self.accel.active = false;
+        // A rule use heading the raw tail was adopted at a phase offset:
+        // its references leave the root with it.
+        if let Symbol::Rule(b) = head.symbol {
+            self.dec_ref(b, head.count);
+            self.drain();
+        }
     }
 
     /// Runs the deferred digram work over the raw tail, restoring every
     /// builder invariant. The tail is detached and replayed one use at a
-    /// time — the exact per-event discipline of [`Self::push_legacy`] —
-    /// because the index maintenance (notably `unregister`'s
-    /// rule-granular matching) relies on at most one un-deduplicated
-    /// digram existing at a time.
+    /// time through [`Self::append_use`], because the index maintenance
+    /// (notably `unregister`'s rule-granular matching) relies on at most
+    /// one un-deduplicated digram existing at a time.
     fn deaccelerate(&mut self) {
         self.accel.active = false;
         let root = self.g.root;
@@ -496,21 +593,7 @@ impl GrammarBuilder {
         let mut tail = self.pooled_body();
         tail.extend(self.g.rule_mut(root).body.drain(raw_start..));
         for &u in &tail {
-            let body = &mut self.g.rule_mut(root).body;
-            if let Some(last) = body.last_mut() {
-                if last.symbol == u.symbol {
-                    // A run merge is what `push_legacy` would have done for
-                    // each of the `u.count` repetitions.
-                    last.count += u.count;
-                    continue;
-                }
-            }
-            body.push(u);
-            let len = self.g.rule(root).body.len();
-            if len >= 2 {
-                self.push_window(root, len - 2, len - 2);
-                self.drain();
-            }
+            self.append_use(u);
         }
         self.recycle_body(tail);
     }
@@ -552,7 +635,14 @@ impl GrammarBuilder {
     /// Read-only digram-index lookup (no lazy revalidation); used by the
     /// invariant validator.
     pub(crate) fn digram_entry(&self, key: (Symbol, Symbol)) -> Option<Loc> {
-        self.digrams.get(digram_key(key))
+        self.digrams.peek(digram_key(key))
+    }
+
+    /// Digram-index operations (lookups, inserts, removals) made so far:
+    /// the reduction's work measure, which loop acceleration keeps near
+    /// zero per event on steady loops.
+    pub fn digram_ops(&self) -> u64 {
+        self.digrams.ops
     }
 
     // ------------------------------------------------------------------
@@ -1396,6 +1486,43 @@ mod tests {
                 b.accel_active()
             );
         }
+    }
+
+    /// Pushes `iteration` `n` times and returns the digram operations
+    /// the last `n - warm` iterations cost.
+    fn steady_ops(iteration: &[u32], warm: usize, n: usize) -> u64 {
+        let mut b = GrammarBuilder::new();
+        let mut before = 0;
+        for i in 0..n {
+            if i == warm {
+                before = b.digram_ops();
+            }
+            for &s in iteration {
+                b.push(e(s));
+            }
+        }
+        b.flush_accel();
+        b.check_invariants().unwrap();
+        assert_eq!(unfolded(&b), iteration.repeat(n));
+        b.digram_ops() - before
+    }
+
+    #[test]
+    fn accel_reengages_at_the_iteration_boundary() {
+        // `x a b c d e x`: consecutive iterations meet in `x x`, so the
+        // loop rule opens and closes with `x` and a settle completes the
+        // repetition the cursor then re-engages on.
+        assert_eq!(steady_ops(&[0, 1, 2, 3, 4, 5, 0], 8, 40), 0);
+    }
+
+    #[test]
+    fn accel_engages_at_a_phase_offset() {
+        // `(abc)^6 e (abc)^114`: the cursor must enter the loop rule
+        // inside its leading `(abc)^6` run rather than ride the prefix.
+        let mut iteration = [0, 1, 2].repeat(6);
+        iteration.push(3);
+        iteration.extend([0, 1, 2].repeat(114));
+        assert_eq!(steady_ops(&iteration, 4, 12), 0);
     }
 
     #[test]

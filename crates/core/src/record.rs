@@ -51,7 +51,10 @@ pub struct RecordConfig {
     /// event prediction (not duration prediction) is needed.
     pub timestamps: bool,
     /// Check all grammar invariants after every event (very slow; meant for
-    /// tests and debugging of the reduction algorithm).
+    /// tests and debugging of the reduction algorithm). A validating
+    /// recorder settles loop acceleration after every event, so its
+    /// grammar is the per-use digram machine's alone and may differ from
+    /// a non-validating recording of the same stream.
     pub validate: bool,
 }
 
@@ -189,21 +192,28 @@ impl Recorder {
     /// Costs a grammar compaction — call at natural boundaries, not per
     /// event.
     pub fn publish_snapshot(&mut self) {
-        if self.published.is_some() {
-            let snap = self.snapshot_now();
-            let slot = self.published.as_ref().expect("checked above");
-            slot.publish(snap);
+        if let Some(slot) = &self.published {
+            slot.publish(self.snapshot_now());
         }
     }
 
-    fn snapshot_now(&mut self) -> RecordSnapshot {
-        // Settle loop acceleration so published grammars satisfy the full
-        // invariant set (they are already lossless either way).
-        self.builder.flush_accel();
+    fn snapshot_now(&self) -> RecordSnapshot {
         RecordSnapshot {
-            grammar: self.builder.grammar().compact(),
+            grammar: self.settled_grammar(),
             event_count: self.builder.event_count(),
         }
+    }
+
+    /// The compacted grammar with loop acceleration settled, so it
+    /// satisfies the full invariant set (the load-path linter rejects
+    /// deferred-index shapes). A copy is settled, never the live builder:
+    /// the recording stays a function of the event stream alone, so a
+    /// durable recording equals the in-memory one and what
+    /// [`TraceData::recover`] rebuilds.
+    fn settled_grammar(&self) -> Grammar {
+        let mut copy = self.builder.clone();
+        copy.flush_accel();
+        copy.grammar().compact()
     }
 
     /// Pre-reserves capacity for `n` further events in every per-event
@@ -321,10 +331,7 @@ impl Recorder {
             .expect("checked")
             .wants_snapshot(count)
         {
-            // Checkpointed grammars satisfy the full invariant set (the
-            // load-path linter rejects deferred-index shapes).
-            self.builder.flush_accel();
-            let grammar = self.builder.grammar().compact();
+            let grammar = self.settled_grammar();
             let p = self.persist.as_mut().expect("checked");
             p.snapshot(&grammar, count, &self.timestamps_ns);
             // Reuse the compacted grammar for the epoch publication: the

@@ -105,55 +105,70 @@ fn hot_paths_are_allocation_free_at_steady_state() {
 }
 
 fn in_memory_record() {
-    let mut rec = Recorder::new(RecordConfig {
-        timestamps: true,
-        validate: false,
-    });
-    // Warm up into steady state: a pure repetition stream folds into one
-    // symbol use, so the builder's fast path touches no container.
-    let mut t = 0u64;
-    for _ in 0..64 {
-        t += 10;
-        rec.record_at(EventId(3), t);
-    }
-    let mut fed = 0u64;
-    let n = settled_allocations(|| {
-        rec.reserve(WINDOW_EVENTS);
-        fed += WINDOW_EVENTS as u64;
-        allocations_in(|| {
-            for _ in 0..WINDOW_EVENTS {
-                t += 10;
-                rec.record_at(EventId(3), t);
-            }
+    let open = |_| {
+        Recorder::new(RecordConfig {
+            timestamps: true,
+            validate: false,
         })
-    });
-    assert_eq!(n, 0, "in-memory record path allocated {n} times");
-    assert_eq!(rec.event_count(), 64 + fed);
+    };
+    record_windows("in-memory", open);
 }
 
 fn durable_record() {
     let dir = std::env::temp_dir().join(format!("pythia-zero-alloc-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("t.pythia");
-    // Flush thresholds above the window: the per-event path stages raw
-    // ids/timestamps into reserved buffers; the batch SWAR encode and the
-    // journal write happen at the flush boundary, outside the window.
+    // Flush thresholds above every scenario's stream: the per-event path
+    // stages raw ids/timestamps into reserved buffers; the batch SWAR
+    // encode and the journal write happen at the flush boundary, outside
+    // the windows.
     let persist = PersistConfig {
         flush_events: WINDOW_EVENTS * 4,
         flush_bytes: usize::MAX,
         snapshot_events: 0,
         ..PersistConfig::default()
     };
-    let mut rec = Recorder::durable(
-        RecordConfig {
+    let open = |rank| {
+        let config = RecordConfig {
             timestamps: true,
             validate: false,
-        },
-        &path,
-        0,
-        persist,
-    )
-    .unwrap();
+        };
+        Recorder::durable(config, &path, rank, persist.clone()).unwrap()
+    };
+    record_windows("durable", open);
+    pythia_core::persist::remove_sidecars(&path);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `(x a b c d e x)^16`: consecutive iterations meet in a run `x^2`.
+fn lulesh_shaped(separator: u32) -> Vec<u32> {
+    let mut block = [0, 1, 2, 3, 4, 5, 0].repeat(16);
+    block.push(separator);
+    block
+}
+
+/// `((abc)^6 e (abc)^114)^2`: the cursor enters this loop at a phase
+/// offset inside `(abc)^6`.
+fn sp_shaped(separator: u32) -> Vec<u32> {
+    let mut iteration = [0, 1, 2].repeat(6);
+    iteration.push(3);
+    iteration.extend([0, 1, 2].repeat(114));
+    let mut block = iteration.repeat(2);
+    block.push(separator);
+    block
+}
+
+/// Warms a recorder from `open(rank)` into steady state and requires its
+/// measurement windows to allocate nothing: first a pure repetition
+/// stream, which folds into one symbol use without engaging the loop
+/// cursor; then the two loop shapes. Each loop-shaped block ends in an
+/// event never seen before, so every block restarts its loop: the cursor
+/// mismatches, settles, and engages again — at the next iteration
+/// boundary in the Lulesh shape, at a phase offset (folding the adopted
+/// head) in the SP shape. The root grows by a few uses per block; its
+/// amortized doubling lands in at most one of the attempted windows.
+fn record_windows(what: &str, open: impl Fn(usize) -> Recorder) {
+    let mut rec = open(0);
     let mut t = 0u64;
     for _ in 0..64 {
         t += 10;
@@ -170,12 +185,47 @@ fn durable_record() {
             }
         })
     });
-    assert_eq!(n, 0, "durable record path allocated {n} times");
-    // The recording is intact and journals on finish.
+    assert_eq!(n, 0, "{what} record path allocated {n} times");
     assert_eq!(rec.event_count(), 64 + fed);
     rec.finish_thread().unwrap();
-    pythia_core::persist::remove_sidecars(&path);
-    std::fs::remove_dir_all(&dir).ok();
+
+    let shapes = [
+        ("Lulesh-shaped", lulesh_shaped as fn(u32) -> Vec<u32>),
+        ("SP-shaped", sp_shaped),
+    ];
+    for (rank, (shape, block)) in shapes.into_iter().enumerate() {
+        let mut rec = open(rank + 1);
+        let mut separator = 100;
+        let mut blocks = |count: usize| -> Vec<EventId> {
+            let events = (0..count).flat_map(|_| {
+                separator += 1;
+                block(separator)
+            });
+            events.map(EventId).collect()
+        };
+        let mut t = 0u64;
+        let mut feed = |rec: &mut Recorder, events: &[EventId]| {
+            for &e in events {
+                t += 10;
+                rec.record_at(e, t);
+            }
+        };
+        let warm_up = blocks(6);
+        feed(&mut rec, &warm_up);
+        let mut fed = warm_up.len() as u64;
+        let n = settled_allocations(|| {
+            let window = blocks(4);
+            rec.reserve(window.len());
+            fed += window.len() as u64;
+            allocations_in(|| feed(&mut rec, &window))
+        });
+        assert_eq!(
+            n, 0,
+            "{what} record path allocated {n} times on the {shape} loop"
+        );
+        assert_eq!(rec.event_count(), fed);
+        rec.finish_thread().unwrap();
+    }
 }
 
 fn observe() {
