@@ -74,7 +74,7 @@ impl Board {
     }
 
     /// Wakes every blocked participant so it can re-check the world's
-    /// poison flag (called by the world supervisor after a rank failure).
+    /// poison flag (called by the world after a rank failure).
     pub fn wake_all(&self) {
         self.cv.notify_all();
     }
@@ -114,6 +114,12 @@ impl Board {
     /// the store, or bumps the generation twice, while anyone waits on g.
     /// A fast rank may deposit into g + 1 meanwhile: the bump emptied g's
     /// slots.
+    ///
+    /// The last arriver wakes only when `size > 1`. Every other member
+    /// holds the lock from its deposit until its condvar wait releases it
+    /// and leaves only after the bump, so at the bump all are parked (or,
+    /// back from a timed or spurious wake, queued on the lock); one member
+    /// has none to wake.
     pub fn exchange(&self, rank: usize, mine: Vec<Bytes>) -> Arc<Vec<Vec<Bytes>>> {
         assert!(rank < self.size, "rank {rank} out of range");
         self.failure.abort_if_poisoned();
@@ -134,13 +140,22 @@ impl Board {
         st.generation += 1;
         // Unlock, then wake: a waiter woken into the held lock parks again.
         drop(st);
-        self.cv.notify_all();
+        if self.size > 1 {
+            self.cv.notify_all();
+        }
         snap
     }
 
     /// Barrier: an exchange with empty payloads.
     pub fn barrier(&self, rank: usize) {
         let _ = self.exchange(rank, Vec::new());
+    }
+
+    /// Deposits in the open generation. Each depositor holds the lock
+    /// until its condvar wait releases it, so each one counted is parked.
+    #[cfg(test)]
+    pub(crate) fn arrived(&self) -> usize {
+        self.state.lock().arrived
     }
 }
 
@@ -213,9 +228,7 @@ mod tests {
         let board = Board::with_failure(2, Arc::clone(&failure));
         std::thread::scope(|s| {
             let waiter = s.spawn(|| board.exchange(0, payload(0)));
-            // The waiter holds the lock from its deposit until the condvar
-            // has queued it: once the deposit shows, it is parked.
-            while board.state.lock().arrived == 0 {
+            while board.arrived() == 0 {
                 std::thread::yield_now();
             }
             failure.poison(1);

@@ -2,12 +2,13 @@
 //!
 //! A world's rendezvous state (`WorldShared`: mailboxes, boards, the
 //! split registry, failure bookkeeping) lives here once. [`World`] drives
-//! it with one thread per rank; the socket hub hosts the same state and
-//! drives it with one thread per connection.
+//! it with a thread per rank, rank 0 on the caller's; the socket hub hosts
+//! the same state and drives it with one thread per connection.
 
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -100,7 +101,7 @@ struct CommShared {
 /// [`World::run_elastic`] and by the socket hub's `serve`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ElasticWorldStats {
-    /// Rank failures the supervisor (or a heartbeat scan) detected.
+    /// Rank failures detected (by the rank itself, a hub's EOF or a heartbeat).
     pub failures_detected: u64,
     /// Replacement ranks admitted after a failure.
     pub ranks_replaced: u64,
@@ -109,24 +110,24 @@ pub struct ElasticWorldStats {
 /// Entry point: launches `n` ranks as threads.
 pub struct World;
 
+/// The first failure of a world: the failed rank and its panic payload.
+type Failure = (usize, Box<dyn std::any::Any + Send>);
+
 impl World {
-    /// Runs `f` on `size` ranks (one OS thread each) and returns the
-    /// per-rank results in rank order. Panics in any rank propagate —
-    /// and, since the world poisons on the first failure, blocked
-    /// survivors abort instead of hanging forever.
+    /// Runs `f` on `size` ranks (rank 0 on the calling thread, each other
+    /// rank on a thread of its own) and returns the per-rank results in
+    /// rank order. Panics in any rank propagate — and, since the world
+    /// poisons on the first failure, blocked survivors abort instead of
+    /// hanging forever.
     pub fn run<R, F>(size: usize, f: F) -> Vec<R>
     where
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
-        let (results, primary, _, _) = Self::run_supervised(size, false, 0, f);
-        if let Some((_, payload)) = primary {
-            resume_unwind(payload);
+        match Self::run_ranks(size, false, f).0 {
+            Ok(results) => results,
+            Err((_, payload)) => resume_unwind(payload),
         }
-        results
-            .into_iter()
-            .map(|r| r.expect("rank finished without result or failure"))
-            .collect()
     }
 
     /// Fault-aware variant of [`World::run`]: a rank failure yields
@@ -137,21 +138,15 @@ impl World {
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
-        let (results, primary, failure, _) = Self::run_supervised(size, false, 0, f);
-        match primary {
-            None => Ok(results
-                .into_iter()
-                .map(|r| r.expect("rank finished without result or failure"))
-                .collect()),
-            Some((rank, _)) => Err(CommError::RankFailed {
-                rank: failure.first_failed().unwrap_or(rank),
-            }),
-        }
+        let (results, failure, _) = Self::run_ranks(size, false, f);
+        results.map_err(|(rank, _)| CommError::RankFailed {
+            rank: failure.first_failed().unwrap_or(rank),
+        })
     }
 
-    /// Elastic variant: a failed rank is *replaced* — the supervisor
-    /// respawns it with the next incarnation number (up to `size * 4`
-    /// respawns) while survivors keep blocking at the rendezvous until
+    /// Elastic variant: a failed rank is *replaced* — it reruns `f` in place
+    /// with the next incarnation number (up to `size * 4` respawns across
+    /// the world) while survivors keep blocking at the rendezvous until
     /// the replacement catches up. The closure observes replacement via
     /// the handle's `incarnation` (0 = first spawn) and is expected to resume
     /// from its durable journal rather than re-issuing completed
@@ -161,99 +156,83 @@ impl World {
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
-        let budget = size * 4;
-        let (results, primary, failure, respawned) = Self::run_supervised(size, true, budget, f);
+        let (results, failure, respawned) = Self::run_ranks(size, true, f);
         let stats = ElasticWorldStats {
             failures_detected: failure.detected(),
             ranks_replaced: respawned as u64,
         };
-        match primary {
-            None => Ok((
-                results
-                    .into_iter()
-                    .map(|r| r.expect("rank finished without result or failure"))
-                    .collect(),
-                stats,
-            )),
-            Some((rank, _)) => Err(CommError::RankFailed { rank }),
-        }
+        results
+            .map(|results| (results, stats))
+            .map_err(|(rank, _)| CommError::RankFailed { rank })
     }
 
-    /// Shared supervisor: spawns one thread per rank, each reporting
-    /// `(rank, result)` over a channel. On a failure it either poisons
-    /// the world and wakes survivors (non-elastic) or respawns the rank
-    /// with a bumped incarnation (elastic, within `respawn_budget`).
-    #[allow(clippy::type_complexity)]
-    fn run_supervised<R, F>(
+    /// Shared body of the entry points: ranks `1..size` on scoped threads,
+    /// rank 0 on the caller's. Each rank catches its own panic and either
+    /// reruns `f` in place (elastic, within the shared `size * 4` budget)
+    /// or fails the world and records the first failure. Returns the
+    /// results or that failure, the failure state, and the respawn count.
+    fn run_ranks<R, F>(
         size: usize,
         elastic: bool,
-        respawn_budget: usize,
         f: F,
-    ) -> (
-        Vec<Option<R>>,
-        Option<(usize, Box<dyn std::any::Any + Send>)>,
-        Arc<FailureState>,
-        usize,
-    )
+    ) -> (Result<Vec<R>, Failure>, Arc<FailureState>, usize)
     where
         R: Send,
         F: Fn(Comm) -> R + Send + Sync,
     {
         let shared = WorldShared::new(size, elastic);
-        let failure = Arc::clone(&shared.failure);
-        let mut results: Vec<Option<R>> = (0..size).map(|_| None).collect();
-        let mut primary: Option<(usize, Box<dyn std::any::Any + Send>)> = None;
-        let mut respawned = 0usize;
-
-        std::thread::scope(|s| {
-            let (tx, rx) = std::sync::mpsc::channel::<(usize, std::thread::Result<R>)>();
-            let spawn_rank = |rank: usize, incarnation: u64| {
+        let budget = if elastic { size * 4 } else { 0 };
+        let respawns = AtomicUsize::new(budget);
+        let primary = Mutex::new(None);
+        let run_rank = |rank: usize| -> Option<R> {
+            let mut incarnation = 0;
+            loop {
                 let comm = Comm::attach(&shared, rank, incarnation);
-                let tx = tx.clone();
-                let f = &f;
-                s.spawn(move || {
-                    let result = catch_unwind(AssertUnwindSafe(|| f(comm)));
-                    let _ = tx.send((rank, result));
-                });
-            };
-            for rank in 0..size {
-                spawn_rank(rank, 0);
-            }
-            let mut incarnations = vec![0u64; size];
-            let mut done = 0usize;
-            while done < size {
-                let (rank, result) = rx.recv().expect("rank thread vanished");
-                match result {
-                    Ok(r) => {
-                        results[rank] = Some(r);
-                        done += 1;
-                    }
-                    Err(payload) => {
-                        let induced_abort = payload
-                            .downcast_ref::<PoisonedWorld>()
-                            .is_some_and(|p| p.rank != rank);
-                        if elastic && !induced_abort {
-                            failure.mark_failed(rank);
-                            if respawned < respawn_budget {
-                                respawned += 1;
-                                failure.clear_failed(rank);
-                                incarnations[rank] += 1;
-                                spawn_rank(rank, incarnations[rank]);
-                                continue;
-                            }
-                        }
-                        if !induced_abort {
-                            shared.fail_rank(rank);
-                            if primary.is_none() {
-                                primary = Some((rank, payload));
-                            }
-                        }
-                        done += 1;
+                let payload = match catch_unwind(AssertUnwindSafe(|| f(comm))) {
+                    Ok(r) => return Some(r),
+                    Err(payload) => payload,
+                };
+                // An abort induced by another rank's failure is not a failure.
+                if payload
+                    .downcast_ref::<PoisonedWorld>()
+                    .is_some_and(|p| p.rank != rank)
+                {
+                    return None;
+                }
+                if elastic {
+                    shared.failure.mark_failed(rank);
+                    if respawns
+                        .fetch_update(SeqCst, SeqCst, |n| n.checked_sub(1))
+                        .is_ok()
+                    {
+                        shared.failure.clear_failed(rank);
+                        incarnation += 1;
+                        continue;
                     }
                 }
+                shared.fail_rank(rank);
+                primary.lock().get_or_insert((rank, payload));
+                return None;
             }
+        };
+        let results: Vec<Option<R>> = std::thread::scope(|s| {
+            let run_rank = &run_rank;
+            let others: Vec<_> = (1..size).map(|r| s.spawn(move || run_rank(r))).collect();
+            let first = run_rank(0);
+            let joined = others
+                .into_iter()
+                .map(|h| h.join().expect("ranks catch panics"));
+            std::iter::once(first).chain(joined).collect()
         });
-        (results, primary, failure, respawned)
+        let results = match primary.into_inner() {
+            Some(failure) => Err(failure),
+            None => Ok(results
+                .into_iter()
+                .map(|r| r.expect("rank finished without result or failure"))
+                .collect()),
+        };
+        let respawned = budget - respawns.into_inner();
+        (results, Arc::clone(&shared.failure), respawned)
     }
 }
 
@@ -605,6 +584,59 @@ mod tests {
             r[0] + d[0]
         });
         assert_eq!(out, vec![48]);
+    }
+
+    #[test]
+    fn one_rank_world_runs_on_the_caller() {
+        let caller = std::thread::current().id();
+        assert_eq!(World::run(1, |_| std::thread::current().id()), [caller]);
+    }
+
+    #[test]
+    fn rank_zero_runs_on_the_caller_and_the_others_apart() {
+        let caller = std::thread::current().id();
+        let ids = World::run(3, |comm| {
+            comm.barrier();
+            std::thread::current().id()
+        });
+        assert_eq!(ids[0], caller);
+        assert!(ids[1] != caller && ids[2] != caller && ids[1] != ids[2]);
+    }
+
+    /// Rank 0 supervises itself like any other rank: its replacement runs
+    /// in place, on the caller's thread.
+    #[test]
+    fn elastic_world_replaces_rank_zero_in_place() {
+        let caller = std::thread::current().id();
+        let (out, stats) = World::run_elastic(3, |comm| {
+            if comm.rank() == 0 && comm.incarnation() == 0 {
+                panic!("first incarnation of rank 0 dies");
+            }
+            comm.barrier();
+            let total = comm.allreduce(&[comm.rank() as u64], ReduceOp::Sum);
+            let on_caller = std::thread::current().id() == caller;
+            (comm.incarnation(), total[0], on_caller)
+        })
+        .expect("elastic world recovers");
+        assert_eq!(out, vec![(1, 3, true), (0, 3, false), (0, 3, false)]);
+        assert_eq!(stats.failures_detected, 1);
+        assert_eq!(stats.ranks_replaced, 1);
+    }
+
+    /// Rank 0, on the caller's thread, dies while every other rank is
+    /// parked at a barrier: its own catch poisons and wakes them.
+    #[test]
+    fn rank_zero_failure_releases_a_parked_barrier() {
+        let err = World::run_result(4, |comm| {
+            if comm.rank() == 0 {
+                while comm.shared.board.arrived() < 3 {
+                    std::thread::yield_now();
+                }
+                panic!("rank 0 dies while ranks 1-3 wait at the barrier");
+            }
+            comm.barrier();
+        });
+        assert_eq!(err, Err(CommError::RankFailed { rank: 0 }));
     }
 
     #[test]

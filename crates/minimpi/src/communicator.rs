@@ -147,7 +147,7 @@ impl MpiCall {
 ///
 /// Blocking operations on a *poisoned* world (a rank failed, world not
 /// elastic) panic with a [`crate::failure::PoisonedWorld`] payload rather
-/// than waiting forever; the world supervisor converts that into
+/// than waiting forever; [`crate::World::run_result`] converts that into
 /// [`crate::failure::CommError::RankFailed`].
 pub trait Communicator: Sized {
     // ------------------------------------------------------------------

@@ -9,9 +9,9 @@
 //!
 //! Detection has two paths:
 //!
-//! * **Supervised** — the world supervisor (thread join in the threads
-//!   backend, connection EOF in the socket hub) observes the death
-//!   directly and calls [`FailureState::mark_failed`].
+//! * **Supervised** — the death is observed directly (the failed rank's
+//!   own panic catch in the threads backend, connection EOF in the socket
+//!   hub) and reported through [`FailureState::mark_failed`].
 //! * **Heartbeat** — when `PYTHIA_RANK_TIMEOUT_MS` is set, blocking waits
 //!   become timed polls; on each timeout the waiter scans peer heartbeats
 //!   and declares any rank dead that is neither parked in a blocking call
@@ -56,8 +56,8 @@ impl fmt::Display for RankFault {
 }
 
 /// Panic payload used by blocking primitives to abort out of a poisoned
-/// world: carries the rank whose failure poisoned it. The world
-/// supervisor downcasts for this type to tell induced aborts apart from
+/// world: carries the rank whose failure poisoned it. A rank catching its
+/// own panic downcasts for this type to tell an induced abort apart from
 /// the original failure.
 #[derive(Debug, Clone, Copy)]
 pub struct PoisonedWorld {
@@ -206,8 +206,8 @@ impl FailureState {
 
     /// Poisons the world on behalf of failed rank `by` and wakes parked
     /// hang victims. Callers owning blocking primitives must additionally
-    /// wake those (the world supervisor does; heartbeat waiters discover
-    /// the flag on their next poll).
+    /// wake those (`fail_rank` does; heartbeat waiters discover the flag
+    /// on their next poll).
     pub fn poison(&self, by: usize) {
         let _ =
             self.poisoned_by
@@ -272,8 +272,8 @@ impl FailureState {
     /// Parks the calling rank as an injected hang: it stops beating and
     /// never returns normally. Once a peer's stall scan poisons the world
     /// the parked rank panics with [`PoisonedWorld`], letting its thread
-    /// unwind (models the supervisor of a real deployment killing the
-    /// hung process).
+    /// unwind (models the process manager of a real deployment killing
+    /// the hung process).
     pub fn park_hung(&self, rank: usize) -> ! {
         let mut guard = self.park.lock();
         loop {
@@ -282,7 +282,7 @@ impl FailureState {
                 std::panic::panic_any(PoisonedWorld { rank: by });
             }
             if self.is_failed(rank) && self.is_elastic() {
-                // An elastic supervisor replaced us; unwind quietly.
+                // Marked failed in an elastic world: unwind, to be replaced.
                 drop(guard);
                 std::panic::panic_any(PoisonedWorld { rank });
             }

@@ -20,9 +20,9 @@
 //!   Each provided call reports itself, as an [`MpiCall`], to one hook,
 //!   [`Communicator::intercept`], that a wrapper overrides to instrument
 //!   every call (the PMPI profiling interface).
-//! * [`World::run`] launches `n` ranks, each executing the same closure on
-//!   its own OS thread with a [`Comm`] handle (the `MPI_COMM_WORLD`
-//!   equivalent).
+//! * [`World::run`] launches `n` ranks, each executing the same closure
+//!   with a [`Comm`] handle (the `MPI_COMM_WORLD` equivalent): rank 0 on
+//!   the calling thread, every other rank on a thread of its own.
 //! * Point-to-point messages are eager and buffered:
 //!   [`Communicator::send`] deposits into the destination's mailbox and
 //!   returns; [`Communicator::recv`] blocks until a message matching

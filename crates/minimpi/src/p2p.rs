@@ -62,14 +62,23 @@ pub struct NetworkStats {
 /// One rank's incoming-message queue.
 #[derive(Debug)]
 pub struct Mailbox {
-    inner: Mutex<VecDeque<Message>>,
+    queue: Mutex<Queue>,
     cv: Condvar,
-    stats: Mutex<NetworkStats>,
     /// World rank owning (receiving from) this mailbox; `usize::MAX` for
     /// standalone mailboxes outside a world.
     owner: usize,
     /// The owning world's failure state (detached when standalone).
     failure: Arc<FailureState>,
+}
+
+/// A mailbox's state under its one lock: a deposit pushes, counts and
+/// reads `waiters` in one critical section.
+#[derive(Debug, Default)]
+struct Queue {
+    msgs: VecDeque<Message>,
+    stats: NetworkStats,
+    /// Receivers counted in before their condvar wait, out after it.
+    waiters: usize,
 }
 
 impl Default for Mailbox {
@@ -88,52 +97,46 @@ impl Mailbox {
     /// failure state so blocking receives abort when the world poisons.
     pub fn for_rank(owner: usize, failure: Arc<FailureState>) -> Self {
         Mailbox {
-            inner: Mutex::new(VecDeque::new()),
+            queue: Mutex::new(Queue::default()),
             cv: Condvar::new(),
-            stats: Mutex::new(NetworkStats::default()),
             owner,
             failure,
         }
     }
 
     /// Wakes every thread blocked in [`Mailbox::take_matching`] so it can
-    /// re-check the world's poison flag (called by the world supervisor
-    /// after a rank failure).
+    /// re-check the world's poison flag (called by the world after a
+    /// rank failure).
     pub fn wake_all(&self) {
         self.cv.notify_all();
     }
 
-    /// Deposits a message (never blocks).
-    pub fn deposit(&self, msg: Message) {
-        {
-            let mut st = self.stats.lock();
-            st.transfers += 1;
-            st.messages += 1;
-        }
-        self.inner.lock().push_back(msg);
-        // Unlocked first: a receiver woken into the held lock parks again.
-        self.cv.notify_all();
-    }
-
-    /// Deposits several messages as one transfer (an aggregated send: the
-    /// messages still match receives individually and in order).
+    /// Deposits messages as one transfer (never blocks; an aggregated
+    /// send's messages still match receives individually and in order).
+    ///
+    /// Wakes only a waiting receiver: one counts itself in under the lock
+    /// its condvar wait releases, so the count read under the push's lock
+    /// sees every receiver that missed these messages.
     pub fn deposit_batch(&self, msgs: Vec<Message>) {
         if msgs.is_empty() {
             return;
         }
-        {
-            let mut st = self.stats.lock();
-            st.transfers += 1;
-            st.messages += msgs.len() as u64;
-        }
-        self.inner.lock().extend(msgs);
+        let waiters = {
+            let mut q = self.queue.lock();
+            q.stats.transfers += 1;
+            q.stats.messages += msgs.len() as u64;
+            q.msgs.extend(msgs);
+            q.waiters
+        };
         // Unlocked first: a receiver woken into the held lock parks again.
-        self.cv.notify_all();
+        if waiters > 0 {
+            self.cv.notify_all();
+        }
     }
 
     /// Network counters accumulated by this mailbox.
     pub fn network_stats(&self) -> NetworkStats {
-        *self.stats.lock()
+        self.queue.lock().stats
     }
 
     /// Blocks until a message matching `(comm_id, src, tag)` is available
@@ -144,12 +147,13 @@ impl Mailbox {
     /// forever — the hang-on-dead-peer fix. With heartbeat detection
     /// armed the wait polls and runs the stall scan on each expiry.
     pub fn take_matching(&self, comm_id: u64, src: Option<usize>, tag: Option<Tag>) -> Message {
-        let mut q = self.inner.lock();
+        let mut q = self.queue.lock();
         loop {
-            if let Some(idx) = Self::find(&q, comm_id, src, tag) {
-                return q.remove(idx).expect("index just found");
+            if let Some(idx) = Self::find(&q.msgs, comm_id, src, tag) {
+                return q.msgs.remove(idx).expect("index just found");
             }
             self.failure.abort_if_poisoned();
+            q.waiters += 1;
             match self.failure.wait_budget() {
                 None => self.cv.wait(&mut q),
                 Some(budget) => {
@@ -161,6 +165,7 @@ impl Mailbox {
                     }
                 }
             }
+            q.waiters -= 1;
         }
     }
 
@@ -171,19 +176,18 @@ impl Mailbox {
         src: Option<usize>,
         tag: Option<Tag>,
     ) -> Option<Message> {
-        let mut q = self.inner.lock();
-        Self::find(&q, comm_id, src, tag).and_then(|idx| q.remove(idx))
+        let mut q = self.queue.lock();
+        Self::find(&q.msgs, comm_id, src, tag).and_then(|idx| q.msgs.remove(idx))
     }
 
     /// Whether a matching message is queued (the `MPI_Iprobe` equivalent).
     pub fn probe(&self, comm_id: u64, src: Option<usize>, tag: Option<Tag>) -> bool {
-        let q = self.inner.lock();
-        Self::find(&q, comm_id, src, tag).is_some()
+        Self::find(&self.queue.lock().msgs, comm_id, src, tag).is_some()
     }
 
     /// Number of queued messages (diagnostics).
     pub fn queued(&self) -> usize {
-        self.inner.lock().len()
+        self.queue.lock().msgs.len()
     }
 
     fn find(
@@ -214,8 +218,8 @@ mod tests {
     #[test]
     fn fifo_within_source_tag() {
         let mb = Mailbox::new();
-        mb.deposit(msg(0, 1, 0, 10));
-        mb.deposit(msg(0, 1, 0, 20));
+        mb.deposit_batch(vec![msg(0, 1, 0, 10)]);
+        mb.deposit_batch(vec![msg(0, 1, 0, 20)]);
         let a = mb.take_matching(0, Some(0), Some(1));
         let b = mb.take_matching(0, Some(0), Some(1));
         assert_eq!(a.data[0], 10);
@@ -225,8 +229,8 @@ mod tests {
     #[test]
     fn tag_and_source_filtering() {
         let mb = Mailbox::new();
-        mb.deposit(msg(0, 1, 0, 10));
-        mb.deposit(msg(1, 2, 0, 20));
+        mb.deposit_batch(vec![msg(0, 1, 0, 10)]);
+        mb.deposit_batch(vec![msg(1, 2, 0, 20)]);
         let m = mb.take_matching(0, Some(1), Some(2));
         assert_eq!(m.data[0], 20);
         assert_eq!(mb.queued(), 1);
@@ -235,7 +239,7 @@ mod tests {
     #[test]
     fn wildcards_match_anything() {
         let mb = Mailbox::new();
-        mb.deposit(msg(3, 7, 0, 42));
+        mb.deposit_batch(vec![msg(3, 7, 0, 42)]);
         let m = mb.take_matching(0, ANY_SOURCE, ANY_TAG);
         assert_eq!(m.src, 3);
         assert_eq!(m.tag, 7);
@@ -244,7 +248,7 @@ mod tests {
     #[test]
     fn comm_id_isolates_communicators() {
         let mb = Mailbox::new();
-        mb.deposit(msg(0, 1, 5, 10));
+        mb.deposit_batch(vec![msg(0, 1, 5, 10)]);
         assert!(mb.try_take_matching(0, Some(0), Some(1)).is_none());
         assert!(mb.try_take_matching(5, Some(0), Some(1)).is_some());
     }
@@ -252,7 +256,7 @@ mod tests {
     #[test]
     fn probe_does_not_consume() {
         let mb = Mailbox::new();
-        mb.deposit(msg(0, 1, 0, 10));
+        mb.deposit_batch(vec![msg(0, 1, 0, 10)]);
         assert!(mb.probe(0, Some(0), None));
         assert!(mb.probe(0, Some(0), None));
         assert_eq!(mb.queued(), 1);
@@ -265,7 +269,7 @@ mod tests {
         let mb2 = Arc::clone(&mb);
         let h = std::thread::spawn(move || mb2.take_matching(0, Some(0), Some(9)));
         std::thread::sleep(std::time::Duration::from_millis(20));
-        mb.deposit(msg(0, 9, 0, 77));
+        mb.deposit_batch(vec![msg(0, 9, 0, 77)]);
         let m = h.join().unwrap();
         assert_eq!(m.data[0], 77);
     }

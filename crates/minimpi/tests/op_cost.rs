@@ -114,6 +114,9 @@ fn pin_to_one_cpu() -> bool {
 
 const ITERATIONS: u64 = 2_000;
 
+/// One-rank worlds run back to back in phase 3.
+const WORLDS: u64 = 200;
+
 /// Halo iterations `rounds` of a 2-rank world, results checked.
 fn halo<C: Communicator>(comm: &C, rounds: std::ops::Range<u64>) {
     let peer = 1 - comm.rank();
@@ -256,4 +259,29 @@ fn a_halo_iteration_costs_its_frames_and_a_lying_prefix_nothing() {
         allocated < 1 << 20,
         "{allocated} bytes allocated while a lying prefix was served"
     );
+
+    // Phase 3: a one-rank world runs on the calling thread, and its sends
+    // and collectives wake nobody, so nothing in it parks. A thread spawned
+    // and joined per world cost about two switches per world.
+    let before = voluntary_ctx_switches();
+    for world in 0..WORLDS {
+        World::run(1, |comm| {
+            for i in 0..50 {
+                let (echo, _) = comm.sendrecv(&[world + i], 0, Some(0), 7);
+                let sum = comm.allreduce(&[world + i], ReduceOp::Sum);
+                assert_eq!((echo[0], sum[0]), (world + i, world + i));
+            }
+        });
+    }
+    match before.zip(voluntary_ctx_switches()).filter(|_| pinned) {
+        Some((before, after)) => {
+            let switches = after - before;
+            eprintln!("op_cost: {switches} voluntary switches over {WORLDS} one-rank worlds");
+            assert!(
+                switches <= 2,
+                "{switches} voluntary switches over {WORLDS} one-rank worlds"
+            );
+        }
+        None => eprintln!("op_cost: cannot pin or count here, one-rank worlds not checked"),
+    }
 }

@@ -246,6 +246,75 @@ fn dup_isolates_messages() {
     assert_eq!(out, vec![(0, 0), (8, 7), (0, 0)]);
 }
 
+/// Yields a seeded 0–3 times: skew that moves one side of a hand-off
+/// ahead of or behind the other.
+fn skew(rng: &mut rand::rngs::SmallRng) {
+    use rand::Rng;
+    for _ in 0..rng.gen_range(0..4) {
+        std::thread::yield_now();
+    }
+}
+
+/// One rank's side of [`no_wakeup_is_lost`]: one operation per round, the
+/// same on every rank, with skew before and inside it that differs per
+/// rank, so that a receive is posted now before its send and now after
+/// it, and a member reaches a collective now first and now last.
+fn skewed_hand_offs<C: Communicator>(comm: &C, rounds: u64) -> u64 {
+    use rand::SeedableRng;
+    let n = comm.size();
+    let (next, prev) = ((comm.rank() + 1) % n, (comm.rank() + n - 1) % n);
+    let mut rng = rand::rngs::SmallRng::seed_from_u64(37 + comm.rank() as u64);
+    let mut sum = 0;
+    for round in 0..rounds {
+        skew(&mut rng);
+        let got = match round % 4 {
+            0 => {
+                comm.send(&[round], next, 0);
+                skew(&mut rng);
+                comm.recv::<u64>(Some(prev), Some(0)).0[0]
+            }
+            1 => comm.sendrecv(&[round], next, Some(prev), 1).0[0],
+            2 => {
+                comm.barrier();
+                round
+            }
+            _ => comm.allreduce(&[round], ReduceOp::Sum)[0] / n as u64,
+        };
+        assert_eq!(got, round, "rank {} round {round}", comm.rank());
+        sum += got;
+    }
+    sum
+}
+
+/// Mailboxes and boards wake only a parked waiter. A wake-up lost to that
+/// test would leave a rank parked for good: each world runs under a
+/// watchdog that turns such a hang into a failure with a message. Threads
+/// backend only: the hub drives the same mailboxes and boards.
+#[test]
+fn no_wakeup_is_lost() {
+    use std::sync::mpsc;
+    use std::time::Duration;
+    const ROUNDS: u64 = 20_000;
+    for size in 2..=4 {
+        let (done, finished) = mpsc::channel();
+        let world = std::thread::spawn(move || {
+            let sums = World::run(size, |comm| skewed_hand_offs(&comm, ROUNDS));
+            done.send(sums).expect("the watchdog waits");
+        });
+        match finished.recv_timeout(Duration::from_secs(60)) {
+            Ok(sums) => assert_eq!(sums, vec![(0..ROUNDS).sum::<u64>(); size]),
+            Err(mpsc::RecvTimeoutError::Timeout) => {
+                panic!("a {size}-rank world made no progress in 60 s: a wake-up was lost")
+            }
+            // The world panicked before sending: re-raise its panic.
+            Err(mpsc::RecvTimeoutError::Disconnected) => {
+                std::panic::resume_unwind(world.join().expect_err("the world sent nothing"))
+            }
+        }
+        world.join().expect("the world finished");
+    }
+}
+
 fn gather_then_scatter<C: Communicator>(comm: &C, mine: u64, root: usize) -> u64 {
     let chunks = comm.gather(&[mine], root);
     comm.scatter(chunks.as_deref(), root)[0]
