@@ -20,6 +20,8 @@
 //! The crate also contains [`lulesh_omp`], the OpenMP-only LULESH variant
 //! used by the paper's adaptive-thread-count experiments (Figs. 10–14).
 
+#![forbid(unsafe_code)]
+
 pub mod amg;
 pub mod harness;
 pub mod kripke;

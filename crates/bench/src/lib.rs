@@ -23,6 +23,8 @@
 //! Default scales are reduced so the full suite completes in minutes on a
 //! laptop (see EXPERIMENTS.md for the paper-vs-here scale mapping).
 
+#![forbid(unsafe_code)]
+
 pub mod analyze_cli;
 pub mod lulesh;
 

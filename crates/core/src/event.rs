@@ -13,10 +13,6 @@
 //! the identity the grammar needs: `MPI_Send(dest=3)` and `MPI_Send(dest=5)`
 //! are *different* terminal symbols, while two `MPI_Barrier`s are the same.
 
-use std::cell::UnsafeCell;
-use std::mem::MaybeUninit;
-use std::sync::atomic::{AtomicUsize, Ordering};
-
 use parking_lot::Mutex;
 
 use crate::util::FxHashMap;
@@ -66,9 +62,8 @@ impl std::fmt::Display for EventDesc {
 
 /// Interns event descriptors into dense [`EventId`]s.
 ///
-/// The registry is shared by all threads of an application run (interning is
-/// expected to be wrapped behind a lock by the integration layer; see
-/// `pythia-runtime-mpi`); it is serialized into the trace file so that the
+/// One registry serves all threads of an application run (shared through
+/// [`ConcurrentRegistry`]); it is serialized into the trace file so that the
 /// predicting run resolves the same descriptors to the same ids.
 #[derive(Debug, Default, Clone)]
 pub struct EventRegistry {
@@ -138,110 +133,32 @@ impl EventRegistry {
     }
 }
 
-/// Number of chunk slots in a [`ConcurrentRegistry`]. Chunk `k` holds
-/// `CHUNK_BASE << k` descriptors, so 26 chunks cover the full `u32` id
-/// space with a first allocation of only 64 slots.
-const CHUNK_COUNT: usize = 26;
-/// Capacity of chunk 0.
-const CHUNK_BASE: usize = 64;
-
-/// One lazily-allocated chunk of descriptor slots. Slots below the
-/// registry's published `len` are immutable and read without
-/// synchronization; slots at or above it are written by at most one
-/// thread (the writer holds the intern lock).
-struct Chunk {
-    slots: Box<[UnsafeCell<MaybeUninit<EventDesc>>]>,
-}
-
-impl Chunk {
-    fn new(cap: usize) -> Box<Chunk> {
-        let slots = (0..cap)
-            .map(|_| UnsafeCell::new(MaybeUninit::uninit()))
-            .collect();
-        Box::new(Chunk { slots })
-    }
-}
-
-/// Locates descriptor `idx` inside the chunk table: returns
-/// `(chunk, offset)`. Chunk `k` starts at `CHUNK_BASE * (2^k - 1)`.
-#[inline]
-fn chunk_of(idx: usize) -> (usize, usize) {
-    let bucket = idx / CHUNK_BASE + 1;
-    let k = (usize::BITS - 1 - bucket.leading_zeros()) as usize;
-    let start = CHUNK_BASE * ((1usize << k) - 1);
-    (k, idx - start)
-}
-
-/// An append-only event registry with a lock-free read path.
+/// The event registry every recording thread of a process shares
+/// (`SharedRegistry = Arc<ConcurrentRegistry>`): an [`EventRegistry`]
+/// behind one mutex.
 ///
-/// This is the structure every recording thread of a process shares
-/// (`SharedRegistry = Arc<ConcurrentRegistry>`). Interning — the only
-/// mutation — serializes writers behind one short critical section, but
-/// it is off the hot path by construction: the per-thread
-/// [`EventCache`](../../pythia_runtime_mpi) resolves repeated
-/// descriptors locally, so a steady-state run interns each distinct
-/// descriptor exactly once. Everything the hot or warm paths do read —
-/// [`describe`](Self::describe), [`name_of`](Self::name_of),
-/// [`len`](Self::len), [`descs_from`](Self::descs_from) used by the
-/// journal's registry-delta writer — takes no lock at all:
-///
-/// * descriptors live in chunked stable storage (geometrically growing
-///   chunks, never reallocated or moved), so `&EventDesc` borrows stay
-///   valid for the registry's lifetime;
-/// * a writer fills the slot first, then publishes it by bumping `len`
-///   with `Release`; readers load `len` with `Acquire` and only touch
-///   slots below it — the classic single-writer publication handshake,
-///   extended to multiple writers by the intern lock.
-///
-/// Ids are assigned densely in intern order, exactly like
-/// [`EventRegistry`]; [`snapshot`](Self::snapshot) materializes the
-/// published prefix as a plain `EventRegistry` for checkpointing and
-/// trace assembly.
-pub struct ConcurrentRegistry {
-    /// Published descriptor count: slots `< len` are immutable.
-    len: AtomicUsize,
-    /// Chunk table; a null entry means the chunk is not allocated yet.
-    chunks: [std::sync::atomic::AtomicPtr<Chunk>; CHUNK_COUNT],
-    /// Writer side: the intern map, guarding all appends.
-    index: Mutex<FxHashMap<EventDesc, EventId>>,
-}
-
-// SAFETY: slots below `len` are immutable and published with
-// Release/Acquire; slots above it are only touched while holding the
-// intern lock. `EventDesc` itself is Send + Sync.
-unsafe impl Send for ConcurrentRegistry {}
-unsafe impl Sync for ConcurrentRegistry {}
-
-impl Default for ConcurrentRegistry {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl std::fmt::Debug for ConcurrentRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ConcurrentRegistry")
-            .field("len", &self.len())
-            .finish()
-    }
-}
+/// The lock is cold by construction. The runtime's per-rank event cache
+/// resolves repeated descriptors locally, so a run interns each distinct
+/// descriptor at most once per rank; what is left is one
+/// [`descs_from`](Self::descs_from) per journal flush and one
+/// [`snapshot`](Self::snapshot) per checkpoint or trace assembly. Ids
+/// are assigned densely in intern order, exactly like [`EventRegistry`].
+#[derive(Debug, Default)]
+pub struct ConcurrentRegistry(Mutex<EventRegistry>);
 
 impl ConcurrentRegistry {
     /// Creates an empty registry.
     pub fn new() -> Self {
-        ConcurrentRegistry {
-            len: AtomicUsize::new(0),
-            chunks: std::array::from_fn(
-                |_| std::sync::atomic::AtomicPtr::new(std::ptr::null_mut()),
-            ),
-            index: Mutex::new(FxHashMap::default()),
-        }
+        Self::default()
     }
 
     /// A registry pre-seeded with the descriptors of `reg` (same ids).
-    /// Used by predict mode to share one immutable reference registry
-    /// across ranks instead of cloning it per rank.
+    /// Used by predict mode to share one reference registry across ranks
+    /// instead of cloning it per rank.
     pub fn from_registry(reg: &EventRegistry) -> Self {
+        // Interned rather than cloned: a clone is faster by itself but
+        // made the `record_apps` benchmark's set-up slower (EXPERIMENTS.md,
+        // "Cold shared structures behind plain mutexes").
         let out = Self::new();
         for (_, d) in reg.iter() {
             out.intern(&d.name, d.payload);
@@ -249,141 +166,52 @@ impl ConcurrentRegistry {
         out
     }
 
-    /// Reads the descriptor slot `idx`, which must be `< len`.
-    #[inline]
-    fn slot(&self, idx: usize) -> &EventDesc {
-        let (k, off) = chunk_of(idx);
-        // Acquire pairs with the Release in `intern` that allocated the
-        // chunk and published the slot.
-        let chunk = self.chunks[k].load(Ordering::Acquire);
-        debug_assert!(!chunk.is_null());
-        unsafe { (*(*chunk).slots[off].get()).assume_init_ref() }
-    }
-
     /// Interns `(name, payload)` and returns its stable [`EventId`].
-    /// Takes `&self`: writers serialize on the intern lock, readers are
-    /// never blocked.
     pub fn intern(&self, name: &str, payload: Option<i64>) -> EventId {
-        let desc = EventDesc {
-            name: name.to_owned(),
-            payload,
-        };
-        let mut index = self.index.lock();
-        if let Some(&id) = index.get(&desc) {
-            return id;
-        }
-        let idx = self.len.load(Ordering::Relaxed);
-        let id = EventId(idx as u32);
-        let (k, off) = chunk_of(idx);
-        let mut chunk = self.chunks[k].load(Ordering::Relaxed);
-        if chunk.is_null() {
-            chunk = Box::into_raw(Chunk::new(CHUNK_BASE << k));
-            // Release so readers that see the bumped `len` also see the
-            // chunk pointer's pointee fully initialized.
-            self.chunks[k].store(chunk, Ordering::Release);
-        }
-        // SAFETY: slot `idx` is above the published `len`, and we hold
-        // the intern lock, so no other thread reads or writes it.
-        unsafe {
-            (*chunk).slots[off]
-                .get()
-                .write(MaybeUninit::new(desc.clone()))
-        };
-        // Publish: everything written above happens-before any reader
-        // that observes the new length.
-        self.len.store(idx + 1, Ordering::Release);
-        index.insert(desc, id);
-        id
+        self.0.lock().intern(name, payload)
     }
 
     /// Looks up an already-interned descriptor without inserting.
     pub fn lookup(&self, name: &str, payload: Option<i64>) -> Option<EventId> {
-        let desc = EventDesc {
-            name: name.to_owned(),
-            payload,
-        };
-        self.index.lock().get(&desc).copied()
+        self.0.lock().lookup(name, payload)
     }
 
-    /// Returns the descriptor for `id`, if published. Lock-free.
-    #[inline]
-    pub fn describe(&self, id: EventId) -> Option<&EventDesc> {
-        let len = self.len.load(Ordering::Acquire);
-        if id.index() < len {
-            Some(self.slot(id.index()))
-        } else {
-            None
-        }
+    /// Returns a copy of the descriptor for `id`, if it exists.
+    pub fn describe(&self, id: EventId) -> Option<EventDesc> {
+        self.0.lock().describe(id).cloned()
     }
 
     /// Human-readable name for `id` (falls back to the raw id).
     pub fn name_of(&self, id: EventId) -> String {
-        match self.describe(id) {
-            Some(d) => d.to_string(),
-            None => id.to_string(),
-        }
+        self.0.lock().name_of(id)
     }
 
-    /// Number of interned descriptors. Lock-free.
-    #[inline]
+    /// Number of interned descriptors.
     pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire)
+        self.0.lock().len()
     }
 
-    /// Whether the registry is empty. Lock-free.
+    /// Whether the registry is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
     /// The descriptors `start..len` as `(name, payload)` pairs — the
-    /// journal's registry-delta writer calls this at flush boundaries
-    /// without blocking any interning thread.
+    /// journal's registry-delta writer calls this at flush boundaries.
     pub fn descs_from(&self, start: usize) -> Vec<(String, Option<i64>)> {
-        let len = self.len();
-        (start..len)
-            .map(|i| {
-                let d = self.slot(i);
-                (d.name.clone(), d.payload)
-            })
+        let reg = self.0.lock();
+        reg.descs
+            .get(start..)
+            .unwrap_or_default()
+            .iter()
+            .map(|d| (d.name.clone(), d.payload))
             .collect()
     }
 
-    /// Materializes the published prefix as a plain [`EventRegistry`]
-    /// (same ids, index rebuilt). This is the immutable snapshot
-    /// checkpointing and trace assembly embed.
+    /// A copy of the registry as a plain [`EventRegistry`] (same ids):
+    /// the immutable snapshot checkpointing and trace assembly embed.
     pub fn snapshot(&self) -> EventRegistry {
-        let len = self.len();
-        let mut out = EventRegistry::new();
-        for i in 0..len {
-            let d = self.slot(i);
-            out.intern(&d.name, d.payload);
-        }
-        out
-    }
-
-    /// Iterates over the published `(id, descriptor)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (EventId, &EventDesc)> {
-        let len = self.len();
-        (0..len).map(move |i| (EventId(i as u32), self.slot(i)))
-    }
-}
-
-impl Drop for ConcurrentRegistry {
-    fn drop(&mut self) {
-        let len = *self.len.get_mut();
-        for (k, chunk) in self.chunks.iter_mut().enumerate() {
-            let ptr = *chunk.get_mut();
-            if ptr.is_null() {
-                continue;
-            }
-            let mut boxed = unsafe { Box::from_raw(ptr) };
-            let start = CHUNK_BASE * ((1usize << k) - 1);
-            let cap = CHUNK_BASE << k;
-            let live = len.saturating_sub(start).min(cap);
-            for slot in &mut boxed.slots[..live] {
-                unsafe { slot.get_mut().assume_init_drop() };
-            }
-        }
+        self.0.lock().clone()
     }
 }
 
@@ -457,8 +285,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_registry_crosses_chunk_boundaries() {
-        // Enough descriptors to span several chunks (64 + 128 + ...).
+    fn concurrent_registry_assigns_dense_ids_in_intern_order() {
         let r = ConcurrentRegistry::new();
         let n = 1000i64;
         for i in 0..n {
@@ -471,7 +298,7 @@ mod tests {
         let deltas = r.descs_from(900);
         assert_eq!(deltas.len(), 100);
         assert_eq!(deltas[0], ("e".to_string(), Some(900)));
-        let ids: Vec<u32> = r.iter().map(|(id, _)| id.0).collect();
+        let ids: Vec<u32> = r.snapshot().iter().map(|(id, _)| id.0).collect();
         assert_eq!(ids.len(), n as usize);
         assert!(ids.windows(2).all(|w| w[1] == w[0] + 1));
     }

@@ -53,6 +53,8 @@
 //! assert_eq!(next.most_likely(), Some(b));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod analyze;
 pub mod error;
 pub mod event;

@@ -47,11 +47,10 @@ pub use session_log::{read_event_journal, EventJournal, EventJournalContents};
 pub(crate) use recover::recover_trace;
 
 /// A registry shared by all recording threads of a process, journaled
-/// alongside the events so recovery can name them. Interning serializes
-/// writers; every read the persistence layer performs (snapshots,
-/// journal deltas) is lock-free, so no recording thread is ever blocked
-/// behind another rank's flush. Matches the shape the MPI runtime
-/// integration uses.
+/// alongside the events so recovery can name them. The persistence layer
+/// reads it once per journal flush (the new descriptors) and once per
+/// checkpoint (a snapshot). The MPI runtime integration re-exports this
+/// type, so a recording session hands the same handle to the journal.
 pub type SharedRegistry = Arc<ConcurrentRegistry>;
 
 /// Durability knobs for a [`crate::record::Recorder`].
@@ -280,8 +279,7 @@ impl PersistState {
 
     fn try_commit(&mut self, payload: &[u8], count: usize) -> Result<()> {
         // Registry deltas first: an event frame must never name a
-        // descriptor the journal has not yet defined. `descs_from` reads
-        // the published prefix lock-free.
+        // descriptor the journal has not yet defined.
         if let Some(reg) = self.registry.clone() {
             let descs = reg.descs_from(self.registry_written);
             if !descs.is_empty() {

@@ -33,8 +33,8 @@ use crate::trace::{ThreadTrace, TraceData};
 /// Immutable view of a recording in progress, published through a
 /// [`Published`] slot at flush/checkpoint boundaries so cross-thread
 /// observers (progress watchdogs, diagnostics) can inspect a live
-/// recording without taking any lock and without ever seeing a
-/// half-built grammar. Obtain the slot with [`Recorder::share_snapshot`].
+/// recording without stopping it and without ever seeing a half-built
+/// grammar. Obtain the slot with [`Recorder::share_snapshot`].
 #[derive(Debug, Clone, Default)]
 pub struct RecordSnapshot {
     /// Compacted grammar as of the publication point.
@@ -103,7 +103,7 @@ pub struct Recorder {
     /// Staged payload size that triggers a flush
     /// ([`PersistConfig::flush_bytes`]).
     stage_byte_threshold: usize,
-    /// Epoch-publication slot for cross-thread readers; created lazily by
+    /// Publication slot for cross-thread readers; created lazily by
     /// [`Recorder::share_snapshot`]. `None` costs nothing on the hot
     /// path; when present, a fresh [`RecordSnapshot`] is published at
     /// checkpoint boundaries (durable recorders) and on
@@ -175,7 +175,7 @@ impl Recorder {
     ///
     /// The slot always holds a complete, immutable [`RecordSnapshot`];
     /// readers on other threads consult it with [`Published::read`] /
-    /// [`Published::get`] — entirely lock-free against this recorder. The
+    /// [`Published::get`] and never wait for this recorder's work. The
     /// snapshot is refreshed at every checkpoint boundary of a durable
     /// recorder, at [`Recorder::finish_thread`], and whenever
     /// [`Recorder::publish_snapshot`] is called explicitly (the only
@@ -334,7 +334,7 @@ impl Recorder {
             let grammar = self.settled_grammar();
             let p = self.persist.as_mut().expect("checked");
             p.snapshot(&grammar, count, &self.timestamps_ns);
-            // Reuse the compacted grammar for the epoch publication: the
+            // Reuse the compacted grammar for the publication: the
             // checkpoint cadence is exactly the "flush boundary" at which
             // cross-thread readers are promised a fresh immutable view.
             if let Some(slot) = &self.published {

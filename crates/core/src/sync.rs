@@ -1,4 +1,4 @@
-//! Epoch-style publication of immutable snapshots.
+//! Publication of immutable snapshots.
 //!
 //! The contention-free recording model gives each recording thread sole
 //! ownership of its mutable state (grammar builder, journal stage
@@ -7,150 +7,48 @@
 //! without stopping it, so the recorder *publishes* an immutable
 //! snapshot at flush/checkpoint boundaries through a [`Published<T>`]:
 //!
-//! * the writer hands over a fully-built value; publication is a single
-//!   pointer swap, so a reader can never observe a half-written
+//! * the writer hands over a fully-built value; publication swaps one
+//!   `Arc` under a mutex, so a reader never observes a half-written
 //!   snapshot;
-//! * readers run lock-free against the writer (they only pin a reader
-//!   count); the writer never waits for readers — superseded snapshots
-//!   are retired and reclaimed once the reader count returns to zero.
+//! * the lock is held only to swap or clone that `Arc`, and a reader's
+//!   closure runs outside it, so a publisher waits at most for a
+//!   refcount increment, never for a reader's work. A superseded
+//!   snapshot is freed when its last reader lets go of it.
 //!
-//! All atomics are `SeqCst`: publication happens at most once per flush
-//! budget (thousands of events), so the few nanoseconds this costs buy
-//! a reclamation argument simple enough to check by hand (and by Miri —
-//! see the `epoch` tests, run under `PYTHIA_CI_SANITIZE=1`).
-//!
-//! Reclamation safety: a reader increments `readers` *before* loading
-//! the current pointer and decrements it (via a drop guard, so a
-//! panicking closure cannot leak the pin) only after its borrow ends.
-//! Whoever frees retired pointers — the writer inside `publish`, or a
-//! reader draining opportunistically on its way out — does so only when
-//! it observes `readers == 0` while holding the retire lock. In the
-//! `SeqCst` total order, any reader still borrowing a retired snapshot
-//! performed its increment before the reclaimer's load of `readers`, so
-//! the reclaimer sees a non-zero count and keeps the snapshot; once the
-//! count is zero, no live borrow can reach a retired pointer (fresh
-//! loads only ever return the current one).
+//! Publication happens at checkpoint boundaries (thousands of events
+//! apart), so the lock is cold.
 
-use std::sync::atomic::{AtomicPtr, AtomicUsize, Ordering};
+use std::sync::Arc;
 
 use parking_lot::Mutex;
 
-/// A single-writer, multi-reader slot holding the latest published
-/// snapshot of type `T`.
+/// A multi-reader slot holding the latest published snapshot of type `T`.
 #[derive(Debug)]
 pub struct Published<T> {
-    current: AtomicPtr<T>,
-    readers: AtomicUsize,
-    /// Superseded snapshots awaiting a readers==0 window. Also
-    /// serializes publishers (publication is rare; contention here is
-    /// not a concern).
-    retired: Mutex<Vec<*mut T>>,
-    /// Mirror of `retired.len()`, maintained under the retire lock, so
-    /// the read path can check "anything to reclaim?" with one atomic
-    /// load instead of taking the lock.
-    retired_count: AtomicUsize,
+    current: Mutex<Arc<T>>,
 }
-
-/// Reader-count pin released on drop, so a panicking read closure cannot
-/// leak its pin and permanently block reclamation.
-struct ReaderPin<'a>(&'a AtomicUsize);
-
-impl Drop for ReaderPin<'_> {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::SeqCst);
-    }
-}
-
-// SAFETY: the raw pointers are only ever created from `Box<T>` and
-// freed exactly once (retire list or Drop); `T: Send + Sync` makes the
-// shared borrows handed to readers sound.
-unsafe impl<T: Send + Sync> Send for Published<T> {}
-unsafe impl<T: Send + Sync> Sync for Published<T> {}
 
 impl<T> Published<T> {
     /// A slot initially holding `value`.
     pub fn new(value: T) -> Self {
         Published {
-            current: AtomicPtr::new(Box::into_raw(Box::new(value))),
-            readers: AtomicUsize::new(0),
-            retired: Mutex::new(Vec::new()),
-            retired_count: AtomicUsize::new(0),
+            current: Mutex::new(Arc::new(value)),
         }
     }
 
-    /// Publishes a new snapshot. Readers switch to it atomically; the
-    /// superseded snapshot is reclaimed once no reader pins the slot.
+    /// Publishes a new snapshot. Readers that already hold the old one
+    /// keep it until their closure returns.
     pub fn publish(&self, value: T) {
-        let fresh = Box::into_raw(Box::new(value));
-        let old = self.current.swap(fresh, Ordering::SeqCst);
-        let mut retired = self.retired.lock();
-        retired.push(old);
-        if self.readers.load(Ordering::SeqCst) == 0 {
-            for p in retired.drain(..) {
-                // SAFETY: `p` came from Box::into_raw, was removed from
-                // `current` (no new borrow can load it), and no borrow
-                // predating the swap is live (readers == 0).
-                drop(unsafe { Box::from_raw(p) });
-            }
-        }
-        self.retired_count.store(retired.len(), Ordering::SeqCst);
+        let old = std::mem::replace(&mut *self.current.lock(), Arc::new(value));
+        // Freed here, outside the lock, unless a reader still holds it.
+        drop(old);
     }
 
     /// Reads the latest published snapshot. The borrow is confined to
-    /// the closure; the writer is never blocked.
-    ///
-    /// The reader pin is released by a drop guard, so a panicking
-    /// closure unwinds without leaking the pin (which would permanently
-    /// block reclamation). On the way out the reader also drains the
-    /// retire list opportunistically: a snapshot retired during the last
-    /// publish before a quiet period is reclaimed by the next read, not
-    /// held until `Drop`.
+    /// the closure, which runs without the slot's lock held.
     pub fn read<R>(&self, f: impl FnOnce(&T) -> R) -> R {
-        self.readers.fetch_add(1, Ordering::SeqCst);
-        let pin = ReaderPin(&self.readers);
-        let p = self.current.load(Ordering::SeqCst);
-        // SAFETY: `p` is the current snapshot or a retired one that the
-        // writer cannot free while our reader count is pinned (see the
-        // module-level reclamation argument).
-        let r = f(unsafe { &*p });
-        drop(pin);
-        if self.retired_count.load(Ordering::SeqCst) != 0 {
-            self.try_reclaim();
-        }
-        r
-    }
-
-    /// Opportunistically frees retired snapshots if no reader currently
-    /// pins the slot and the retire lock is immediately available.
-    /// Returns the number of snapshots reclaimed. Safe to call from any
-    /// thread at natural boundaries (the read path calls it after every
-    /// unpin that sees a non-empty retire list; checkpoint code may call
-    /// it explicitly).
-    pub fn try_reclaim(&self) -> usize {
-        let Some(mut retired) = self.retired.try_lock() else {
-            // A publisher (or another reclaimer) holds the lock; it will
-            // drain or the next boundary will.
-            return 0;
-        };
-        if retired.is_empty() || self.readers.load(Ordering::SeqCst) != 0 {
-            return 0;
-        }
-        let n = retired.len();
-        for p in retired.drain(..) {
-            // SAFETY: same argument as in `publish` — `p` was removed
-            // from `current` before being retired, and observing
-            // `readers == 0` while holding the retire lock means no
-            // borrow predating its retirement is still live.
-            drop(unsafe { Box::from_raw(p) });
-        }
-        self.retired_count.store(0, Ordering::SeqCst);
-        n
-    }
-
-    /// Number of superseded snapshots currently awaiting reclamation
-    /// (diagnostics/tests; a single atomic load).
-    pub fn retired_len(&self) -> usize {
-        self.retired_count.load(Ordering::SeqCst)
+        let snapshot = Arc::clone(&self.current.lock());
+        f(&snapshot)
     }
 
     /// Clones the latest published snapshot out of the slot.
@@ -162,20 +60,9 @@ impl<T> Published<T> {
     }
 }
 
-impl<T> Drop for Published<T> {
-    fn drop(&mut self) {
-        // Exclusive access: no readers or writers remain.
-        drop(unsafe { Box::from_raw(*self.current.get_mut()) });
-        for p in self.retired.get_mut().drain(..) {
-            drop(unsafe { Box::from_raw(p) });
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::Arc;
 
     #[test]
     fn publish_and_read_roundtrip() {
@@ -187,13 +74,10 @@ mod tests {
         assert_eq!(p.get(), vec![9u64; 2]);
     }
 
-    /// The epoch-publication protocol under concurrency: a writer
-    /// republishes self-consistent snapshots (all elements equal) while
-    /// readers continuously validate that no snapshot is ever observed
-    /// half-published or after reclamation. Run under Miri by the
-    /// `PYTHIA_CI_SANITIZE=1` stage of ci.sh, which verifies the
-    /// publication handshake and the retire/reclaim path are data-race
-    /// free and use-after-free free.
+    /// The publication protocol under concurrency: a writer republishes
+    /// self-consistent snapshots (all elements equal) while readers
+    /// continuously validate that no snapshot is ever observed
+    /// half-published.
     #[test]
     fn readers_never_observe_torn_snapshots() {
         let slot = Arc::new(Published::new(vec![0u64; 32]));
@@ -220,85 +104,34 @@ mod tests {
                 }
             });
         });
-        // After the writer finished, the last snapshot is intact, and the
-        // first quiet-period read bounds the retire list: its exit drain
-        // runs with no reader pinned, so everything the final publishes
-        // retired while readers were still active is reclaimed *now*, not
-        // held until `Drop`.
+        // After the writer finished, the last snapshot is intact.
         slot.read(|v| assert!(v.iter().all(|&x| x == v[0])));
-        assert_eq!(
-            slot.retired_len(),
-            0,
-            "retire list not drained at a quiet boundary"
-        );
     }
 
     #[test]
-    fn retired_snapshots_are_reclaimed_when_idle() {
-        // With no reader pinning the slot, every publish frees the
-        // previous snapshot immediately (the retire list stays empty).
-        let p = Published::new(String::from("a"));
-        for i in 0..100 {
-            p.publish(format!("snap{i}"));
-            assert_eq!(p.retired_len(), 0);
-        }
+    fn a_reader_keeps_its_snapshot_across_publishes() {
+        // Publishing from inside `read` deadlocks if the closure ran under
+        // the slot's lock, and the reader's borrow must not move.
+        let p = Published::new(String::from("s0"));
+        p.read(|s| {
+            p.publish(String::from("s1"));
+            p.publish(String::from("s2"));
+            assert_eq!(s, "s0");
+        });
+        assert_eq!(p.get(), "s2");
     }
 
     #[test]
     fn panicking_reader_releases_its_pin() {
-        // Regression: `read` used to decrement the reader count after the
-        // closure with no drop guard, so one panicking reader permanently
-        // blocked reclamation and every retired snapshot leaked.
+        // A panicking read closure must leave the slot usable: later
+        // publishes and reads proceed as if the panic never happened.
         let p = Published::new(0u64);
         let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             p.read(|_| panic!("reader panicked"));
         }));
         assert!(caught.is_err());
-        // The pin was released during unwind: publishes reclaim eagerly
-        // again, exactly as if the panic never happened.
         p.publish(1);
         p.publish(2);
-        assert_eq!(p.retired_len(), 0);
         assert_eq!(p.get(), 2);
-    }
-
-    #[test]
-    fn pinned_reader_defers_reclaim_to_the_next_boundary() {
-        // Regression: snapshots retired by the *last* publish before a
-        // quiet period used to persist until `Drop`. The read path (and
-        // `try_reclaim` at explicit boundaries) now drains them as soon
-        // as no reader pins the slot.
-        let p = Published::new(0u32);
-        p.read(|&v| {
-            assert_eq!(v, 0);
-            // Publishes racing an active reader cannot reclaim: the
-            // reader may still be borrowing a superseded snapshot.
-            p.publish(1);
-            p.publish(2);
-            assert_eq!(p.retired_len(), 2);
-            // Neither can a reclaim attempt while the pin is held.
-            assert_eq!(p.try_reclaim(), 0);
-        });
-        // The unpin drained opportunistically — no writer involved.
-        assert_eq!(p.retired_len(), 0);
-        assert_eq!(p.get(), 2);
-    }
-
-    #[test]
-    fn try_reclaim_drains_at_explicit_boundaries() {
-        // Exercise `try_reclaim` directly (checkpoint-boundary callers):
-        // seed the retire list by hand, as if the opportunistic drain had
-        // been skipped because the retire lock was briefly contended.
-        let p = Published::new(String::from("s0"));
-        {
-            let mut retired = p.retired.lock();
-            retired.push(Box::into_raw(Box::new(String::from("stale"))));
-            p.retired_count.store(retired.len(), Ordering::SeqCst);
-        }
-        assert_eq!(p.retired_len(), 1);
-        assert_eq!(p.try_reclaim(), 1);
-        assert_eq!(p.retired_len(), 0);
-        assert_eq!(p.try_reclaim(), 0);
-        assert_eq!(p.get(), "s0");
     }
 }

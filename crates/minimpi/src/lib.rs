@@ -69,6 +69,8 @@
 //!   processes (`socket::SocketComm`); a `kill -9`'d rank is detected by
 //!   connection EOF and an elastic hub admits its replacement.
 
+#![forbid(unsafe_code)]
+
 pub mod collective;
 pub mod comm;
 pub mod communicator;

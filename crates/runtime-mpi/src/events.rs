@@ -1,19 +1,14 @@
 //! The per-rank event-interning cache.
 
-use std::sync::Arc;
-
-use pythia_core::event::{ConcurrentRegistry, EventId};
+use pythia_core::event::EventId;
 use pythia_core::util::FxHashMap;
 use pythia_minimpi::MpiCall;
 
 /// Registry shared by all ranks of a run (the trace file stores one
-/// registry; interning must be globally consistent). Appends serialize
-/// on a writer lock inside the registry, but every read is lock-free —
-/// and the per-rank [`EventCache`] makes even the append path cold:
-/// each rank interns a distinct descriptor at most once per run. Same
-/// type as [`pythia_core::persist::SharedRegistry`], so a recording
-/// session hands the identical handle to the journal layer.
-pub type SharedRegistry = Arc<ConcurrentRegistry>;
+/// registry; interning must be globally consistent). The per-rank
+/// [`EventCache`] keeps its lock cold: each rank interns a distinct
+/// descriptor at most once per run.
+pub use pythia_core::persist::SharedRegistry;
 
 /// What an event of a rank's stream is: an intercepted MPI call, or a
 /// non-MPI key point submitted through the same stream (e.g. the OpenMP
@@ -26,7 +21,7 @@ enum Key {
 }
 
 /// Per-rank cache resolving repeated descriptors without touching the
-/// shared registry at all (not even its lock-free read path).
+/// shared registry at all.
 #[derive(Debug, Default)]
 pub struct EventCache {
     map: FxHashMap<Key, EventId>,
@@ -72,7 +67,10 @@ impl EventCache {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::Arc;
+
     use super::*;
+    use pythia_core::event::ConcurrentRegistry;
     use pythia_minimpi::ReduceOp;
 
     #[test]

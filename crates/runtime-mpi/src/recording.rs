@@ -50,10 +50,10 @@ pub struct RecordingSession {
     /// (a silently truncated trace would defeat the whole durability
     /// story — the missing rank's data is still in its sidecars).
     wrapped: AtomicUsize,
-    /// Per-rank epoch-publication slots ([`Recorder::share_snapshot`]),
+    /// Per-rank publication slots ([`Recorder::share_snapshot`]),
     /// registered once at [`RecordingSession::wrap`] time. The mutex
-    /// guards only this registration vector — reading a rank's live
-    /// progress through a slot is lock-free against the recording rank.
+    /// guards only this registration vector; reading a rank's live
+    /// progress through a slot never waits for the recording rank's work.
     progress: Mutex<Vec<Option<Arc<Published<RecordSnapshot>>>>>,
 }
 
@@ -93,9 +93,9 @@ impl RecordingSession {
     }
 
     /// Live progress of rank `rank`'s recording: the immutable snapshot
-    /// it published at its most recent checkpoint boundary (epoch
-    /// publication — see [`pythia_core::sync::Published`]). Reading never
-    /// blocks the recording rank and never observes a half-built grammar.
+    /// it published at its most recent checkpoint boundary (see
+    /// [`pythia_core::sync::Published`]). Reading never waits for the
+    /// recording rank's work and never observes a half-built grammar.
     /// `None` if the rank was never wrapped.
     pub fn progress(&self, rank: usize) -> Option<RecordSnapshot> {
         let slot = self.progress.lock().get(rank).cloned().flatten()?;

@@ -67,7 +67,7 @@ pub(crate) struct RankState<C> {
 ///
 /// Cross-thread observers never touch this cell: they read the
 /// immutable snapshots the recorder publishes at flush boundaries
-/// (`pythia_core::sync::Published`) and the lock-free shared registry.
+/// (`pythia_core::sync::Published`) and the shared registry.
 pub(crate) struct RankCell<C> {
     state: UnsafeCell<RankState<C>>,
     busy: AtomicBool,

@@ -42,6 +42,8 @@
 //! assert_eq!(oracle.stats().regions, 50);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod oracle;
 pub mod policy;
 

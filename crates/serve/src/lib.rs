@@ -10,9 +10,10 @@
 //!   id, so routing is arithmetic. A shard is a value, not a thread: a
 //!   request runs to completion under its shard's lock on the thread
 //!   that brought it — a connection thread writes the reply it computed
-//!   — and no thread holds two shard locks. What is read without a lock
-//!   is immutable `Arc`s (tenant grammars) and epoch-published stats
-//!   snapshots ([`pythia_core::sync::Published`]).
+//!   — and no thread holds two shard locks. What is read without a
+//!   shard's lock is immutable `Arc`s (tenant grammars) and each shard's
+//!   stats copy, stored under a mutex of its own after every mutating
+//!   request.
 //! - **Batched observation.** Clients ship events in batches; the shard
 //!   feeds whole batches to [`Predictor::observe_batch`], which hoists
 //!   the grammar-index walker across the batch instead of re-entering
@@ -61,6 +62,8 @@
 //!
 //! [`Predictor::observe_batch`]: pythia_core::predict::Predictor::observe_batch
 //! [`CircuitBreaker`]: pythia_core::resilience::CircuitBreaker
+
+#![forbid(unsafe_code)]
 
 pub mod proto;
 pub mod server;

@@ -7,7 +7,7 @@
 //! packed into the [`SessionId`], and runs each one to completion under
 //! that shard's lock on the calling thread — the connection thread that
 //! read a request also computes and writes its reply. `Stats` is
-//! answered entirely from each shard's [`Published`] snapshot — a stats
+//! answered entirely from each shard's published stats copy — a stats
 //! poll never takes a shard's lock.
 //!
 //! The [`Client`] is in-process but honest: every call round-trips
@@ -15,7 +15,6 @@
 //! path a socket client exercises, so the protocol tests and the bench
 //! measure the real wire cost minus only the kernel.
 //!
-//! [`Published`]: pythia_core::sync::Published
 //! [`SessionId`]: crate::session::SessionId
 
 use std::collections::HashMap;
@@ -152,7 +151,7 @@ impl Router {
     pub fn dispatch(&self, req: Request) -> Response {
         match req {
             // Stats takes no shard's lock: every shard's latest snapshot
-            // is read lock-free from its epoch-published slot.
+            // is a copy behind a mutex of its own.
             Request::Stats => Response::Stats {
                 shards: self.shards.iter().map(|s| s.snapshot()).collect(),
             },

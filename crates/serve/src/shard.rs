@@ -1,5 +1,5 @@
 //! One shard: a session slab behind a lock, per-tenant admission
-//! control, lock-free stats publication.
+//! control, stats published beside it.
 //!
 //! A shard is a value, not a thread. Its [`SessionSlab`] and breaker
 //! gates sit behind the one mutex in [`ShardHandle`], and a request runs
@@ -8,12 +8,13 @@
 //! exactly one request and never a second shard's with it. A bounded
 //! number of callers may wait for the lock; the next is refused `Busy`
 //! without touching the shard. What is shared *between* shards and
-//! with readers uses the two epoch-friendly shapes the core provides:
+//! with readers takes none of their locks:
 //!
 //! - tenant grammars: `Arc<ThreadTrace>` with a prewarmed
 //!   `Arc<GrammarIndex>`, immutable and shared by every shard;
-//! - shard statistics: an [`Published<ShardStats>`] snapshot that
-//!   `Stats` requests read without taking any shard's lock.
+//! - shard statistics: a [`ShardStats`] copy behind its own small
+//!   mutex, stored after each mutating request, which `Stats` requests
+//!   read without taking any shard's lock.
 //!
 //! Admission control is per-(shard, tenant): every tenant has its own
 //! [`CircuitBreaker`] scored by observe outcomes (a `Matched` event
@@ -35,15 +36,14 @@ use std::time::Instant;
 use pythia_core::persist::{read_event_journal, EventJournal};
 use pythia_core::predict::{ObserveOutcome, Prediction, Predictor};
 use pythia_core::resilience::CircuitBreaker;
-use pythia_core::sync::Published;
 
 use crate::proto::{Admission, Request, Response};
 use crate::server::ServeConfig;
 use crate::session::{Session, SessionId, SessionJournal, SessionSlab};
 use crate::tenant::Tenants;
 
-/// Point-in-time counters for one shard, published through
-/// [`Published`] so `Stats` requests never take the shard's lock.
+/// Point-in-time counters for one shard, published as a copy beside the
+/// shard so `Stats` requests never take the shard's lock.
 ///
 /// All fields are monotonic counters except `sessions_open`, which is
 /// the live session count at publication time.
@@ -160,7 +160,7 @@ pub(crate) struct ShardHandle {
     /// Callers between admission and getting the lock. A bound, not a
     /// publication: nothing is read on the strength of its value.
     waiters: AtomicUsize,
-    stats: Arc<Published<ShardStats>>,
+    stats: Arc<parking_lot::Mutex<ShardStats>>,
     /// Busy refusals (see [`ShardStats::busy_rejects`]).
     busy: AtomicU64,
 }
@@ -175,7 +175,7 @@ impl ShardHandle {
         tenants: &Arc<Tenants>,
         tenant_live: &Arc<Vec<AtomicU64>>,
     ) -> ShardHandle {
-        let stats = Arc::new(Published::new(ShardStats::default()));
+        let stats = Arc::new(parking_lot::Mutex::new(ShardStats::default()));
         let gates = (0..tenants.len())
             .map(|_| TenantGate {
                 breaker: CircuitBreaker::new(config.breaker.clone()),
@@ -204,7 +204,7 @@ impl ShardHandle {
 
     /// The shard's latest snapshot with the busy counter overlaid.
     pub fn snapshot(&self) -> ShardStats {
-        let mut s = self.stats.get();
+        let mut s = *self.stats.lock();
         s.busy_rejects = self.busy.load(Ordering::Relaxed);
         s
     }
@@ -286,7 +286,7 @@ pub(crate) struct ShardWorker {
     slab: SessionSlab,
     gates: Vec<TenantGate>,
     stats: ShardStats,
-    published: Arc<Published<ShardStats>>,
+    published: Arc<parking_lot::Mutex<ShardStats>>,
     dirty: bool,
 }
 
@@ -311,7 +311,7 @@ impl ShardWorker {
     fn maybe_publish(&mut self) {
         if self.dirty {
             self.stats.sessions_open = self.slab.len() as u64;
-            self.published.publish(self.stats);
+            *self.published.lock() = self.stats;
             self.dirty = false;
         }
     }

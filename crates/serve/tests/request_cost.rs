@@ -6,8 +6,9 @@
 //! blocks for the reply, the connection thread blocks for the next
 //! request) and no third; in process it costs none. Frames are built in
 //! and parsed out of buffers that both ends keep, so what is left to
-//! allocate is five: the event vector and the distribution, once on each
-//! side of the wire, and the stats snapshot published before the reply.
+//! allocate is four: the event vector and the distribution, once on each
+//! side of the wire. The stats published before the reply are a copy
+//! stored under a lock, which allocates nothing.
 //! With a thread and a channel per shard, as this server once had, the
 //! same loop cost 16.5 allocations and 4.55 switches per request.
 //!
@@ -188,7 +189,7 @@ fn a_request_costs_its_contents_and_the_sockets_two_hand_offs() {
     cost_per_request(inproc_session, &mut in_process);
 
     let (allocs, switches) = cost_per_request(socket_session, &mut over_socket);
-    assert!(allocs <= 6.0, "{allocs} allocations per socket request");
+    assert!(allocs <= 4.5, "{allocs} allocations per socket request");
     let (_, inproc_switches) = cost_per_request(inproc_session, &mut in_process);
     match switches.zip(inproc_switches).filter(|_| pinned) {
         Some((socket, inproc)) => {

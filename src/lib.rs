@@ -4,6 +4,8 @@
 //! workspace crates and hosts the repository-level examples and
 //! integration tests. See the README for the architecture overview.
 
+#![forbid(unsafe_code)]
+
 pub use pythia_apps as apps;
 pub use pythia_core as core;
 pub use pythia_minimpi as minimpi;
