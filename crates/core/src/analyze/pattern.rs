@@ -4,11 +4,9 @@
 //! scanning DFA and evaluated **on the grammar**, never on the expanded
 //! stream, at a cost that follows the grammar:
 //!
-//! * **Symbol classes.** [`Dfa::compile`] evaluates each distinct name
-//!   test of the pattern once per registry symbol, groups the symbols no
-//!   test tells apart into classes (a handful, whatever the vocabulary)
-//!   and runs the subset construction over classes, on bit-set NFA state
-//!   sets.
+//! * **Symbol classes.** The classes come from the pattern's own name
+//!   tests, so the subset construction, on bit-set NFA state sets, runs
+//!   once per [`PatternQuery`]; a trace only maps its registry onto them.
 //! * **Reached pairs only.** [`match_grammar`] evaluates a rule from the
 //!   DFA states the stream actually enters it in and from no other:
 //!   demand-driven from `(root, start)`, with a memo `(rule, entry state)
@@ -22,11 +20,11 @@
 //!   the state depends on its last `M` events alone, and the orbit of a
 //!   segment of `L` events settles within ⌈M / L⌉ + 1 steps.
 //!
-//! That is O(|registry| · tests) to classify the vocabulary, O(|Q| ·
-//! classes) set operations to determinize, and O(reached pairs · body
-//! length) to sweep; the worst case, a stream that enters every rule in
-//! every state, is the `rules × |Q|` of a full transfer table. The same
-//! DFA runs the query over an expanded stream ([`Dfa::match_events`]);
+//! That is O(|Q| · classes) set operations per query, O(|registry| ·
+//! tests) to bind a vocabulary, and O(reached pairs · body length) to
+//! sweep; the worst case, a stream that enters every rule in every state,
+//! is the `rules × |Q|` of a full transfer table. The same DFA runs the
+//! query over an expanded stream ([`Dfa::match_events`]);
 //! `tests/analyze_consistency.rs` proves both agree (count, first-hit
 //! index, end state) on random sessions, and this module's tests hold the
 //! compiler to a direct evaluation of the pattern on the AST.
@@ -55,6 +53,7 @@
 //! match threads), so window widths much past ~10 hit the DFA state cap.
 
 use std::collections::HashMap;
+use std::sync::{Arc, OnceLock};
 
 use crate::event::{EventId, EventRegistry};
 use crate::grammar::{Grammar, RuleId, Symbol};
@@ -479,86 +478,38 @@ impl<'a> Nfa<'a> {
 }
 
 // ---------------------------------------------------------------------------
-// Scanning DFA over a concrete event registry
+// Scanning DFA: one automaton per pattern, bound to each trace's registry
 // ---------------------------------------------------------------------------
 
-/// A pattern compiled against one trace's event vocabulary: a dense
-/// scanning DFA over **symbol classes**. The `registry.len() + 1` symbols
-/// (the extra one absorbs ids outside the registry) are partitioned into
-/// the classes no leaf of the pattern tells apart, and transitions are
-/// total over those. State sets always include the NFA start (unanchored
-/// matching), and a state is accepting when it contains the NFA accept —
-/// entering an accepting state counts one match.
-#[derive(Debug, Clone)]
-pub struct Dfa {
-    /// `delta[state * classes + class] -> state`.
+/// The part of a compiled pattern that no trace changes: a dense scanning
+/// DFA over the symbol classes of [`Dfa::bind`]. Entering a state whose
+/// NFA state set holds the NFA accept counts a match.
+#[derive(Debug)]
+struct Automaton {
+    /// `delta[state * classes + class] -> state`; state 0 is the start.
     delta: Vec<u32>,
     /// Per-state accepting flag.
     accept: Vec<bool>,
-    /// `class_of[symbol]`; the last entry is the "unknown id" symbol.
-    class_of: Vec<u32>,
-    /// Symbol classes per state row.
-    classes: usize,
-    /// Start state.
-    start: u32,
+    /// The distinct `(name, payload)` tests; leaf `i` is class `i + 1`.
+    leaves: Vec<(String, Option<i64>)>,
 }
 
-impl Dfa {
-    /// Number of DFA states (`|Q|`).
-    pub fn states(&self) -> usize {
-        self.accept.len()
-    }
-
-    /// Number of symbol classes: what a state row costs, whatever the
-    /// size of the vocabulary.
-    pub fn classes(&self) -> usize {
-        self.classes
-    }
-
-    /// Start state.
-    pub fn start(&self) -> u32 {
-        self.start
-    }
-
-    /// Whether `state` is accepting.
-    pub fn accepting(&self, state: u32) -> bool {
-        self.accept[state as usize]
-    }
-
-    /// Compiles `ast` against `registry`'s event vocabulary.
-    pub fn compile(ast: &Ast, registry: &EventRegistry) -> Result<Dfa, String> {
+impl Automaton {
+    fn build(ast: &Ast) -> Result<Automaton, String> {
         let mut nfa = Nfa::default();
         let (nstart, naccept) = nfa.build(ast)?;
 
-        // Each symbol's signature — which leaves hold of it, every leaf
-        // evaluated once per symbol — and one class per distinct signature.
-        // The unknown-id symbol satisfies no leaf.
-        let symbols = registry.len() + 1;
+        // Each class's signature: which leaves hold of its events.
+        let classes = nfa.leaves.len() + 1;
         let sig_words = nfa.leaves.len().div_ceil(64).max(1);
-        let mut signatures = vec![0u64; symbols * sig_words];
-        for (i, signature) in signatures.chunks_mut(sig_words).enumerate() {
-            let Some(desc) = registry.describe(EventId(i as u32)) else {
-                continue;
-            };
-            for (leaf, &(name, payload)) in nfa.leaves.iter().enumerate() {
-                if name_matches(name, &desc.name) && payload.is_none_or(|p| desc.payload == Some(p))
-                {
-                    set_bit(signature, leaf);
-                }
+        let mut signatures = vec![0u64; classes * sig_words];
+        for (leaf, &(name, payload)) in nfa.leaves.iter().enumerate() {
+            let signature = &mut signatures[(leaf + 1) * sig_words..][..sig_words];
+            set_bit(signature, leaf);
+            if let (Some(_), Some(&plain)) = (payload, nfa.leaf_ids.get(&(name, None))) {
+                set_bit(signature, plain);
             }
         }
-        let mut class_signatures: Vec<&[u64]> = Vec::new();
-        let mut class_ids: FxHashMap<&[u64], u32> = FxHashMap::default();
-        let class_of: Vec<u32> = signatures
-            .chunks(sig_words)
-            .map(|signature| {
-                *class_ids.entry(signature).or_insert_with(|| {
-                    class_signatures.push(signature);
-                    class_signatures.len() as u32 - 1
-                })
-            })
-            .collect();
-        let classes = class_signatures.len();
 
         // Subset construction over classes. NFA state sets are bit sets,
         // `sets` holds one per DFA state back to back; every set contains
@@ -578,7 +529,7 @@ impl Dfa {
         while accept.len() * words < sets.len() {
             let cur = accept.len() * words..(accept.len() + 1) * words;
             accept.push(bit(&sets[cur.clone()], naccept));
-            for signature in &class_signatures {
+            for signature in signatures.chunks(sig_words) {
                 next.copy_from_slice(&start_set);
                 for (w, &word) in sets[cur.clone()].iter().enumerate() {
                     let mut live = word;
@@ -610,26 +561,108 @@ impl Dfa {
                 delta.push(id);
             }
         }
-        Ok(Dfa {
+        let leaves = nfa.leaves.iter().map(|&(n, p)| (n.to_owned(), p)).collect();
+        Ok(Automaton {
             delta,
             accept,
-            class_of,
-            classes,
-            start: 0,
+            leaves,
         })
+    }
+}
+
+/// A pattern's automaton bound to one trace's event vocabulary: the
+/// class of each of the `registry.len() + 1` symbols (the extra one
+/// absorbs ids outside the registry), and the states those classes reach.
+#[derive(Debug, Clone)]
+pub struct Dfa {
+    automaton: Arc<Automaton>,
+    /// `class_of[symbol]`; the last entry is the "unknown id" symbol.
+    class_of: Vec<u32>,
+    /// Per state: whether the classes in `class_of` reach it from the start.
+    reachable: Vec<bool>,
+}
+
+impl Dfa {
+    /// Number of DFA states (`|Q|`), a function of the pattern alone.
+    pub fn states(&self) -> usize {
+        self.automaton.accept.len()
+    }
+
+    /// Number of symbol classes: what a state row costs, whatever the
+    /// size of the vocabulary.
+    pub fn classes(&self) -> usize {
+        self.automaton.leaves.len() + 1
+    }
+
+    /// Start state.
+    pub fn start(&self) -> u32 {
+        0
+    }
+
+    /// Whether `state` is accepting and reachable through this vocabulary.
+    pub fn accepting(&self, state: u32) -> bool {
+        self.reachable[state as usize] && self.automaton.accept[state as usize]
+    }
+
+    /// Whether an accepting state is reachable through this vocabulary.
+    pub fn can_match(&self) -> bool {
+        (0..self.states() as u32).any(|s| self.accepting(s))
+    }
+
+    /// Builds `ast`'s automaton and binds it to `registry`'s vocabulary.
+    pub fn compile(ast: &Ast, registry: &EventRegistry) -> Result<Dfa, String> {
+        Ok(Dfa::bind(Arc::new(Automaton::build(ast)?), registry))
+    }
+
+    /// Two normalised names never both hold of one event, so an event
+    /// satisfies no leaf (class 0), or the name-only leaf of one name, or
+    /// one payload leaf of it (and its name-only leaf): class `i + 1` for
+    /// the most specific leaf `i` that holds. Also marks reachable states.
+    fn bind(automaton: Arc<Automaton>, registry: &EventRegistry) -> Dfa {
+        let classes = automaton.leaves.len() + 1;
+        let mut used = vec![false; classes];
+        used[0] = true; // the unknown-id symbol
+        let mut class_of = vec![0; registry.len() + 1];
+        for (class, (_, desc)) in class_of.iter_mut().zip(registry.iter()) {
+            for (leaf, (name, payload)) in automaton.leaves.iter().enumerate() {
+                if (*class == 0 || payload.is_some())
+                    && name_matches(name, &desc.name)
+                    && payload.is_none_or(|p| desc.payload == Some(p))
+                {
+                    *class = leaf as u32 + 1;
+                }
+            }
+            used[*class as usize] = true;
+        }
+        let mut reachable = vec![false; automaton.accept.len()];
+        reachable[0] = true;
+        let mut work = vec![0];
+        while let Some(s) = work.pop() {
+            let row = &automaton.delta[s * classes..][..classes];
+            for (&t, _) in row.iter().zip(&used).filter(|(_, &u)| u) {
+                if !std::mem::replace(&mut reachable[t as usize], true) {
+                    work.push(t as usize);
+                }
+            }
+        }
+        Dfa {
+            automaton,
+            class_of,
+            reachable,
+        }
     }
 
     #[inline]
     fn step(&self, state: u32, event: EventId) -> u32 {
         let class = self.class_of[event.index().min(self.class_of.len() - 1)];
-        self.delta[state as usize * self.classes + class as usize]
+        self.automaton.delta[state as usize * self.classes() + class as usize]
     }
 
     /// The one-event segment from `state`.
     #[inline]
     fn single(&self, state: u32, event: EventId) -> MatchResult {
         let end_state = self.step(state, event);
-        let hit = self.accept[end_state as usize];
+        let hit = self.automaton.accept[end_state as usize];
         MatchResult {
             count: hit as u64,
             first: hit.then_some(0),
@@ -641,12 +674,12 @@ impl Dfa {
     /// compressed sweep must agree with (consistency tests and the bench
     /// baseline).
     pub fn match_events(&self, events: impl IntoIterator<Item = EventId>) -> MatchResult {
-        let mut state = self.start;
+        let mut state = self.start();
         let mut count: u64 = 0;
         let mut first: Option<u64> = None;
         for (i, e) in (0u64..).zip(events) {
             state = self.step(state, e);
-            if self.accept[state as usize] {
+            if self.automaton.accept[state as usize] {
                 count += 1;
                 first.get_or_insert(i);
             }
@@ -775,13 +808,13 @@ fn sweep(g: &Grammar, dfa: &Dfa) -> (MatchResult, usize) {
 }
 
 /// One user query as carried by [`super::AnalyzeConfig`]: the parsed
-/// pattern plus reporting policy.
+/// pattern, its automaton once first evaluated, and reporting policy.
 #[derive(Debug, Clone)]
 pub struct PatternQuery {
     /// Original pattern text (for messages).
     pub source: String,
-    /// Parsed pattern.
-    pub ast: Ast,
+    ast: Ast,
+    automaton: OnceLock<Result<Arc<Automaton>, String>>,
     /// Severity of a hit (or of absence, with `absent`).
     pub severity: Severity,
     /// Invert the verdict: report ranks where the pattern never matches.
@@ -794,6 +827,7 @@ impl PatternQuery {
         Ok(PatternQuery {
             source: src.to_owned(),
             ast: parse(src)?,
+            automaton: OnceLock::new(),
             severity,
             absent,
         })
@@ -808,8 +842,11 @@ pub fn run_query(
     trace: &crate::trace::TraceData,
     sound: &[bool],
 ) -> Vec<Diagnostic> {
-    let dfa = match Dfa::compile(&query.ast, trace.registry()) {
-        Ok(dfa) => dfa,
+    let automaton = query
+        .automaton
+        .get_or_init(|| Automaton::build(&query.ast).map(Arc::new));
+    let dfa = match automaton {
+        Ok(automaton) => Dfa::bind(Arc::clone(automaton), trace.registry()),
         Err(e) => {
             return vec![Diagnostic::new(
                 Severity::Error,
@@ -819,25 +856,18 @@ pub fn run_query(
             )];
         }
     };
-    // Without an accepting state (the vocabulary lacks a queried name)
-    // nothing can match, and no grammar needs sweeping.
-    let live = dfa.accept.contains(&true);
+    // When the vocabulary lacks a queried name, nothing can match, and no
+    // grammar needs sweeping.
+    let live = dfa.can_match();
     let mut diags = Vec::new();
     for (i, t) in trace.threads().iter().enumerate() {
         if !sound.get(i).copied().unwrap_or(false) {
             continue;
         }
-        let m = if live {
-            match_grammar(&t.grammar, &dfa)
-        } else {
-            MatchResult {
-                count: 0,
-                first: None,
-                end_state: dfa.start,
-            }
-        };
+        let m = live.then(|| match_grammar(&t.grammar, &dfa));
+        let count = m.map_or(0, |m| m.count);
         if query.absent {
-            if m.count == 0 {
+            if count == 0 {
                 diags.push(
                     Diagnostic::new(
                         query.severity,
@@ -851,8 +881,8 @@ pub fn run_query(
                     .on_thread(i),
                 );
             }
-        } else if m.count > 0 {
-            let first = m.first.unwrap_or(0);
+        } else if count > 0 {
+            let first = m.and_then(|m| m.first).unwrap_or(0);
             diags.push(
                 Diagnostic::new(
                     query.severity,
@@ -861,7 +891,7 @@ pub fn run_query(
                     format!(
                         "pattern '{}' matches {} time(s) on rank {i}, first ending at \
                          event {first}",
-                        query.source, m.count
+                        query.source, count
                     ),
                 )
                 .on_thread(i)
@@ -956,6 +986,16 @@ mod tests {
         let m = dfa.match_events([s1, s2, s1, s2]);
         assert_eq!(m.count, 2);
         assert_eq!(m.first, Some(1));
+    }
+
+    #[test]
+    fn payload_leaf_outranks_the_name_only_leaf_before_it() {
+        // `isend` is leaf 0 and `isend(1)` leaf 2: an `MPI_Isend(1)` event
+        // satisfies both and must take the class in which both hold.
+        let (reg, isend, wait, _) = reg3();
+        let dfa = Dfa::compile(&parse("isend wait | isend(1) isend(1)").unwrap(), &reg).unwrap();
+        let m = dfa.match_events([isend, isend, wait]);
+        assert_eq!((m.count, m.first), (2, Some(1)));
     }
 
     #[test]
@@ -1142,15 +1182,46 @@ mod tests {
     }
 
     #[test]
-    fn query_on_absent_names_has_no_accepting_state() {
+    fn query_on_absent_names_cannot_match() {
         // The short-circuit's premise and its verdict: no accepting state
-        // when the vocabulary lacks a queried name, and no finding.
+        // reachable through this vocabulary when it lacks a queried name,
+        // and no finding.
         let (reg, isend, wait, pad) = reg3();
         let dfa = Dfa::compile(&parse("isend ~6 waitall").unwrap(), &reg).unwrap();
-        assert!((0..dfa.states() as u32).all(|s| !dfa.accepting(s)));
+        assert!(!dfa.can_match());
         let trace = trace_of(&reg, &[isend, pad, wait], 8);
         let q = PatternQuery::new("isend ~6 waitall", Severity::Warning, false).unwrap();
         assert!(run_query(&q, &trace, &[true]).is_empty());
+    }
+
+    #[test]
+    fn one_query_serves_traces_of_different_vocabularies() {
+        // The automaton built on the first trace is bound afresh to the
+        // second, whose registry lacks `waitall`, and back again.
+        let (reg, isend, wait, pad) = reg3();
+        let mut wide = reg.clone();
+        let waitall = wide.intern("MPI_Waitall", None);
+        let traces = [
+            trace_of(&wide, &[isend, pad, waitall, wait], 8),
+            trace_of(&reg, &[isend, pad, wait], 8),
+            trace_of(&wide, &[isend, waitall, pad, pad, pad], 8),
+        ];
+        for src in ["isend ~2 waitall", "isend (!waitall){3}", "wait | waitall"] {
+            for absent in [false, true] {
+                let shared = PatternQuery::new(src, Severity::Warning, absent).unwrap();
+                for trace in &traces {
+                    let fresh = PatternQuery::new(src, Severity::Warning, absent).unwrap();
+                    assert_eq!(
+                        run_query(&shared, trace, &[true]),
+                        run_query(&fresh, trace, &[true]),
+                        "{src}"
+                    );
+                }
+            }
+        }
+        let q = PatternQuery::new("isend ~2 waitall", Severity::Warning, false).unwrap();
+        assert_eq!(run_query(&q, &traces[0], &[true])[0].code, "pattern-match");
+        assert!(run_query(&q, &traces[1], &[true]).is_empty());
     }
 
     // -- Reference semantics -------------------------------------------
@@ -1297,7 +1368,8 @@ mod tests {
             let events: Vec<EventId> = stream.iter().map(|&i| EventId(i)).collect();
             // A pattern over the state cap is a compile error, not a case.
             if let Ok(dfa) = Dfa::compile(&ast, &reg) {
-                prop_assert!(dfa.classes() <= reg.len() + 1);
+                let bare = Dfa::compile(&ast, &EventRegistry::new()).unwrap();
+                prop_assert_eq!((bare.states(), bare.classes()), (dfa.states(), dfa.classes()));
                 let m = dfa.match_events(events.iter().copied());
                 prop_assert_eq!(
                     (m.count, m.first),

@@ -66,20 +66,32 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
+/// The voluntary switch count of a `/proc/.../status` file.
+fn voluntary_switches_in(status: &str) -> Option<u64> {
+    let line = status
+        .lines()
+        .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
+    line.trim().parse().ok()
+}
+
 /// Voluntary context switches of every thread of this process so far;
-/// `None` where `/proc` does not say.
+/// `None` where `/proc` does not say. A thread that exits between two
+/// readings takes its count out of the second.
 fn voluntary_ctx_switches() -> Option<u64> {
     let mut total = 0;
     for task in std::fs::read_dir("/proc/self/task").ok()? {
         // A thread may exit between the listing and the read.
         if let Ok(status) = std::fs::read_to_string(task.ok()?.path().join("status")) {
-            let line = status
-                .lines()
-                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))?;
-            total += line.trim().parse::<u64>().ok()?;
+            total += voluntary_switches_in(&status)?;
         }
     }
     Some(total)
+}
+
+/// Voluntary context switches of the calling thread so far: no other
+/// thread's exit can lower it.
+fn thread_voluntary_ctx_switches() -> Option<u64> {
+    voluntary_switches_in(&std::fs::read_to_string("/proc/thread-self/status").ok()?)
 }
 
 /// Pins the calling thread — and every thread it spawns from then on,
@@ -262,8 +274,10 @@ fn a_halo_iteration_costs_its_frames_and_a_lying_prefix_nothing() {
 
     // Phase 3: a one-rank world runs on the calling thread, and its sends
     // and collectives wake nobody, so nothing in it parks. A thread spawned
-    // and joined per world cost about two switches per world.
-    let before = voluntary_ctx_switches();
+    // and joined per world cost about two switches per world. Counted on
+    // this thread alone, which runs every world: phase 2's hub threads may
+    // still be exiting, and would lower a count over the whole process.
+    let before = thread_voluntary_ctx_switches();
     for world in 0..WORLDS {
         World::run(1, |comm| {
             for i in 0..50 {
@@ -273,7 +287,8 @@ fn a_halo_iteration_costs_its_frames_and_a_lying_prefix_nothing() {
             }
         });
     }
-    match before.zip(voluntary_ctx_switches()).filter(|_| pinned) {
+    let after = thread_voluntary_ctx_switches();
+    match before.zip(after).filter(|_| pinned) {
         Some((before, after)) => {
             let switches = after - before;
             eprintln!("op_cost: {switches} voluntary switches over {WORLDS} one-rank worlds");
