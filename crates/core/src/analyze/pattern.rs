@@ -1303,6 +1303,10 @@ mod tests {
     /// most patterns compile under the state cap.
     struct Speller<'t> {
         tape: std::slice::Iter<'t, u32>,
+        /// Names spelled so far: a payload test takes one of them about
+        /// half the time, so a name-only test and a payload test of one
+        /// name often meet.
+        spelled: Vec<&'static str>,
     }
 
     impl Speller<'_> {
@@ -1310,13 +1314,25 @@ mod tests {
             self.tape.next().map_or(0, |&t| t % n)
         }
 
-        fn atom(&mut self) -> String {
+        fn name(&mut self, payload: bool) -> &'static str {
             const NAMES: [&str; 5] = ["isend", "MPI_Wait", "mpi_waitall", "PAD", "MPI_"];
+            let n = self.spelled.len() as u32;
+            let name = if payload && n > 0 && self.pick(2) == 0 {
+                let i = self.pick(n) as usize;
+                self.spelled[i]
+            } else {
+                NAMES[self.pick(5) as usize]
+            };
+            self.spelled.push(name);
+            name
+        }
+
+        fn atom(&mut self) -> String {
             match self.pick(8) {
                 0 => ".".into(),
                 1 => format!("!{}", self.atom()),
-                2 => format!("{}({})", NAMES[self.pick(5) as usize], self.pick(3)),
-                _ => NAMES[self.pick(5) as usize].into(),
+                2 => format!("{}({})", self.name(true), self.pick(3)),
+                _ => self.name(false).into(),
             }
         }
 
@@ -1359,7 +1375,11 @@ mod tests {
             stream in vec(0u32..13, 0..60),
         ) {
             const NAMES: [&str; 6] = ["MPI_Isend", "wait", "MPI_WAITALL", "pad", "mpi_", ""];
-            let src = Speller { tape: tape.iter() }.alt(2);
+            let src = Speller {
+                tape: tape.iter(),
+                spelled: Vec::new(),
+            }
+            .alt(2);
             let ast = parse(&src).unwrap();
             let mut reg = EventRegistry::new();
             for &(name, payload) in &vocabulary {

@@ -175,9 +175,15 @@ impl TimingModel {
     ///   backwards), and `saturating_add` over non-negative terms gives the
     ///   same result in any grouping, so crediting an accumulator's total
     ///   to its buckets once, at the end, changes nothing.
-    /// * **Scratch follows the grammar.** Tables are sized by rule bodies
-    ///   and accumulators by distinct contexts; nothing is sized by the
-    ///   event count and nothing has a fixed size.
+    /// * **Scratch follows the grammar.** Tables are sized by rule bodies,
+    ///   accumulators by distinct contexts and run lists by the tables
+    ///   recorded; nothing is sized by the event count.
+    /// * **A table is walked once.** Its expansions credit the same
+    ///   accumulators with the same run lengths. The first one that starts
+    ///   after event 0 (one at a time, ≤ [`RUN_CAP`] runs) records them in
+    ///   one arena, and later ones replay that list. All its runs have a
+    ///   predecessor, so the walk opened their accumulators: a replay opens
+    ///   nothing, and the order above holds.
     ///
     /// A `timestamps_ns` shorter or longer than the trace fails a debug
     /// assertion; a release build uses their common prefix.
@@ -192,6 +198,7 @@ impl TimingModel {
             rule: root,
             ancestors: [(root, 0); Self::MAX_DEPTH - 1],
             base: 0,
+            runs: Runs::Unrecorded,
         }];
         // (rule, frames a full context of its terminals holds, ancestors)
         // -> table; consulted only the first time a rule use is entered
@@ -201,21 +208,50 @@ impl TimingModel {
         // terminal use, the child table of a rule use.
         let mut slots = vec![UNSEEN; grammar.rule(root).body.len()];
         let mut accumulators: Vec<Accumulator> = Vec::new();
-        // (table, body position, repetitions of the rule use still to run),
-        // outermost first.
+        // Recorded run lists, `(accumulator, run length)` pairs (at most one
+        // per event), and the table being recorded with its first pair.
+        let mut arena = Vec::with_capacity(timestamps_ns.len().min(RUN_CAP));
+        let mut recording: Option<(usize, usize)> = None;
+        // (table, body position, expansions still to run), outermost first;
+        // a rule use is pushed at its body's end, entered like a repetition.
         let mut stack = vec![(0usize, 0usize, 0u32)];
         let mut next = 0usize;
-        while let Some(&(t, pos, again)) = stack.last() {
+        'walk: while let Some(&(t, pos, again)) = stack.last() {
+            if let Some((r, start)) = recording.filter(|&(_, s)| arena.len() - s > RUN_CAP) {
+                arena.truncate(start);
+                tables[r].runs = Runs::Walked;
+                recording = None;
+            }
             let top = stack.len() - 1;
             let (rule, base) = (tables[t].rule, tables[t].base);
             let Some(u) = grammar.rule(rule).body.get(pos) else {
-                if again > 0 {
-                    stack[top] = (t, 0, again - 1);
-                } else {
-                    stack.pop();
-                    if let Some(parent) = stack.last_mut() {
-                        parent.1 += 1;
+                if let Some((_, start)) = recording.filter(|&(r, _)| r == t) {
+                    tables[t].runs = Runs::Recorded(start, arena.len());
+                    recording = None;
+                }
+                if let Runs::Recorded(start, end) = tables[t].runs {
+                    for _ in 0..again {
+                        for &(a, k) in &arena[start..end] {
+                            let Some(run) = run_of(timestamps_ns, next, k) else {
+                                break 'walk;
+                            };
+                            accumulators[a as usize].credit(run);
+                            next += k as usize;
+                        }
+                        if recording.is_some_and(|(_, s)| arena.len() - s <= RUN_CAP) {
+                            arena.extend_from_within(start..end);
+                        }
                     }
+                } else if again > 0 {
+                    if recording.is_none() && next > 0 && tables[t].runs == Runs::Unrecorded {
+                        recording = Some((t, arena.len()));
+                    }
+                    stack[top] = (t, 0, again - 1);
+                    continue;
+                }
+                stack.pop();
+                if let Some(parent) = stack.last_mut() {
+                    parent.1 += 1;
                 }
                 continue;
             };
@@ -231,32 +267,30 @@ impl TimingModel {
                                 rule: child,
                                 ancestors: frames,
                                 base: slots.len(),
+                                runs: Runs::Unrecorded,
                             });
                             slots.resize(slots.len() + grammar.rule(child).body.len(), UNSEEN);
                             tables.len() - 1
                         });
                         slots[base + pos] = id as u32;
                     }
-                    stack.push((slots[base + pos] as usize, 0, u.count - 1));
+                    let end = grammar.rule(child).body.len();
+                    stack.push((slots[base + pos] as usize, end, u.count));
                 }
                 Symbol::Terminal(event) => {
-                    if next >= timestamps_ns.len() {
-                        debug_assert!(false, "more events than timestamps");
+                    let Some(run) = run_of(timestamps_ns, next, u.count) else {
                         break;
-                    }
-                    // The run `event^count` as one: its timestamps, led by
-                    // the one before it (the trace's first event has none).
-                    let end = (next + u.count as usize).min(timestamps_ns.len());
-                    let run = &timestamps_ns[next.max(1) - 1..end];
+                    };
                     if run.len() > 1 {
-                        if slots[base + pos] == UNSEEN {
+                        let slot = &mut slots[base + pos];
+                        if *slot == UNSEEN {
                             let mut frames = [(rule, pos); Self::MAX_DEPTH];
                             frames[1..].copy_from_slice(&tables[t].ancestors);
                             let mut buckets = [0; Self::MAX_DEPTH + 1];
                             for (d, b) in buckets.iter_mut().enumerate().take(depth + 1) {
                                 *b = model.bucket(Self::context_key(event, &frames[..depth], d));
                             }
-                            slots[base + pos] = accumulators.len() as u32;
+                            *slot = accumulators.len() as u32;
                             accumulators.push(Accumulator {
                                 buckets,
                                 depth,
@@ -264,11 +298,10 @@ impl TimingModel {
                                 count: 0,
                             });
                         }
-                        let acc = &mut accumulators[slots[base + pos] as usize];
-                        for w in run.windows(2) {
-                            acc.sum_ns = acc.sum_ns.saturating_add(w[1].saturating_sub(w[0]));
+                        accumulators[*slot as usize].credit(run);
+                        if recording.is_some() {
+                            arena.push((*slot, u.count));
                         }
-                        acc.count += run.len() as u64 - 1;
                     }
                     next += u.count as usize;
                     stack[top].1 += 1;
@@ -289,6 +322,17 @@ impl TimingModel {
     }
 }
 
+/// The timestamps of the run of `k` events from event `next`, led by the
+/// one before it (event 0 has none); `None` once they ran out.
+fn run_of(ts: &[u64], next: usize, k: u32) -> Option<&[u64]> {
+    debug_assert!(next < ts.len(), "more events than timestamps");
+    let end = (next + k as usize).min(ts.len());
+    (next < ts.len()).then(|| &ts[next.max(1) - 1..end])
+}
+
+/// Most runs one table expansion may record; a longer one is always walked.
+const RUN_CAP: usize = 4096;
+
 /// Replay scratch of [`TimingModel::build`]: one rule under its three
 /// nearest ancestor frames (innermost first; fewer near the root, the rest
 /// padding) — everything a context key of its terminals can see.
@@ -297,6 +341,16 @@ struct Table {
     ancestors: [ContextFrame; TimingModel::MAX_DEPTH - 1],
     /// First of this table's `body.len()` slots.
     base: usize,
+    runs: Runs,
+}
+
+/// A [`Table`]'s run list: none yet, the arena range `start..end`, or none
+/// ever (an expansion outgrew [`RUN_CAP`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Runs {
+    Unrecorded,
+    Recorded(usize, usize),
+    Walked,
 }
 
 /// Durations observed at one terminal position of one [`Table`], i.e. in
@@ -306,6 +360,21 @@ struct Accumulator {
     depth: usize,
     sum_ns: u64,
     count: u64,
+}
+
+impl Accumulator {
+    /// Adds each delta of `run` (from [`run_of`]) on its own: the step the
+    /// walk and the replay share.
+    fn credit(&mut self, run: &[u64]) {
+        if let [before, at] = *run {
+            self.sum_ns = self.sum_ns.saturating_add(at.saturating_sub(before));
+        } else {
+            for w in run.windows(2) {
+                self.sum_ns = self.sum_ns.saturating_add(w[1].saturating_sub(w[0]));
+            }
+        }
+        self.count += run.len() as u64 - 1;
+    }
 }
 
 #[cfg(test)]
@@ -552,11 +621,19 @@ mod tests {
                     *s = rng.gen_range(0..alphabet) as u32;
                 }
             }
+            // Mostly forward, sometimes backward (saturating at 0), now and
+            // then a jump near `u64::MAX` and a drop back, so that deltas
+            // also saturate inside loops.
             let mut t = 0u64;
             let ts: Vec<u64> = seq
                 .iter()
                 .map(|_| {
-                    t += rng.gen_range(0..3) * rng.gen_range(0..1_000);
+                    t = match rng.gen_range(0..64) {
+                        0 => u64::MAX - rng.gen_range(0..1_000),
+                        1 => rng.gen_range(0..1_000),
+                        2..=5 => t.saturating_sub(rng.gen_range(0..2_000)),
+                        _ => t.saturating_add(rng.gen_range(0..3) * rng.gen_range(0..1_000)),
+                    };
                     t
                 })
                 .collect();
