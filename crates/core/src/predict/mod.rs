@@ -49,6 +49,12 @@
 //!   [`Prediction::distribution`]: an informed answer costs **one
 //!   allocation**, an uninformed one none. The stepwise reference it is
 //!   held to lives with this module's tests (`predict_scan`).
+//! * [`Predictor::predict_delay_ns`] and [`Predictor::predict_sequence`]
+//!   follow one greedy chain a step at a time — the timing model keys each
+//!   event's mean on its own rule context — reading each step's
+//!   continuations without building them and writing the chosen successor
+//!   into one of two reused frame buffers. Their expanding reference is
+//!   `greedy_chain_scan` in this module's tests.
 
 pub mod path;
 pub mod walker;
@@ -61,7 +67,7 @@ use crate::event::EventId;
 use crate::grammar::{GrammarIndex, Loc};
 use crate::trace::{ThreadTrace, TraceData};
 use path::Path;
-use walker::{Advance, Branch, DistanceAccumulator, Outcome, Walker};
+use walker::{Advance, DistanceAccumulator, Outcome, Step, Walker};
 
 /// Tuning knobs of the predictor.
 #[derive(Debug, Clone)]
@@ -439,17 +445,14 @@ impl Predictor {
             .expect("only a deadline can abort the distance walk")
     }
 
-    /// [`Predictor::predict`] with a wall-clock deadline enforced inside
-    /// the distance walk: a query that cannot finish in time returns
-    /// [`Error::Degraded`] instead of stalling the host runtime. The
-    /// partial distribution computed before the cutoff is discarded — a
-    /// truncated distribution would be silently biased towards the branches
-    /// visited first.
-    pub fn predict_deadline(&self, distance: usize, deadline: Instant) -> Result<Prediction> {
-        self.predict_inner(distance, Some(deadline))
-    }
-
-    fn predict_inner(&self, distance: usize, deadline: Option<Instant>) -> Result<Prediction> {
+    /// [`Predictor::predict`] under an optional deadline: past it the walk
+    /// returns [`Error::Degraded`] and drops its partial distribution, which
+    /// would be biased towards the branches visited first.
+    pub(crate) fn predict_inner(
+        &self,
+        distance: usize,
+        deadline: Option<Instant>,
+    ) -> Result<Prediction> {
         assert!(distance >= 1, "prediction distance must be >= 1");
         if self.candidates.is_empty() {
             return Ok(Prediction::default());
@@ -477,75 +480,29 @@ impl Predictor {
     /// following the most probable chain of progress sequences and summing
     /// the timing model's context means (paper §II-C). Returns `None` when
     /// the oracle is out of sync or the trace holds no timing data.
-    ///
-    /// This walk stays step-by-step on purpose: the timing model keys its
-    /// means on the rule context of *each intermediate event*, so every
-    /// step's context frames are needed and subtree skipping cannot apply.
     pub fn predict_delay_ns(&self, distance: usize) -> Option<f64> {
         self.predict_delay_ns_inner(distance, None)
             .expect("only a deadline can abort the delay walk")
     }
 
-    /// [`Predictor::predict_delay_ns`] with a wall-clock deadline checked
-    /// at every step of the chain; returns [`Error::Degraded`] on expiry.
-    pub fn predict_delay_deadline_ns(&self, distance: usize, deadline: Instant) -> Result<f64> {
-        match self.predict_delay_ns_inner(distance, Some(deadline))? {
-            Some(ns) => Ok(ns),
-            None => Err(Error::OracleUnavailable(
-                "no delay information at this position".into(),
-            )),
-        }
-    }
-
-    fn predict_delay_ns_inner(
+    /// [`Predictor::predict_delay_ns`] under an optional deadline, past
+    /// which it returns [`Error::Degraded`].
+    pub(crate) fn predict_delay_ns_inner(
         &self,
         distance: usize,
         deadline: Option<Instant>,
     ) -> Result<Option<f64>> {
         assert!(distance >= 1, "prediction distance must be >= 1");
-        if self.candidates.is_empty() || self.thread.timing.is_empty() {
+        if self.thread.timing.is_empty() {
             return Ok(None);
         }
-        let walker = self.walker();
-        // Follow the heaviest candidate.
-        let Some((mut path, _)) = self
-            .candidates
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .cloned()
-        else {
-            return Ok(None);
-        };
         let mut total = 0.0f64;
-        let mut out: Vec<Branch> = Vec::new();
-        for _ in 0..distance {
-            if let Some(d) = deadline {
-                if Instant::now() >= d {
-                    return Err(Error::Degraded(format!(
-                        "predict_delay(distance={distance}) exceeded its time budget"
-                    )));
-                }
-            }
-            out.clear();
-            walker.expand(&path, &mut out);
-            let Some(best) = out
-                .iter()
-                .filter(|b| matches!(b.outcome, Outcome::Event(_)))
-                .max_by(|a, b| a.factor.total_cmp(&b.factor))
-            else {
-                return Ok(None);
-            };
-            let Outcome::Event(e) = best.outcome else {
-                return Ok(None);
-            };
-            let (frames, n) = best.path.context_frames();
-            let Some(mean) = self.thread.timing.mean_ns(e, &frames[..n]) else {
-                return Ok(None);
-            };
-            total += mean;
-            path = best.path.clone();
-        }
-        Ok(Some(total))
+        let reached = self.greedy_chain(distance, deadline, |event, path| {
+            let (frames, n) = path.context_frames();
+            let mean = self.thread.timing.mean_ns(event, &frames[..n]);
+            mean.map(|ns| total += ns).is_some()
+        })?;
+        Ok((reached == distance).then_some(total))
     }
 
     /// [`Predictor::predict_delay_ns`] as a [`Duration`].
@@ -560,37 +517,61 @@ impl Predictor {
     /// Shorter than `n` if the chain reaches the end of the reference
     /// trace or the oracle is out of sync.
     pub fn predict_sequence(&self, n: usize) -> Vec<EventId> {
-        let mut out_events = Vec::with_capacity(n);
-        if self.candidates.is_empty() {
-            return out_events;
-        }
-        let walker = self.walker();
-        let Some((mut path, _)) = self
-            .candidates
-            .iter()
-            .max_by(|a, b| a.1.total_cmp(&b.1))
-            .cloned()
-        else {
-            return out_events;
+        let mut events = Vec::with_capacity(n);
+        self.greedy_chain(n, None, |event, _| {
+            events.push(event);
+            true
+        })
+        .expect("only a deadline can abort the chain");
+        events
+    }
+
+    /// The greedy chain behind [`Predictor::predict_delay_ns`] and
+    /// [`Predictor::predict_sequence`]: from the heaviest candidate, up to
+    /// `n` times the heaviest continuation that emits an event (of equal
+    /// weights or factors the last, as `Iterator::max_by` picks). Each
+    /// event goes to `visit` with the path it leads to, until `visit`
+    /// refuses one; returns the events accepted. The deadline is checked
+    /// before every step.
+    fn greedy_chain(
+        &self,
+        n: usize,
+        deadline: Option<Instant>,
+        mut visit: impl FnMut(EventId, &Path) -> bool,
+    ) -> Result<usize> {
+        let Some((start, _)) = self.candidates.iter().max_by(|a, b| a.1.total_cmp(&b.1)) else {
+            return Ok(0);
         };
-        let mut branches: Vec<Branch> = Vec::new();
-        for _ in 0..n {
-            branches.clear();
-            walker.expand(&path, &mut branches);
-            let Some(best) = branches
-                .iter()
-                .filter(|b| matches!(b.outcome, Outcome::Event(_)))
-                .max_by(|a, b| a.factor.total_cmp(&b.factor))
-            else {
-                break;
+        let walker = self.walker();
+        let (mut path, mut next) = (Path::default(), Path::default());
+        // Room to run deeper than the start without regrowing a buffer.
+        path.frames.reserve(start.depth() + 8);
+        next.frames.reserve(start.depth() + 8);
+        path.frames.extend_from_slice(&start.frames);
+        for reached in 0..n {
+            if deadline.is_some_and(|d| Instant::now() >= d) {
+                return Err(Error::Degraded(format!(
+                    "chain of {n} over its time budget"
+                )));
+            }
+            let mut best: Option<(EventId, Step)> = None;
+            walker.steps(&path.frames, &mut |step| {
+                if let Outcome::Event(event) = step.outcome {
+                    if best.is_none_or(|(_, b)| step.factor.total_cmp(&b.factor).is_ge()) {
+                        best = Some((event, step));
+                    }
+                }
+            });
+            let Some((event, step)) = best else {
+                return Ok(reached);
             };
-            let Outcome::Event(e) = best.outcome else {
-                break;
-            };
-            out_events.push(e);
-            path = best.path.clone();
+            walker.successor(&path.frames, &step, &mut next.frames);
+            std::mem::swap(&mut path, &mut next);
+            if !visit(event, &path) {
+                return Ok(reached);
+            }
         }
-        out_events
+        Ok(n)
     }
 
     /// Drops all tracked candidates, forcing a re-seed on the next event.
@@ -638,6 +619,7 @@ mod tests {
     use crate::event::EventRegistry;
     use crate::record::{RecordConfig, Recorder};
     use crate::util::FxHashMap;
+    use walker::Branch;
 
     fn e(n: u32) -> EventId {
         EventId(n)
@@ -701,6 +683,62 @@ mod tests {
                 *per_event.entry(e).or_insert(0.0) += w;
             }
             Prediction::from_masses(per_event.into_iter().collect(), end_mass)
+        }
+
+        /// Stepwise reference of the greedy chain behind
+        /// [`Predictor::predict_delay_ns`] and
+        /// [`Predictor::predict_sequence`]: materializes every continuation
+        /// with [`Walker::expand`] and follows the heaviest event branch
+        /// (the last of equal factors) from the heaviest candidate —
+        /// each step's event with the path it leads to.
+        fn greedy_chain_scan(&self, n: usize) -> Vec<(EventId, Path)> {
+            let mut chain = Vec::new();
+            let Some((mut path, _)) = self
+                .candidates
+                .iter()
+                .max_by(|a, b| a.1.total_cmp(&b.1))
+                .cloned()
+            else {
+                return chain;
+            };
+            let walker = self.walker();
+            let mut out: Vec<Branch> = Vec::new();
+            for _ in 0..n {
+                out.clear();
+                walker.expand(&path, &mut out);
+                let Some(best) = out
+                    .iter()
+                    .filter(|b| matches!(b.outcome, Outcome::Event(_)))
+                    .max_by(|a, b| a.factor.total_cmp(&b.factor))
+                else {
+                    break;
+                };
+                let Outcome::Event(event) = best.outcome else {
+                    break;
+                };
+                path = best.path.clone();
+                chain.push((event, path.clone()));
+            }
+            chain
+        }
+
+        /// [`Predictor::predict_delay_ns`] over [`Self::greedy_chain_scan`]:
+        /// the context means summed in chain order, `None` unless every
+        /// one of the `distance` steps exists and has a mean.
+        fn predict_delay_scan(&self, distance: usize) -> Option<f64> {
+            if self.thread.timing.is_empty() {
+                return None;
+            }
+            let chain = self.greedy_chain_scan(distance);
+            if chain.len() < distance {
+                return None;
+            }
+            let mut total = 0.0f64;
+            for (event, path) in &chain {
+                let (frames, n) = path.context_frames();
+                total += self.thread.timing.mean_ns(*event, &frames[..n])?;
+            }
+            Some(total)
         }
     }
 
@@ -976,11 +1014,14 @@ mod tests {
         let mut p = Predictor::new(&trace);
         p.observe(e(0));
         let deadline = Instant::now() + Duration::from_secs(60);
-        let timed = p.predict_deadline(3, deadline).unwrap();
+        let timed = p.predict_inner(3, Some(deadline)).unwrap();
         let plain = p.predict(3);
         assert_eq!(timed.most_likely(), plain.most_likely());
         assert!((timed.end_probability - plain.end_probability).abs() < 1e-12);
-        let d_timed = p.predict_delay_deadline_ns(1, deadline).unwrap();
+        let d_timed = p
+            .predict_delay_ns_inner(1, Some(deadline))
+            .unwrap()
+            .unwrap();
         let d_plain = p.predict_delay_ns(1).unwrap();
         assert!((d_timed - d_plain).abs() < 1e-9);
     }
@@ -992,9 +1033,9 @@ mod tests {
         let mut p = Predictor::new(&trace);
         p.observe(e(0));
         let past = Instant::now() - Duration::from_millis(5);
-        let err = p.predict_deadline(4, past).unwrap_err();
+        let err = p.predict_inner(4, Some(past)).unwrap_err();
         assert!(matches!(err, Error::Degraded(_)), "{err}");
-        let err = p.predict_delay_deadline_ns(1, past).unwrap_err();
+        let err = p.predict_delay_ns_inner(1, Some(past)).unwrap_err();
         assert!(matches!(err, Error::Degraded(_)), "{err}");
         // The predictor itself is unharmed: the plain query still answers.
         assert!(p.predict(1).is_informed());
@@ -1040,6 +1081,55 @@ mod tests {
 
     proptest::proptest! {
         #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// The greedy chain reproduces its stepwise reference bit for bit:
+        /// `predict_delay_ns(d)` is the expanded chain's means summed in
+        /// order, `predict_sequence(d)` its events. The streams are
+        /// timestamped repeated blocks with a tail, each event's delay
+        /// depending on the event and its place, observed from a
+        /// mid-block start (unknown offsets, several candidates), tracked,
+        /// and through an out-of-place event now and then (reseeds).
+        #[test]
+        fn greedy_chain_matches_its_expansion(
+            ((block, reps, tail), (start, noise)) in (
+                (
+                    proptest::collection::vec(0u32..6, 1..8),
+                    1usize..24,
+                    proptest::collection::vec(0u32..6, 0..5),
+                ),
+                (0usize..8, 3usize..11),
+            )
+        ) {
+            use proptest::prop_assert_eq;
+            let mut seq = block.repeat(reps);
+            seq.extend(&tail);
+            let mut rec = Recorder::new(RecordConfig::default());
+            let mut t = 0u64;
+            for (i, &s) in seq.iter().enumerate() {
+                t += 100 + 17 * u64::from(s) + 5 * (i % 7) as u64;
+                rec.record_at(e(s), t);
+            }
+            let trace = rec.finish(&EventRegistry::new()).unwrap();
+            let mut p = Predictor::new(&trace);
+            let upto = seq.len().min(40);
+            let from = start.min(upto - 1);
+            for (i, &s) in seq[from..upto].iter().enumerate() {
+                p.observe(e(s));
+                if i % noise == noise - 1 {
+                    p.observe(e(seq[(from + i + 3) % seq.len()]));
+                }
+                for d in [1usize, 2, 5, 17, 64] {
+                    let chain = p.greedy_chain_scan(d);
+                    let events: Vec<EventId> = chain.iter().map(|&(ev, _)| ev).collect();
+                    prop_assert_eq!(p.predict_sequence(d), events, "i={}, d={}", i, d);
+                    prop_assert_eq!(
+                        p.predict_delay_ns(d).map(f64::to_bits),
+                        p.predict_delay_scan(d).map(f64::to_bits),
+                        "i={}, d={}", i, d
+                    );
+                }
+            }
+        }
 
         /// The subtree-skipping `predict` reproduces the stepwise
         /// reference on recorded traces of repeated blocks with a tail

@@ -9,14 +9,18 @@
 //! * **Panics** — every query runs under `catch_unwind`; after any panic
 //!   the facade is *poisoned* and bypasses the oracle permanently.
 //! * **Slow queries** — an optional per-query time budget is threaded into
-//!   the predict walk ([`crate::predict::Predictor::predict_deadline`]); a
+//!   both query walks: the distance walk behind
+//!   [`crate::predict::Predictor::predict`] reads the clock on its first
+//!   node and then every 64, the delay chain behind
+//!   [`crate::predict::Predictor::predict_delay_ns`] before every step. A
 //!   query that cannot finish in time answers the default instead of
 //!   stalling the host.
-//! * **Sustained misprediction** — an accuracy watchdog scores distance-`x`
-//!   predictions against the events actually observed and feeds a
-//!   [`breaker::CircuitBreaker`]: too many wrong answers (or repeated
-//!   deadline misses) quarantine the oracle, with exponential-backoff
-//!   half-open probing to re-enable it if accuracy recovers.
+//! * **Sustained misprediction** — an accuracy watchdog scores each
+//!   prediction, at any distance `x`, against the event the host observes
+//!   `x` events later and feeds a [`breaker::CircuitBreaker`]: too many
+//!   wrong answers (or repeated deadline misses) quarantine the oracle,
+//!   with exponential-backoff half-open probing to re-enable it if
+//!   accuracy recovers.
 //!
 //! [`faults`] adds a deterministic fault-injection harness so every one of
 //! these paths is exercised by the `chaos` test suite (and by CI through
@@ -192,8 +196,10 @@ impl HardenedOracle {
         Self::try_predict_thread(thread, pconfig, config)
     }
 
-    /// [`HardenedOracle::try_predict`] over a bare [`ThreadTrace`].
-    pub fn try_predict_thread(
+    /// The body of [`HardenedOracle::try_predict`]. A [`TraceData`] builds
+    /// every thread's index when it is assembled, so a grammar that panics
+    /// the build reaches this guard only as a bare thread.
+    fn try_predict_thread(
         thread: Arc<ThreadTrace>,
         pconfig: PredictorConfig,
         config: ResilienceConfig,
@@ -218,14 +224,14 @@ impl HardenedOracle {
         pconfig: PredictorConfig,
         config: ResilienceConfig,
     ) -> Self {
-        match Self::try_predict(trace, index, pconfig.clone(), config.clone()) {
-            Ok(h) => h,
+        match trace.thread(index) {
+            Ok(thread) => Self::predict_thread_or_bypass(thread.clone(), pconfig, config),
             Err(e) => Self::bypassed_after(e, config),
         }
     }
 
-    /// [`HardenedOracle::predict_or_bypass`] over a bare [`ThreadTrace`].
-    pub fn predict_thread_or_bypass(
+    /// The body of [`HardenedOracle::predict_or_bypass`].
+    fn predict_thread_or_bypass(
         thread: Arc<ThreadTrace>,
         pconfig: PredictorConfig,
         config: ResilienceConfig,
@@ -342,51 +348,37 @@ impl HardenedOracle {
             return None;
         }
 
-        let result = if self.injector.is_identity() {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let delivered: &[EventId] = if self.injector.is_identity() {
             // Fast path (production configs): no channel faults, deliver
-            // the event directly without the scratch buffer.
+            // the event itself, not a copy in the scratch buffer.
             self.injector.submit_identity();
-            let panic_now = self.injector.observe_panics();
-            let inner = &mut self.inner;
-            catch_unwind(AssertUnwindSafe(|| {
-                if panic_now {
-                    panic!("injected observe fault");
-                }
-                match ns {
-                    Some(t) => inner.event_at(event, t),
-                    None => inner.event(event),
-                }
-            }))
+            std::slice::from_ref(&event)
         } else {
-            let mut delivered = std::mem::take(&mut self.scratch);
-            delivered.clear();
-            self.injector.transform(event, &mut delivered);
-            let panic_now = self.injector.observe_panics();
-
-            let inner = &mut self.inner;
-            let result = catch_unwind(AssertUnwindSafe(|| {
-                if panic_now {
-                    panic!("injected observe fault");
-                }
-                let mut last = None;
-                for &e in &delivered {
-                    last = match ns {
-                        Some(t) => inner.event_at(e, t),
-                        None => inner.event(e),
-                    };
-                }
-                last
-            }));
-            self.scratch = delivered;
-            result
+            scratch.clear();
+            self.injector.transform(event, &mut scratch);
+            &scratch
         };
-        let outcome = match result {
-            Ok(o) => o,
-            Err(_) => {
-                self.poison();
-                None
+        let panic_now = self.injector.observe_panics();
+        let inner = &mut self.inner;
+        let result = catch_unwind(AssertUnwindSafe(|| {
+            if panic_now {
+                panic!("injected observe fault");
             }
-        };
+            let mut last = None;
+            for &e in delivered {
+                last = match ns {
+                    Some(t) => inner.event_at(e, t),
+                    None => inner.event(e),
+                };
+            }
+            last
+        }));
+        self.scratch = scratch;
+        let outcome = result.unwrap_or_else(|_| {
+            self.poison();
+            None
+        });
         self.sync_degraded_clock();
         outcome
     }
@@ -395,78 +387,42 @@ impl HardenedOracle {
     /// [`Oracle::predict_event`]); answers [`Prediction::default`] whenever
     /// the facade is degraded or the query fails in any way.
     pub fn predict_event(&mut self, distance: usize) -> Prediction {
-        if self.mode != OracleMode::Predict {
+        let Some(pred) = self.guarded_query(|p, deadline| p.predict_inner(distance, deadline))
+        else {
             return Prediction::default();
-        }
-        if self.poisoned || !self.breaker.computes() {
-            self.stats.suppressed += 1;
-            return Prediction::default();
-        }
-        let deadline = self.time_budget.map(|b| Instant::now() + b);
-        let plan = self.injector.plan();
-        let panic_now = plan.panic_on_predict;
-        let slow = plan.slow_predict;
-        let inner = &self.inner;
-        let result = catch_unwind(AssertUnwindSafe(|| {
-            if panic_now {
-                panic!("injected predict fault");
-            }
-            if let Some(d) = slow {
-                spin(d);
-            }
-            match inner.predictor() {
-                Some(p) => match deadline {
-                    Some(dl) => p.predict_deadline(distance, dl),
-                    None => Ok(p.predict(distance)),
-                },
-                None => Ok(Prediction::default()),
-            }
-        }));
-        let out = match result {
-            Err(_) => {
-                self.poison();
-                Prediction::default()
-            }
-            Ok(Err(Error::Degraded(_))) => {
-                self.stats.deadline_misses += 1;
-                self.breaker.on_hard_failure(self.observed);
-                Prediction::default()
-            }
-            Ok(Err(_)) => Prediction::default(),
-            Ok(Ok(pred)) => {
-                self.breaker.on_query_ok();
-                if let Some(next) = pred.most_likely() {
-                    self.register(distance, next);
-                }
-                if self.breaker.advice_allowed() {
-                    pred
-                } else {
-                    // Half-open probe: scored, but the host gets the
-                    // default until accuracy is proven again.
-                    self.stats.suppressed += 1;
-                    Prediction::default()
-                }
-            }
         };
-        self.sync_degraded_clock();
-        out
+        if let Some(next) = pred.most_likely() {
+            self.register(distance, next);
+        }
+        self.advise(pred).unwrap_or_default()
     }
 
     /// Predicts the delay until the event `distance` steps ahead (mirrors
     /// [`Oracle::predict_delay`]); `None` whenever degraded or failed.
     pub fn predict_delay(&mut self, distance: usize) -> Option<Duration> {
-        if self.mode != OracleMode::Predict {
-            return None;
-        }
+        let ns = self.guarded_query(|p, deadline| p.predict_delay_ns_inner(distance, deadline))?;
+        let ns = self.advise(ns)??;
+        Some(Duration::from_nanos(ns.max(0.0) as u64))
+    }
+
+    /// The guard both oracle queries run under. A degraded facade answers
+    /// `None` without computing (counted as suppressed). Otherwise `query`
+    /// runs under `catch_unwind`, after the injected predict faults, with
+    /// the per-query deadline: a panic poisons the facade, a blown
+    /// deadline counts as a miss and a hard failure for the breaker, and
+    /// every failure answers `None`.
+    fn guarded_query<T>(
+        &mut self,
+        query: impl FnOnce(&Predictor, Option<Instant>) -> Result<T>,
+    ) -> Option<T> {
+        let predictor = self.inner.predictor()?;
         if self.poisoned || !self.breaker.computes() {
             self.stats.suppressed += 1;
             return None;
         }
         let deadline = self.time_budget.map(|b| Instant::now() + b);
         let plan = self.injector.plan();
-        let panic_now = plan.panic_on_predict;
-        let slow = plan.slow_predict;
-        let inner = &self.inner;
+        let (panic_now, slow) = (plan.panic_on_predict, plan.slow_predict);
         let result = catch_unwind(AssertUnwindSafe(|| {
             if panic_now {
                 panic!("injected predict fault");
@@ -474,22 +430,12 @@ impl HardenedOracle {
             if let Some(d) = slow {
                 spin(d);
             }
-            let Some(p) = inner.predictor() else {
-                return Ok(None);
-            };
-            match deadline {
-                Some(dl) => match p.predict_delay_deadline_ns(distance, dl) {
-                    Ok(ns) => Ok(Some(ns)),
-                    Err(Error::OracleUnavailable(_)) => Ok(None),
-                    Err(e) => Err(e),
-                },
-                None => Ok(p.predict_delay_ns(distance)),
-            }
+            query(predictor, deadline)
         }));
-        let out = match result {
-            Err(_) => {
-                self.poison();
-                None
+        let answer = match result {
+            Ok(Ok(answer)) => {
+                self.breaker.on_query_ok();
+                Some(answer)
             }
             Ok(Err(Error::Degraded(_))) => {
                 self.stats.deadline_misses += 1;
@@ -497,18 +443,25 @@ impl HardenedOracle {
                 None
             }
             Ok(Err(_)) => None,
-            Ok(Ok(ns)) => {
-                self.breaker.on_query_ok();
-                if self.breaker.advice_allowed() {
-                    ns.map(|ns| Duration::from_nanos(ns.max(0.0) as u64))
-                } else {
-                    self.stats.suppressed += 1;
-                    None
-                }
+            Err(_) => {
+                self.poison();
+                None
             }
         };
         self.sync_degraded_clock();
-        out
+        answer
+    }
+
+    /// Hands a computed answer to the host while the breaker is closed. A
+    /// half-open probe's answer is scored, but the host gets the default
+    /// until accuracy is proven again.
+    fn advise<T>(&mut self, answer: T) -> Option<T> {
+        if self.breaker.advice_allowed() {
+            Some(answer)
+        } else {
+            self.stats.suppressed += 1;
+            None
+        }
     }
 
     /// Access the inner predictor, if predicting.
@@ -719,6 +672,68 @@ mod tests {
         let ps = hard.predict_stats().unwrap();
         assert_eq!(ps.panics_caught, 1);
         assert_eq!(ps.quarantine_transitions, 1);
+    }
+
+    #[test]
+    fn injected_panic_through_predict_delay_poisons_once() {
+        let seq: Vec<u32> = (0..30).flat_map(|_| [0, 1]).collect();
+        let trace = trace_of(&seq);
+        let config = ResilienceConfig {
+            faults: Some(FaultPlan {
+                panic_on_predict: true,
+                ..FaultPlan::none()
+            }),
+            ..ResilienceConfig::default()
+        };
+        let mut hard =
+            HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), config).unwrap();
+        hard.event(e(0));
+        let silent_guard = std::panic::take_hook();
+        std::panic::set_hook(Box::new(|_| {}));
+        let delay = hard.predict_delay(1);
+        std::panic::set_hook(silent_guard);
+        assert_eq!(delay, None);
+        assert_eq!(hard.health(), OracleHealth::Poisoned);
+        // Every later query of either kind is answered without computing.
+        for _ in 0..3 {
+            assert!(!hard.predict_event(1).is_informed());
+            assert_eq!(hard.predict_delay(1), None);
+        }
+        let r = hard.resilience_stats();
+        assert_eq!(r.panics_caught, 1);
+        assert_eq!(r.quarantine_transitions, 1);
+        assert_eq!(r.suppressed, 6);
+        assert!(r.poisoned);
+    }
+
+    #[test]
+    fn zero_budget_delay_queries_count_deadline_misses_and_quarantine() {
+        // Timestamped, so the delay walk reaches its first deadline probe.
+        let seq: Vec<u32> = (0..50).flat_map(|_| [0, 1]).collect();
+        let trace = trace_of(&seq);
+        assert!(!trace.thread(0).unwrap().timing.is_empty());
+        let config = ResilienceConfig {
+            time_budget: Some(Duration::ZERO),
+            breaker: BreakerConfig {
+                failure_threshold: 3,
+                ..BreakerConfig::default()
+            },
+            faults: Some(FaultPlan::none()),
+        };
+        let mut hard =
+            HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), config).unwrap();
+        hard.event(e(0));
+        for _ in 0..3 {
+            assert_eq!(hard.predict_delay(1), None);
+        }
+        let r = hard.resilience_stats();
+        assert_eq!(r.deadline_misses, 3);
+        assert_eq!(hard.health(), OracleHealth::Quarantined);
+        assert_eq!(r.quarantine_transitions, 1);
+        // While quarantined, queries are suppressed without computing.
+        assert_eq!(hard.predict_delay(1), None);
+        let r = hard.resilience_stats();
+        assert_eq!((r.suppressed, r.deadline_misses), (1, 3));
     }
 
     #[test]

@@ -6,7 +6,8 @@
 //! ([`Recorder::reserve`]) or is reused in place (observe rewrites each
 //! tracked path's frames without reallocating, with one candidate or
 //! several). A query allocates exactly once — the distribution it returns
-//! — and not at all when the oracle has nothing to say. This harness pins
+//! — and not at all when the oracle has nothing to say; the delay and
+//! sequence queries allocate the same at every distance. This harness pins
 //! that with a counting global allocator: warm the path up, snapshot the
 //! allocation counter, run a measurement window, and require the counter
 //! unchanged.
@@ -377,6 +378,51 @@ fn finish() {
         "finish allocations follow the stream length: {n_short} -> {n_long}"
     );
     assert!(n_long < 200, "finish allocated {n_long} times");
+}
+
+/// The greedy chain behind `predict_delay_ns` and `predict_sequence`
+/// writes each step's successor into one of two reused frame buffers: on a
+/// tracked, timestamped loop both queries allocate the same at every
+/// distance — the two buffers, and the returned events — never per step.
+#[test]
+fn chain_queries_allocate_the_same_at_every_distance() {
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rec = Recorder::new(RecordConfig::default());
+    for (i, e) in (0..4_000).flat_map(|_| [0u32, 1, 2, 3]).enumerate() {
+        rec.record_at(EventId(e), 100 * i as u64);
+    }
+    let trace = rec.finish(&EventRegistry::new()).unwrap();
+    let mut p = Predictor::for_thread(&trace, 0, PredictorConfig::default()).unwrap();
+    for _ in 0..64 {
+        for e in [0u32, 1, 2, 3] {
+            p.observe(EventId(e));
+        }
+    }
+    assert_eq!(p.candidate_count(), 1);
+    let counts = [1usize, 8, 64].map(|d| {
+        assert!(p.predict_delay_ns(d).is_some());
+        assert_eq!(p.predict_sequence(d).len(), d);
+        let delay = settled_allocations(|| {
+            allocations_in(|| {
+                std::hint::black_box(p.predict_delay_ns(d));
+            })
+        });
+        let sequence = settled_allocations(|| {
+            allocations_in(|| {
+                std::hint::black_box(p.predict_sequence(d));
+            })
+        });
+        (delay, sequence)
+    });
+    assert!(
+        counts.iter().all(|&c| c == counts[0]),
+        "(predict_delay_ns, predict_sequence) allocations at d = 1, 8, 64: {counts:?}"
+    );
+    assert!(
+        counts[0].0 <= 3 && counts[0].1 <= 3,
+        "(predict_delay_ns, predict_sequence) allocated {:?} times",
+        counts[0]
+    );
 }
 
 /// `match_grammar` allocates its memo and its work stack, sized by the
