@@ -92,6 +92,10 @@ rm -rf "$SEEDED"
 # degraded, not dead.
 PYTHIA_CHAOS="panic-predict" cargo test -q --test chaos
 PYTHIA_CHAOS="drop=7,dup=13,slow-predict-us=5" cargo test -q --test chaos
+# The channel and observe faults the two passes above leave out: reordered
+# and corrupted events, and a panic in the observe path, all behind the
+# facade's one hook predicate.
+PYTHIA_CHAOS="reorder=11,corrupt=17,panic-observe-after=500" cargo test -q --test chaos
 
 # Optional sanitize pass (PYTHIA_CI_SANITIZE=1): core tests under Miri
 # where the toolchain has it, then `pythia-analyze --deny warnings` (all

@@ -135,7 +135,10 @@ impl CircuitBreaker {
     }
 
     /// Scores one resolved prediction against the event that actually
-    /// occurred.
+    /// occurred. Kept out of line: the watchdog calls it once per scored
+    /// prediction, and its window bookkeeping would crowd the facade's
+    /// per-event path.
+    #[inline(never)]
     pub fn on_scored(&mut self, correct: bool, now: u64) {
         match self.state {
             BreakerState::Open => {}

@@ -32,8 +32,7 @@ pub mod faults;
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use faults::{FaultInjector, FaultPlan, WireFault, WireFaultInjector};
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -96,18 +95,6 @@ pub enum OracleHealth {
     Poisoned,
 }
 
-/// One outstanding prediction awaiting its ground-truth event. Ordered by
-/// target, equal targets by registration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct PendingScore {
-    /// 1-based index (in observed events) of the event this predicted.
-    target: u64,
-    /// Position among the predictions put on the heap so far.
-    registered: u64,
-    /// The predicted event id.
-    predicted: EventId,
-}
-
 /// Outstanding predictions kept before the oldest is discarded (bounds
 /// memory if the host stops submitting events).
 const MAX_PENDING: usize = 1024;
@@ -129,15 +116,17 @@ pub struct HardenedOracle {
     time_budget: Option<Duration>,
     breaker: CircuitBreaker,
     injector: FaultInjector,
-    /// Predictions of the very next event, in registration order: what a
-    /// host that asks at every blocking call has outstanding, kept off the
-    /// heap.
-    due_next: Vec<EventId>,
-    /// Outstanding predictions further ahead, earliest target (then
-    /// earliest registration) on top.
-    pending: BinaryHeap<Reverse<PendingScore>>,
-    /// Predictions put on the heap so far.
-    registered: u64,
+    /// Whether any per-call hook is armed: a time budget, or a fault this
+    /// facade injects into events or queries. Fixed at construction; a
+    /// fault-free facade never reads the injector or the clock per call.
+    hooked: bool,
+    /// Outstanding `(target, predicted)`: one FIFO per distinct distance,
+    /// largest first. A FIFO fills event by event, so it is sorted by
+    /// target, and of equal targets the larger distance's came first: the
+    /// FIFOs in order hold a target's predictions in registration order.
+    pending: Vec<(usize, VecDeque<(u64, EventId)>)>,
+    /// How many predictions `pending` holds.
+    outstanding: usize,
     /// Events submitted by the host (ground truth for the watchdog; fault
     /// injection happens downstream of this counter).
     observed: u64,
@@ -160,15 +149,22 @@ impl HardenedOracle {
             .clone()
             .or_else(FaultPlan::from_env)
             .unwrap_or_default();
+        let injector = FaultInjector::new(plan);
+        let plan = injector.plan();
+        let hooked = config.time_budget.is_some()
+            || !injector.is_identity()
+            || plan.panic_on_predict
+            || plan.panic_on_observe_after.is_some()
+            || plan.slow_predict.is_some();
         HardenedOracle {
             mode: inner.mode(),
             inner,
             time_budget: config.time_budget,
             breaker: CircuitBreaker::new(config.breaker),
-            injector: FaultInjector::new(plan),
-            due_next: Vec::new(),
-            pending: BinaryHeap::new(),
-            registered: 0,
+            injector,
+            hooked,
+            pending: Vec::new(),
+            outstanding: 0,
             observed: 0,
             poisoned: false,
             stats: ResilienceStats::default(),
@@ -329,37 +325,39 @@ impl HardenedOracle {
         self.one_event(event, Some(ns))
     }
 
+    #[inline]
     fn one_event(&mut self, event: EventId, ns: Option<u64>) -> Option<ObserveOutcome> {
         if self.is_off() {
             return None;
         }
         self.observed += 1;
-        let now = self.observed;
-
-        if self.mode == OracleMode::Predict && !self.poisoned {
+        if self.poisoned {
+            return None;
+        }
+        if self.mode == OracleMode::Predict {
             // Score outstanding predictions against the *host* event: fault
             // injection corrupts what the oracle sees, never the ground
             // truth, so a lossy channel shows up as mispredictions.
-            self.resolve_pending(event, now);
-            self.breaker.on_event(now);
-        }
-        if self.poisoned {
-            self.sync_degraded_clock();
-            return None;
+            let advised = self.breaker.advice_allowed();
+            self.resolve_pending(event, self.observed);
+            self.breaker.on_event(self.observed);
+            if self.breaker.advice_allowed() != advised {
+                self.sync_degraded_clock();
+            }
         }
 
-        let mut scratch = std::mem::take(&mut self.scratch);
-        let delivered: &[EventId] = if self.injector.is_identity() {
-            // Fast path (production configs): no channel faults, deliver
-            // the event itself, not a copy in the scratch buffer.
-            self.injector.submit_identity();
-            std::slice::from_ref(&event)
-        } else {
-            scratch.clear();
-            self.injector.transform(event, &mut scratch);
-            &scratch
-        };
-        let panic_now = self.injector.observe_panics();
+        let mut delivered = std::slice::from_ref(&event);
+        let mut panic_now = false;
+        if self.hooked {
+            if self.injector.is_identity() {
+                self.injector.submit_identity();
+            } else {
+                self.scratch.clear();
+                self.injector.transform(event, &mut self.scratch);
+                delivered = &self.scratch;
+            }
+            panic_now = self.injector.observe_panics();
+        }
         let inner = &mut self.inner;
         let result = catch_unwind(AssertUnwindSafe(|| {
             if panic_now {
@@ -374,18 +372,16 @@ impl HardenedOracle {
             }
             last
         }));
-        self.scratch = scratch;
-        let outcome = result.unwrap_or_else(|_| {
+        result.unwrap_or_else(|_| {
             self.poison();
             None
-        });
-        self.sync_degraded_clock();
-        outcome
+        })
     }
 
     /// Predicts the event `distance` steps ahead (mirrors
     /// [`Oracle::predict_event`]); answers [`Prediction::default`] whenever
     /// the facade is degraded or the query fails in any way.
+    #[inline]
     pub fn predict_event(&mut self, distance: usize) -> Prediction {
         let Some(pred) = self.guarded_query(|p, deadline| p.predict_inner(distance, deadline))
         else {
@@ -407,10 +403,10 @@ impl HardenedOracle {
 
     /// The guard both oracle queries run under. A degraded facade answers
     /// `None` without computing (counted as suppressed). Otherwise `query`
-    /// runs under `catch_unwind`, after the injected predict faults, with
-    /// the per-query deadline: a panic poisons the facade, a blown
-    /// deadline counts as a miss and a hard failure for the breaker, and
-    /// every failure answers `None`.
+    /// runs under `catch_unwind` (on a hooked facade after the injected
+    /// predict faults, with the per-query deadline): a panic poisons the
+    /// facade, a blown deadline counts as a miss and a hard failure for
+    /// the breaker, and every failure answers `None`.
     fn guarded_query<T>(
         &mut self,
         query: impl FnOnce(&Predictor, Option<Instant>) -> Result<T>,
@@ -420,9 +416,13 @@ impl HardenedOracle {
             self.stats.suppressed += 1;
             return None;
         }
-        let deadline = self.time_budget.map(|b| Instant::now() + b);
-        let plan = self.injector.plan();
-        let (panic_now, slow) = (plan.panic_on_predict, plan.slow_predict);
+        let (deadline, panic_now, slow) = if self.hooked {
+            let plan = self.injector.plan();
+            let deadline = self.time_budget.map(|b| Instant::now() + b);
+            (deadline, plan.panic_on_predict, plan.slow_predict)
+        } else {
+            (None, false, None)
+        };
         let result = catch_unwind(AssertUnwindSafe(|| {
             if panic_now {
                 panic!("injected predict fault");
@@ -432,7 +432,7 @@ impl HardenedOracle {
             }
             query(predictor, deadline)
         }));
-        let answer = match result {
+        match result {
             Ok(Ok(answer)) => {
                 self.breaker.on_query_ok();
                 Some(answer)
@@ -440,6 +440,7 @@ impl HardenedOracle {
             Ok(Err(Error::Degraded(_))) => {
                 self.stats.deadline_misses += 1;
                 self.breaker.on_hard_failure(self.observed);
+                self.sync_degraded_clock();
                 None
             }
             Ok(Err(_)) => None,
@@ -447,9 +448,7 @@ impl HardenedOracle {
                 self.poison();
                 None
             }
-        };
-        self.sync_degraded_clock();
-        answer
+        }
     }
 
     /// Hands a computed answer to the host while the breaker is closed. A
@@ -493,69 +492,66 @@ impl HardenedOracle {
         catch_unwind(AssertUnwindSafe(move || inner.finish())).unwrap_or(Ok(None))
     }
 
+    #[cold]
+    #[inline(never)]
     fn poison(&mut self) {
         self.poisoned = true;
         self.stats.panics_caught += 1;
-        self.due_next.clear();
         self.pending.clear();
+        self.outstanding = 0;
+        self.sync_degraded_clock();
     }
 
     /// Records a handed-out (or shadow) prediction for later scoring; past
-    /// `MAX_PENDING` the oldest target gives way.
+    /// `MAX_PENDING` the oldest target (of those, the earliest registered)
+    /// gives way.
+    #[inline]
     fn register(&mut self, distance: usize, predicted: EventId) {
-        if distance == 1 {
-            self.due_next.push(predicted);
-        } else {
-            self.registered += 1;
-            self.pending.push(Reverse(PendingScore {
-                target: self.observed + distance as u64,
-                registered: self.registered,
-                predicted,
-            }));
+        let lanes = &mut self.pending;
+        let at = lanes.iter().filter(|l| l.0 > distance).count();
+        if lanes.get(at).is_none_or(|l| l.0 != distance) {
+            lanes.insert(at, (distance, VecDeque::new()));
         }
-        if self.due_next.len() + self.pending.len() > MAX_PENDING {
-            // No target precedes the next event's, and a heap entry for it
-            // was registered at an earlier event than any in `due_next`.
-            let next = self.observed + 1;
-            match self.pending.peek() {
-                Some(Reverse(p)) if p.target <= next || self.due_next.is_empty() => {
-                    self.pending.pop();
-                }
-                _ => {
-                    self.due_next.remove(0);
-                }
+        lanes[at]
+            .1
+            .push_back((self.observed + distance as u64, predicted));
+        self.outstanding += 1;
+        if self.outstanding > MAX_PENDING {
+            // Of equal targets the first FIFO's was registered first, and
+            // `min_by_key` keeps the first of equal keys.
+            let fronts = lanes
+                .iter_mut()
+                .filter_map(|l| Some((l.1.front()?.0, &mut l.1)));
+            if let Some((_, oldest)) = fronts.min_by_key(|(target, _)| *target) {
+                oldest.pop_front();
+                self.outstanding -= 1;
             }
         }
     }
 
     /// Scores every outstanding prediction whose target is this event, in
-    /// registration order: the heap's were made at earlier events than
-    /// those in `due_next`, all of which are due now.
+    /// registration order.
+    #[inline]
     fn resolve_pending(&mut self, event: EventId, now: u64) {
-        while let Some(&Reverse(p)) = self.pending.peek() {
-            if p.target > now {
-                break;
-            }
-            self.pending.pop();
-            if p.target == now {
-                self.score(p.predicted == event, now);
+        for (_, fifo) in &mut self.pending {
+            while let Some(&(target, predicted)) = fifo.front().filter(|p| p.0 <= now) {
+                fifo.pop_front();
+                self.outstanding -= 1;
+                if target == now {
+                    let correct = predicted == event;
+                    self.stats.scored += 1;
+                    self.stats.mispredicted += u64::from(!correct);
+                    self.breaker.on_scored(correct, now);
+                }
             }
         }
-        for i in 0..self.due_next.len() {
-            self.score(self.due_next[i] == event, now);
-        }
-        self.due_next.clear();
     }
 
-    fn score(&mut self, correct: bool, now: u64) {
-        self.stats.scored += 1;
-        if !correct {
-            self.stats.mispredicted += 1;
-        }
-        self.breaker.on_scored(correct, now);
-    }
-
-    /// Starts/stops the degraded-time clock when health flips.
+    /// Starts/stops the degraded-time clock when health flips. Called only
+    /// where health can change: on poisoning, on a blown deadline (a hard
+    /// failure for the breaker), and when scoring flips the breaker.
+    #[cold]
+    #[inline(never)]
     fn sync_degraded_clock(&mut self) {
         let degraded = self.poisoned || self.breaker.state() != BreakerState::Closed;
         match (self.degraded_since, degraded) {
@@ -589,6 +585,18 @@ mod tests {
 
     fn e(n: u32) -> EventId {
         EventId(n)
+    }
+
+    /// One outstanding prediction of the naive watchdog model. Ordered by
+    /// target, equal targets by registration.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct PendingScore {
+        /// 1-based index (in observed events) of the event this predicted.
+        target: u64,
+        /// Position among the predictions registered so far.
+        registered: u64,
+        /// The predicted event id.
+        predicted: EventId,
     }
 
     /// Records `seq` with uniform 100ns spacing.
@@ -1032,6 +1040,154 @@ mod tests {
         }
         assert!(scored > 300 && mispredicted > 20, "{scored} {mispredicted}");
         assert!(breaker.transitions() >= 2, "{}", breaker.transitions());
+    }
+
+    /// The naive watchdog model of `pending_scores_follow_the_naive_sorted_list`
+    /// as a stepper: outstanding `(target, predicted)` in a list sorted by
+    /// target, equal targets in registration order, the oldest target
+    /// evicted past `MAX_PENDING`, fed to a breaker of its own.
+    struct NaiveWatchdog {
+        breaker: CircuitBreaker,
+        model: Vec<(u64, EventId)>,
+        scored: u64,
+        mispredicted: u64,
+    }
+
+    impl NaiveWatchdog {
+        fn event(&mut self, now: u64, actual: EventId) {
+            while self.model.first().is_some_and(|p| p.0 <= now) {
+                let (target, predicted) = self.model.remove(0);
+                if target == now {
+                    self.scored += 1;
+                    self.mispredicted += u64::from(predicted != actual);
+                    self.breaker.on_scored(predicted == actual, now);
+                }
+            }
+            self.breaker.on_event(now);
+        }
+
+        /// One query at `distance` answered `got` by the facade, `want` by
+        /// the bare predictor.
+        fn query(&mut self, now: u64, distance: usize, got: &Prediction, want: &Prediction) {
+            if !self.breaker.computes() {
+                assert!(!got.is_informed());
+                return;
+            }
+            self.breaker.on_query_ok();
+            if let Some(predicted) = want.most_likely() {
+                let target = now + distance as u64;
+                let at = self.model.iter().rposition(|p| p.0 <= target);
+                self.model
+                    .insert(at.map_or(0, |j| j + 1), (target, predicted));
+                if self.model.len() > MAX_PENDING {
+                    self.model.remove(0);
+                }
+            }
+            if self.breaker.advice_allowed() {
+                assert_eq!(got, want);
+            } else {
+                assert!(!got.is_informed());
+            }
+        }
+
+        fn health(&self) -> OracleHealth {
+            match self.breaker.state() {
+                BreakerState::Closed => OracleHealth::Healthy,
+                BreakerState::Open => OracleHealth::Quarantined,
+                BreakerState::HalfOpen => OracleHealth::Probing,
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The watchdog under random distance sequences, held to the naive
+        /// sorted list after every event: up to three queries per event,
+        /// each at a fresh distance in 1..=300, at the event's first
+        /// distance again, at the previous event's, or at a near one (so
+        /// that targets coincide across distances); two bursts of
+        /// `MAX_PENDING` queries and more at one distance; out-of-place
+        /// events in the stream, so that scores go wrong, the breaker
+        /// (windows of two, where the order of a target's scores moves
+        /// the trip) opens and closes, and probes score unadvised answers.
+        #[test]
+        fn pending_scores_follow_the_naive_model_under_random_distances(
+            (plan, bursts, noise) in (
+                proptest::collection::vec((0usize..4, 1usize..301, 0usize..4), 150..400),
+                proptest::collection::vec((0usize..400, 1usize..301, 0usize..200), 2),
+                proptest::collection::vec(0u32..12, 400),
+            )
+        ) {
+            use proptest::prop_assert_eq;
+            let seq: Vec<u32> = (0..120).flat_map(|_| [0, 1, 2, 2, 2, 3]).collect();
+            let trace = trace_of(&seq);
+            let breaker_config = BreakerConfig {
+                window: 2,
+                max_error_rate: 0.4,
+                failure_threshold: 8,
+                backoff_initial: 2,
+                backoff_max: 16,
+                probe_window: 2,
+                recovery_error_rate: 0.4,
+            };
+            let config = ResilienceConfig {
+                breaker: breaker_config.clone(),
+                ..hermetic()
+            };
+            let mut hard =
+                HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), config).unwrap();
+            let mut bare = Predictor::new(&trace);
+            let mut naive = NaiveWatchdog {
+                breaker: CircuitBreaker::new(breaker_config),
+                model: Vec::new(),
+                scored: 0,
+                mispredicted: 0,
+            };
+            let mut previous = 1;
+            for (i, &(count, fresh, kind)) in plan.iter().enumerate() {
+                let now = i as u64 + 1;
+                let s = match noise[i] {
+                    0 => seq[i + 2],
+                    1 => 3 - seq[i],
+                    _ => seq[i],
+                };
+                prop_assert_eq!(hard.event(e(s)), Some(bare.observe(e(s))));
+                naive.event(now, e(s));
+
+                let mut distances: Vec<usize> = (0..count)
+                    .map(|j| match kind {
+                        0 => fresh,
+                        1 => previous,
+                        2 => (fresh % 8 + j).max(1),
+                        _ => (fresh + 37 * j) % 300 + 1,
+                    })
+                    .collect();
+                for &(at, distance, extra) in &bursts {
+                    if at == i {
+                        distances.extend(std::iter::repeat_n(distance, MAX_PENDING + extra));
+                    }
+                }
+                let mut want = (0, Prediction::default());
+                for &distance in &distances {
+                    let got = hard.predict_event(distance);
+                    if want.0 != distance {
+                        want = (distance, bare.predict(distance));
+                    }
+                    naive.query(now, distance, &got, &want.1);
+                }
+                previous = distances.first().copied().unwrap_or(previous);
+
+                let r = hard.resilience_stats();
+                prop_assert_eq!(
+                    (r.scored, r.mispredicted),
+                    (naive.scored, naive.mispredicted),
+                    "event {}", i
+                );
+                prop_assert_eq!(r.quarantine_transitions, naive.breaker.transitions(), "event {}", i);
+                prop_assert_eq!(hard.health(), naive.health(), "event {}", i);
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@ use pythia_core::grammar::GrammarIndex;
 use pythia_core::persist::PersistConfig;
 use pythia_core::predict::{Predictor, PredictorConfig};
 use pythia_core::record::{RecordConfig, Recorder};
+use pythia_core::resilience::{BreakerConfig, FaultPlan, HardenedOracle, ResilienceConfig};
 
 struct CountingAlloc;
 
@@ -423,6 +424,116 @@ fn chain_queries_allocate_the_same_at_every_distance() {
         "(predict_delay_ns, predict_sequence) allocated {:?} times",
         counts[0]
     );
+}
+
+/// The hardened facade adds no allocation of its own at steady state: an
+/// `event` allocates nothing, a `predict_event(d)` exactly what the bare
+/// `Predictor::predict(d)` does at d = 1, 8 and 64 (the watchdog's FIFOs
+/// reuse their storage), and `predict_delay(1)` what the bare delay query
+/// does. The same holds after a burst of `MAX_PENDING + 50` queries at one
+/// distance has drained.
+#[test]
+fn facade_allocates_what_the_predictor_does() {
+    /// `resilience::MAX_PENDING`, the watchdog's bound.
+    const MAX_PENDING: usize = 1024;
+    const CYCLE: [u32; 4] = [0, 1, 2, 3];
+    const DISTANCES: [usize; 3] = [1, 8, 64];
+    let _counting = COUNTING.lock().unwrap_or_else(|e| e.into_inner());
+    let mut rec = Recorder::new(RecordConfig::default());
+    for (i, e) in (0..4_000).flat_map(|_| CYCLE).enumerate() {
+        rec.record_at(EventId(e), 100 * i as u64);
+    }
+    let trace = rec.finish(&EventRegistry::new()).unwrap();
+    // Fault-free, and a breaker that scores every prediction but never
+    // opens: every query computes.
+    let tracking = ResilienceConfig {
+        breaker: BreakerConfig {
+            max_error_rate: 1.0,
+            ..BreakerConfig::default()
+        },
+        faults: Some(FaultPlan::none()),
+        ..ResilienceConfig::default()
+    };
+    let mut hard =
+        HardenedOracle::try_predict(&trace, 0, PredictorConfig::default(), tracking).unwrap();
+    let mut bare = Predictor::for_thread(&trace, 0, PredictorConfig::default()).unwrap();
+
+    // One window of the loop, both sides fed alike: (allocations by the
+    // facade's events, by its queries per distance, by the bare queries
+    // per distance).
+    let mut window = |hard: &mut HardenedOracle, cycles: usize| {
+        let (mut events, mut queries, mut bare_queries) = (0, [0; 3], [0; 3]);
+        for _ in 0..cycles {
+            for e in CYCLE {
+                events += allocations_in(|| {
+                    hard.event(EventId(e));
+                });
+                bare.observe(EventId(e));
+                for (k, d) in DISTANCES.into_iter().enumerate() {
+                    queries[k] += allocations_in(|| {
+                        std::hint::black_box(hard.predict_event(d));
+                    });
+                    bare_queries[k] += allocations_in(|| {
+                        std::hint::black_box(bare.predict(d));
+                    });
+                }
+            }
+        }
+        (events, queries, bare_queries)
+    };
+    // The cleanest of three windows (see `settled_allocations`).
+    fn steady(
+        window: &mut impl FnMut(&mut HardenedOracle, usize) -> (usize, [usize; 3], [usize; 3]),
+        hard: &mut HardenedOracle,
+        what: &str,
+    ) {
+        let mut best = None;
+        for _ in 0..3 {
+            let (events, queries, bare_queries) = window(hard, WINDOW_EVENTS / 4);
+            let excess = events
+                + (0..3)
+                    .map(|k| queries[k].abs_diff(bare_queries[k]))
+                    .sum::<usize>();
+            if best.is_none_or(|(e, _)| excess < e) {
+                best = Some((excess, (events, queries, bare_queries)));
+            }
+            if excess == 0 {
+                break;
+            }
+        }
+        let (_, (events, queries, bare_queries)) = best.unwrap();
+        assert_eq!(events, 0, "{what}: facade events allocated {events} times");
+        assert_eq!(
+            queries, bare_queries,
+            "{what}: predict_event vs Predictor::predict allocations at d = {DISTANCES:?}"
+        );
+    }
+
+    // Warm up: every distance's FIFO exists and has grown to its steady
+    // length (64 outstanding at d = 64).
+    window(&mut hard, 64);
+    steady(&mut window, &mut hard, "steady state");
+
+    for _ in 0..MAX_PENDING + 50 {
+        std::hint::black_box(hard.predict_event(64));
+    }
+    // Drain the burst: its targets all fall due 64 events on.
+    window(&mut hard, 32);
+    steady(&mut window, &mut hard, "after a burst");
+    assert_eq!(hard.resilience_stats().suppressed, 0);
+
+    let delay = settled_allocations(|| {
+        allocations_in(|| {
+            std::hint::black_box(hard.predict_delay(1));
+        })
+    });
+    let bare_delay = settled_allocations(|| {
+        allocations_in(|| {
+            std::hint::black_box(bare.predict_delay_ns(1));
+        })
+    });
+    assert!(hard.predict_delay(1).is_some());
+    assert_eq!(delay, bare_delay, "predict_delay(1) vs predict_delay_ns(1)");
 }
 
 /// `match_grammar` allocates its memo and its work stack, sized by the

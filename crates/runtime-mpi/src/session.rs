@@ -676,6 +676,59 @@ mod tests {
         })
     }
 
+    /// A cell around a vanilla rank's state.
+    fn vanilla_cell() -> RankCell<Comm> {
+        RankCell::new(RankState {
+            oracle: HardenedOracle::off(ResilienceConfig {
+                faults: Some(FaultPlan::none()),
+                ..ResilienceConfig::default()
+            }),
+            cache: EventCache::new(),
+            accuracy: None,
+            cost: CostProbe::new(),
+            distances: Vec::new(),
+            events: 0,
+            aggregation: None,
+            fault: None,
+            remap_validations: 0,
+        })
+    }
+
+    #[test]
+    fn rank_cell_refuses_a_reentrant_entry() {
+        let cell = vanilla_cell();
+        let reentered = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            cell.with(|_| cell.with(|_| ()));
+        }));
+        assert!(reentered.is_err(), "a re-entrant `with` must panic");
+        // The flag is released on unwind: the owner enters again.
+        assert_eq!(cell.with(|st| st.events), 0);
+    }
+
+    #[test]
+    fn rank_cell_refuses_a_second_thread() {
+        let cell = &vanilla_cell();
+        let (entered_tx, entered_rx) = std::sync::mpsc::channel();
+        let (leave_tx, leave_rx) = std::sync::mpsc::channel::<()>();
+        std::thread::scope(|s| {
+            let owner = s.spawn(move || {
+                cell.with(|_| {
+                    entered_tx.send(()).unwrap();
+                    leave_rx.recv().unwrap();
+                })
+            });
+            entered_rx.recv().unwrap();
+            let intruder = s.spawn(|| cell.with(|_| ())).join();
+            leave_tx.send(()).unwrap();
+            owner.join().unwrap();
+            assert!(
+                intruder.is_err(),
+                "an entry while another thread holds the cell must panic"
+            );
+        });
+        assert_eq!(cell.with(|st| st.events), 0);
+    }
+
     #[test]
     fn vanilla_records_nothing() {
         let reports = run_app(2, MpiMode::Vanilla, 3);
